@@ -60,12 +60,12 @@ def _active_tape():
 class Node:
     """One recorded operation: inputs and a vector-Jacobian product."""
 
-    __slots__ = ("inputs", "vjp", "tape")
+    __slots__ = ("inputs", "vjp", "pos")
 
-    def __init__(self, inputs, vjp, tape):
+    def __init__(self, inputs, vjp, pos):
         self.inputs = inputs
         self.vjp = vjp
-        self.tape = tape
+        self.pos = pos
 
 
 class Tensor:
@@ -102,12 +102,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -150,20 +144,15 @@ def _lift(value, dtype) -> Tensor:
     return Tensor(np.asarray(value, dtype=dtype))
 
 
-def constant(data, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=False, dtype=dtype)
-
-
-def parameter(data, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=True, dtype=dtype)
-
-
 class Tape:
-    """Append-only record of operations, consumed once by ``backward``."""
+    """Append-only record of operations, consumed once by ``backward``.
+
+    Nodes hold their position on the tape, not the tape itself, so a
+    finished tape is freed by reference counting alone.
+    """
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self._outputs: list[Tensor] = []
 
     def __enter__(self):
         if getattr(_state, "tape", None) is not None:
@@ -178,11 +167,14 @@ class Tape:
         return False
 
     def _record(self, out: Tensor, inputs: tuple, vjp: Callable):
-        node = Node(inputs, vjp, self)
+        node = Node(inputs, vjp, len(self.nodes))
         out.node = node
         out.requires_grad = True
         self.nodes.append(node)
-        self._outputs.append(out)
+
+    def _owns(self, node: Node | None) -> bool:
+        return (node is not None and node.pos < len(self.nodes)
+                and self.nodes[node.pos] is node)
 
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
         """Accumulate gradients of the scalar ``loss`` into every
@@ -191,10 +183,10 @@ class Tape:
         """
         if loss.data.size != 1:
             raise NotScalar(f"loss must be scalar, got shape {loss.data.shape}")
-        if loss.node is None or loss.node.tape is not self:
+        if not self._owns(loss.node):
             raise NotScalar("loss is not an output of this tape")
 
-        start = self.nodes.index(loss.node)
+        start = loss.node.pos
         node_grads: dict[int, np.ndarray] = {
             id(loss.node): np.ones_like(loss.data)
         }
@@ -208,7 +200,7 @@ class Tape:
             for tensor, gin in zip(node.inputs, node.vjp(gout)):
                 if gin is None:
                     continue
-                if tensor.node is not None and tensor.node.tape is self:
+                if self._owns(tensor.node):
                     key = id(tensor.node)
                     if key in node_grads:
                         node_grads[key] = node_grads[key] + gin
@@ -371,35 +363,16 @@ def normal_cdf(x: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product; 1-D operands are promoted and squeezed back."""
-    a_vec = a.data.ndim == 1
-    b_vec = b.data.ndim == 1
-    A = a.data[None, :] if a_vec else a.data
-    B = b.data[:, None] if b_vec else b.data
+    """2-D matrix product; any other rank raises ShapeMismatch."""
+    A, B = a.data, b.data
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
-        raise ShapeMismatch(f"matmul shapes {a.data.shape} and {b.data.shape}")
-    out_data = A @ B
-    if a_vec:
-        out_data = out_data[0]
-    if b_vec:
-        out_data = out_data[..., 0]
-    out = Tensor(out_data)
+        raise ShapeMismatch(f"matmul shapes {A.shape} and {B.shape}")
+    out = Tensor(A @ B)
     tape = _should_record(a, b)
     if tape is not None:
         def vjp(g):
-            G = np.asarray(g)
-            if a_vec and b_vec:
-                G = G.reshape(1, 1)
-            elif a_vec:
-                G = G.reshape(1, -1)
-            elif b_vec:
-                G = G.reshape(-1, 1)
-            ga = (G @ B.T) if (a.requires_grad or a.node) else None
-            gb = (A.T @ G) if (b.requires_grad or b.node) else None
-            if ga is not None and a_vec:
-                ga = ga[0]
-            if gb is not None and b_vec:
-                gb = gb[:, 0]
+            ga = (g @ B.T) if (a.requires_grad or a.node) else None
+            gb = (A.T @ g) if (b.requires_grad or b.node) else None
             return ga, gb
         tape._record(out, (a, b), vjp)
     return out
@@ -606,7 +579,6 @@ class FdReport:
     max_rel_error: float
     coordinates_checked: int
     failures: list = field(default_factory=list)
-    worst: tuple | None = None
 
     def __str__(self):
         status = "PASS" if self.passed else "FAIL"
@@ -621,13 +593,18 @@ def finite_diff_check(
     inputs: Sequence[Tensor],
     step: float = 1e-4,
     rel_tol: float = 1e-4,
+    per_tensor: int | None = None,
+    rng: np.random.Generator | None = None,
 ) -> FdReport:
     """Compare tape gradients of ``f(*inputs)`` against central differences.
 
     Every coordinate of every requires_grad input is perturbed by ``step``
-    in both directions. The relative error metric is
-    |g_ad - g_fd| / (|g_ad| + |g_fd| + 1e-12). Inputs should be float64 for
-    the stated tolerances to be meaningful.
+    in both directions, in place, so ``f`` may also read the inputs through
+    a closure. With ``per_tensor`` set, only a sample of that many
+    coordinates per input is checked, drawn from ``rng`` without
+    replacement, tensor by tensor in input order. The relative error metric
+    is |g_ad - g_fd| / (|g_ad| + |g_fd| + 1e-12). Inputs should be float64
+    for the stated tolerances to be meaningful.
     """
     with Tape() as tape:
         loss = f(*inputs)
@@ -636,7 +613,6 @@ def finite_diff_check(
     max_rel = 0.0
     checked = 0
     failures = []
-    worst = None
     for i, x in enumerate(inputs):
         if not x.requires_grad:
             continue
@@ -644,7 +620,13 @@ def finite_diff_check(
         if g_ad is None:
             g_ad = np.zeros_like(x.data)
         flat = x.data.reshape(-1)
-        for j in range(flat.size):
+        if per_tensor is None:
+            coords = range(flat.size)
+        else:
+            coords = rng.choice(flat.size, size=min(per_tensor, flat.size),
+                                replace=False)
+        for j in coords:
+            j = int(j)
             orig = flat[j]
             flat[j] = orig + step
             hi = float(f(*inputs).data)
@@ -655,9 +637,7 @@ def finite_diff_check(
             g_a = float(g_ad.reshape(-1)[j])
             rel = abs(g_a - g_fd) / (abs(g_a) + abs(g_fd) + 1e-12)
             checked += 1
-            if rel > max_rel:
-                max_rel = rel
-                worst = (i, j, g_a, g_fd, rel)
+            max_rel = max(max_rel, rel)
             if rel > rel_tol:
                 failures.append((i, j, g_a, g_fd, rel))
     return FdReport(
@@ -665,5 +645,4 @@ def finite_diff_check(
         max_rel_error=max_rel,
         coordinates_checked=checked,
         failures=failures,
-        worst=worst,
     )

@@ -105,12 +105,10 @@ class RunConfig:
     def train_settings(self) -> TrainSettings:
         return TrainSettings(
             batch_size=self.batch_size,
-            epochs=self.epochs,
             seed=self.seed,
             lr=self.lr,
             weight_decay=self.weight_decay,
             beta=self.beta,
-            min_lr_fraction=self.min_lr_fraction,
             toggles=LossToggles(att=self.use_att_loss, exp=self.use_exp_loss,
                                 imp=self.use_imp_loss, lod=self.use_lod_loss),
         )

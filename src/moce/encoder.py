@@ -168,27 +168,15 @@ def gin_forward(layer: GinLayer, nodes: Tensor, edges: Tensor,
     return ad.add(ad.matmul(hidden, layer.w2), layer.b2)
 
 
-def encode(g, cfg: EncoderConfig, layers: list[GinLayer]) -> list[Tensor]:
-    """Run the GIN stack; returns the node matrix after every layer."""
-    nodes, edges = embed_inputs(g, cfg)
-    return encode_from(nodes, edges, g.edge_index, layers)
-
-
 def encode_from(nodes: Tensor, edges: Tensor, edge_index: np.ndarray,
                 layers: list[GinLayer]) -> list[Tensor]:
-    """GIN stack starting from an already-embedded node matrix."""
+    """Run the GIN stack from an embedded node matrix; returns the node
+    matrix after every layer."""
     out = []
     for layer in layers:
         nodes = gin_forward(layer, nodes, edges, edge_index)
         out.append(nodes)
     return out
-
-
-def global_mean_pool(nodes: Tensor) -> Tensor:
-    """Mean over nodes of one graph; the readout vector x-hat."""
-    if nodes.shape[0] == 0:
-        raise EmptyGraph("mean pool over zero nodes")
-    return ad.reduce_mean(nodes, axis=0)
 
 
 def segment_mean_pool(nodes: Tensor, graph_ids: np.ndarray,

@@ -210,18 +210,6 @@ class IntegratorParams:
 
 
 @dataclass
-class GateResult:
-    """Routing outcome for one sample; vectors over the expert axis."""
-
-    mu: Tensor
-    sigma: Tensor
-    h: Tensor
-    gates: Tensor
-    selected: np.ndarray
-    p_choose: Tensor
-
-
-@dataclass
 class RouteBatch:
     """Routing outcome for a whole batch; (batch, experts) tensors."""
 
@@ -250,21 +238,17 @@ def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def gamma_mask(v: Tensor, k_t: int) -> Tensor:
-    """Keep the top k_t entries of each row, fill the rest with the row
-    minimum. Implemented as a gather with constant indices, so the filled
-    positions pass their gradient to the (first) argmin entry."""
-    squeeze = v.data.ndim == 1
-    vv = ad.reshape(v, (1, -1)) if squeeze else v
-    rows, m = vv.shape
+    """Keep the top k_t entries of each row of a (rows, m) matrix, fill the
+    rest with the row minimum. Implemented as a gather with constant
+    indices, so the filled positions pass their gradient to the (first)
+    argmin entry."""
+    m = v.shape[-1]
     if not 1 <= k_t <= m:
         raise BadK(f"k_t must be in [1, {m}], got {k_t}")
-    data = vv.data
-    keep = np.zeros((rows, m), dtype=bool)
-    np.put_along_axis(keep, topk_indices(data, k_t), True, axis=1)
-    argmin = np.argmin(data, axis=1)
-    idx = np.where(keep, np.arange(m)[None, :], argmin[:, None])
-    out = ad.gather_cols(vv, idx)
-    return ad.reshape(out, (m,)) if squeeze else out
+    keep = np.zeros(v.shape, dtype=bool)
+    np.put_along_axis(keep, topk_indices(v.data, k_t), True, axis=-1)
+    argmin = np.argmin(v.data, axis=-1)
+    return ad.gather_cols(v, np.where(keep, np.arange(m), argmin[..., None]))
 
 
 def route_batch(x_hat: Tensor, tasks: Tensor, r: RouterParams,
@@ -314,23 +298,6 @@ def route_batch(x_hat: Tensor, tasks: Tensor, r: RouterParams,
 
     return RouteBatch(mu=mu, sigma=sigma, h=h, gates=gates,
                       selected=selected, p_choose=p_choose)
-
-
-def route(x_hat: Tensor, t: Tensor, r: RouterParams, noise_on: bool,
-          rng: np.random.Generator | None = None) -> GateResult:
-    """Route a single sample; see route_batch for the semantics."""
-    xb = ad.reshape(x_hat, (1, -1))
-    tb = ad.reshape(t, (1, -1)) if isinstance(t, Tensor) else Tensor(np.asarray(t).reshape(1, -1))
-    rb = route_batch(xb, tb, r, noise_on, rng)
-    m = r.num_experts
-    return GateResult(
-        mu=ad.reshape(rb.mu, (m,)),
-        sigma=ad.reshape(rb.sigma, (m,)),
-        h=ad.reshape(rb.h, (m,)),
-        gates=ad.reshape(rb.gates, (m,)),
-        selected=rb.selected[0].copy(),
-        p_choose=ad.reshape(rb.p_choose, (m,)),
-    )
 
 
 def _sag_weights(scores: np.ndarray, graph_ids: np.ndarray, num_graphs: int,
@@ -384,14 +351,6 @@ def sag_project_batch(nodes: Tensor, edge_index: np.ndarray,
     return ad.scatter_segment_sum(weighted_rows, graph_ids, num_graphs)
 
 
-def sag_project(nodes: Tensor, edge_index: np.ndarray,
-                expert: ExpertParams) -> Tensor:
-    """Pooled view of a single graph: a vector of length dim."""
-    ids = np.zeros(nodes.shape[0], dtype=np.int64)
-    pooled = sag_project_batch(nodes, edge_index, ids, 1, expert)
-    return ad.reshape(pooled, (nodes.shape[1],))
-
-
 def expert_mlp(expert: ExpertParams, pooled: Tensor) -> Tensor:
     """Per-expert vote: relu-hidden d->d->1 perceptron on pooled features."""
     hidden = ad.relu(ad.add(ad.matmul(pooled, expert.w1), expert.b1))
@@ -430,16 +389,8 @@ def layer_forward(nodes: Tensor, edge_index: np.ndarray, graph_ids: np.ndarray,
 
 def integrate_outputs(per_layer_logits: Tensor, tasks: Tensor,
                       p: IntegratorParams) -> tuple[Tensor, Tensor]:
-    """Blend per-layer logits with task-conditioned softmax weights.
-
-    Accepts a (batch, layers) matrix with (batch, task_dim) tasks, or a
-    single sample as vectors. Returns (final logits, weights).
-    """
-    single = per_layer_logits.data.ndim == 1
-    o = ad.reshape(per_layer_logits, (1, -1)) if single else per_layer_logits
-    t = ad.reshape(tasks, (1, -1)) if tasks.data.ndim == 1 else tasks
-    weights = ad.softmax(ad.add(ad.matmul(t, p.map_w), p.bias), axis=1)
-    r = ad.reduce_sum(ad.mul(weights, o), axis=1)
-    if single:
-        return ad.reshape(r, ()), ad.reshape(weights, (weights.shape[1],))
-    return r, weights
+    """Blend a (batch, layers) logit matrix with task-conditioned softmax
+    weights from the (batch, task_dim) tasks. Returns (final logits,
+    weights)."""
+    weights = ad.softmax(ad.add(ad.matmul(tasks, p.map_w), p.bias), axis=1)
+    return ad.reduce_sum(ad.mul(weights, per_layer_logits), axis=1), weights

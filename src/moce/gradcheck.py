@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import FdReport, Tape, Tensor, finite_diff_check
+from .autodiff import FdReport, Tensor, finite_diff_check
 from .encoder import (EncoderConfig, GinLayer, batch_graphs, embed_inputs,
                       encode_from, segment_mean_pool)
 from .experts import ExpertParams, RouterParams, route_batch, sag_project_batch
@@ -49,52 +49,6 @@ def _param(rng, shape, low=-1.5, high=1.5) -> Tensor:
 
 def _sq_sum(t: Tensor) -> Tensor:
     return ad.reduce_sum(ad.mul(t, t))
-
-
-def sampled_check(f, inputs, rng, per_tensor: int = 4, step: float = 1e-4,
-                  rel_tol: float = DEFAULT_TOL) -> FdReport:
-    """Central-difference check on a random coordinate sample per tensor.
-
-    ``f`` is called with no arguments and must see the tensors in ``inputs``
-    through its closure; perturbations are written into ``tensor.data`` in
-    place, so the closure picks them up.
-    """
-    with Tape() as tape:
-        loss = f()
-        grads = tape.backward(loss)
-
-    max_rel = 0.0
-    checked = 0
-    failures = []
-    worst = None
-    for i, x in enumerate(inputs):
-        if not x.requires_grad:
-            continue
-        g_ad = grads.get(x)
-        if g_ad is None:
-            g_ad = np.zeros_like(x.data)
-        flat = x.data.reshape(-1)
-        count = min(per_tensor, flat.size)
-        coords = rng.choice(flat.size, size=count, replace=False)
-        for j in coords:
-            orig = flat[j]
-            flat[j] = orig + step
-            hi = float(f().data)
-            flat[j] = orig - step
-            lo = float(f().data)
-            flat[j] = orig
-            g_fd = (hi - lo) / (2.0 * step)
-            g_a = float(g_ad.reshape(-1)[int(j)])
-            rel = abs(g_a - g_fd) / (abs(g_a) + abs(g_fd) + 1e-12)
-            checked += 1
-            if rel > max_rel:
-                max_rel = rel
-                worst = (i, int(j), g_a, g_fd, rel)
-            if rel > rel_tol:
-                failures.append((i, int(j), g_a, g_fd, rel))
-    return FdReport(passed=not failures, max_rel_error=max_rel,
-                    coordinates_checked=checked, failures=failures,
-                    worst=worst)
 
 
 def _check_unary(rng, op, positive=False, away_from_zero=False) -> FdReport:
@@ -264,13 +218,13 @@ def _check_encoder(rng) -> FdReport:
         inputs.extend(layer.parameters().values())
     readout = Tensor(rng.uniform(0.5, 1.5, size=(3, 3)))
 
-    def f():
+    def f(*unused):
         nodes, edges = embed_inputs(batch, cfg)
         states = encode_from(nodes, edges, batch.edge_index, gins)
         pooled = segment_mean_pool(states[-1], batch.graph_ids, 3)
         return ad.reduce_sum(ad.mul(pooled, readout))
 
-    return sampled_check(f, inputs, rng, per_tensor=4)
+    return finite_diff_check(f, inputs, per_tensor=4, rng=rng)
 
 
 def _check_full_model(rng) -> FdReport:
@@ -284,11 +238,11 @@ def _check_full_model(rng) -> FdReport:
     inputs = list(model.parameters().values())
     _jitter(inputs, rng)
 
-    def f():
+    def f(*unused):
         result = model.forward(batch, tasks, noise_on=False)
         return model_loss(model, result, labels, beta=0.5).overall
 
-    return sampled_check(f, inputs, rng, per_tensor=3)
+    return finite_diff_check(f, inputs, per_tensor=3, rng=rng)
 
 
 def run_all(seed: int = 0, rel_tol: float = DEFAULT_TOL) -> list[CheckResult]:

@@ -70,7 +70,7 @@ def attention_cosine_loss(thetas: list[Tensor]) -> Tensor:
             unit = ad.div(flat, norm)
         total = unit if total is None else ad.add(total, unit)
     dot = ad.reduce_sum(ad.mul(total, total))
-    return ad.mul(dot, Tensor(np.asarray(1.0 / (m * m))))
+    return ad.mul(dot, Tensor(1.0 / (m * m), dtype=dot.dtype))
 
 
 def expert_specific_loss(per_expert_logits: Tensor, labels,
@@ -93,7 +93,7 @@ def _importance_stats(per_expert_sums: Tensor) -> tuple[Tensor, Tensor]:
     mean = ad.reduce_mean(per_expert_sums)
     centered = ad.sub(per_expert_sums, mean)
     var = ad.reduce_mean(ad.mul(centered, centered))
-    guarded = ad.add(mean, Tensor(np.asarray(_EPS_MEAN)))
+    guarded = ad.add(mean, Tensor(_EPS_MEAN, dtype=mean.dtype))
     return var, guarded
 
 
@@ -106,7 +106,7 @@ def importance_loss(gates: Tensor, beta_scale: float = 1.0) -> Tensor:
     importance = ad.reduce_sum(gates, axis=0)
     var, guarded = _importance_stats(importance)
     cv_sq = ad.div(var, ad.mul(guarded, guarded))
-    return ad.mul(cv_sq, Tensor(np.asarray(beta_scale)))
+    return ad.mul(cv_sq, Tensor(beta_scale, dtype=cv_sq.dtype))
 
 
 def load_loss(p_choose: Tensor, beta_scale: float = 1.0) -> Tensor:
@@ -118,7 +118,7 @@ def load_loss(p_choose: Tensor, beta_scale: float = 1.0) -> Tensor:
     load = ad.reduce_sum(p_choose, axis=0)
     var, guarded = _importance_stats(load)
     cv = ad.div(ad.sqrt(var), guarded)
-    return ad.mul(cv, Tensor(np.asarray(beta_scale)))
+    return ad.mul(cv, Tensor(beta_scale, dtype=cv.dtype))
 
 
 @dataclass(frozen=True)
@@ -166,6 +166,6 @@ def overall_loss(base: Tensor, att: Tensor, exp: Tensor, imp: Tensor,
     if not 0.0 < beta <= 1.0:
         raise BadBeta(f"beta must be in (0, 1], got {beta}")
     col = ad.add(ad.add(att, exp), ad.add(imp, lod))
-    overall = ad.add(base, ad.mul(col, Tensor(np.asarray(beta))))
+    overall = ad.add(base, ad.mul(col, Tensor(beta, dtype=col.dtype)))
     return LossBreakdown(base=base, att=att, exp=exp, imp=imp, lod=lod,
                          col=col, overall=overall, beta=beta)

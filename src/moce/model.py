@@ -193,8 +193,8 @@ def model_loss(model: Model, result: ForwardResult, labels, beta: float,
             total = ad.add(total, piece)
         return total
 
-    zero = Tensor(np.asarray(0.0))
-    scale = Tensor(np.asarray(1.0 / len(model.blocks)))
+    zero = Tensor(0.0, dtype=y.dtype)
+    scale = Tensor(1.0 / len(model.blocks), dtype=y.dtype)
     if toggles.att:
         att = ad.mul(accumulate([
             attention_cosine_loss([e.theta_att for e in block.experts])

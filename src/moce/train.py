@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import Tape, Tensor
 from .encoder import BatchedGraph, batch_graphs
 from .experts import TaskDescriptor
-from .losses import LossToggles
+from .losses import LossBreakdown, LossToggles
 from .model import ForwardResult, Model, model_loss
 from .molgraph import DatasetRecord
 
@@ -187,16 +187,59 @@ def _chunks(seq, size: int):
 
 
 @dataclass
+class _MetricsAccumulator:
+    """Per-batch sums of losses, gate statistics and per-task scores,
+    shared by training and evaluation."""
+
+    loss_sums: dict[str, float] = field(default_factory=dict)
+    gate_sums: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    num_batches: int = 0
+    scores: dict[str, list] = field(default_factory=dict)
+    labels: dict[str, list] = field(default_factory=dict)
+
+    def add(self, breakdown: LossBreakdown, result: ForwardResult, labels: np.ndarray,
+            ids: list[str]) -> None:
+        self.num_batches += 1
+        for key, value in breakdown.floats().items():
+            self.loss_sums[key] = self.loss_sums.get(key, 0.0) + value
+        self.gate_sums = tuple(
+            total + value
+            for total, value in zip(self.gate_sums, _gate_statistics(result)))
+        for i, task_id in enumerate(ids):
+            self.scores.setdefault(task_id, []).append(result.logits.data[i])
+            self.labels.setdefault(task_id, []).append(labels[i])
+
+    def metrics(self, epoch: int, split: str,
+                skipped_batches: int = 0) -> EpochMetrics:
+        denom = max(self.num_batches, 1)
+        per_task_auc = {
+            task_id: auc_roc(self.scores[task_id], self.labels[task_id])
+            for task_id in sorted(self.scores)
+        }
+        defined = [a for a in per_task_auc.values() if a is not None]
+        share, imp_cv, lod_cv = (total / denom for total in self.gate_sums)
+        return EpochMetrics(
+            epoch=epoch,
+            split=split,
+            per_task_auc=per_task_auc,
+            mean_auc=float(np.mean(defined)) if defined else None,
+            loss_means={k: v / denom for k, v in self.loss_sums.items()},
+            max_gate_share=share,
+            importance_cv=imp_cv,
+            load_cv=lod_cv,
+            skipped_batches=skipped_batches,
+        )
+
+
+@dataclass
 class TrainSettings:
     """Loop hyperparameters (the model's shape lives in ModelConfig)."""
 
     batch_size: int = 512
-    epochs: int = 50
     seed: int = 0
     lr: float = 0.01
     weight_decay: float = 0.01
     beta: float = 0.1
-    min_lr_fraction: float = 0.0
     toggles: LossToggles = LossToggles()
 
 
@@ -217,12 +260,7 @@ def train_epoch(model: Model, records: list[DatasetRecord],
 
     step = start_step
     skipped = 0
-    loss_sums: dict[str, float] = {}
-    share_sum = imp_sum = lod_sum = 0.0
-    num_batches = 0
-    per_task_scores: dict[str, list] = {}
-    per_task_labels: dict[str, list] = {}
-
+    acc = _MetricsAccumulator()
     for chunk in _chunks(shuffled, settings.batch_size):
         batch, t_matrix, labels, ids = make_batch(
             chunk, tasks, dtype=model.integrator.bias.dtype)
@@ -238,89 +276,28 @@ def train_epoch(model: Model, records: list[DatasetRecord],
         }
         lr_now = cosine_lr(min(step, schedule.total_steps), schedule,
                            settings.lr)
+        step += 1
         try:
             adamw_step(params, grads, opt, lr=lr_now)
         except NonFiniteGradient:
             skipped += 1
-            step += 1
             continue
-        step += 1
-        num_batches += 1
-        for key, value in breakdown.floats().items():
-            loss_sums[key] = loss_sums.get(key, 0.0) + value
-        share, imp_cv, lod_cv = _gate_statistics(result)
-        share_sum += share
-        imp_sum += imp_cv
-        lod_sum += lod_cv
-        for i, task_id in enumerate(ids):
-            per_task_scores.setdefault(task_id, []).append(
-                result.logits.data[i])
-            per_task_labels.setdefault(task_id, []).append(labels[i])
-
-    denom = max(num_batches, 1)
-    per_task_auc = {
-        task_id: auc_roc(per_task_scores[task_id], per_task_labels[task_id])
-        for task_id in sorted(per_task_scores)
-    }
-    defined = [a for a in per_task_auc.values() if a is not None]
-    metrics = EpochMetrics(
-        epoch=epoch,
-        split="train",
-        per_task_auc=per_task_auc,
-        mean_auc=float(np.mean(defined)) if defined else None,
-        loss_means={k: v / denom for k, v in loss_sums.items()},
-        max_gate_share=share_sum / denom,
-        importance_cv=imp_sum / denom,
-        load_cv=lod_sum / denom,
-        skipped_batches=skipped,
-    )
-    return metrics, step
+        acc.add(breakdown, result, labels, ids)
+    return acc.metrics(epoch, "train", skipped), step
 
 
 def evaluate(model: Model, records: list[DatasetRecord],
              tasks: dict[str, TaskDescriptor], settings: TrainSettings,
              epoch: int = 0, split: str = "valid") -> EpochMetrics:
     """Noise-off evaluation: per-task AUC, loss means, gate statistics."""
-    loss_sums: dict[str, float] = {}
-    share_sum = imp_sum = lod_sum = 0.0
-    num_batches = 0
-    per_task_scores: dict[str, list] = {}
-    per_task_labels: dict[str, list] = {}
-
+    acc = _MetricsAccumulator()
     for chunk in _chunks(records, settings.batch_size):
         batch, t_matrix, labels, ids = make_batch(
             chunk, tasks, dtype=model.integrator.bias.dtype)
         result = model.forward(batch, t_matrix, noise_on=False)
-        breakdown = model_loss(model, result, labels, settings.beta,
-                               settings.toggles)
-        num_batches += 1
-        for key, value in breakdown.floats().items():
-            loss_sums[key] = loss_sums.get(key, 0.0) + value
-        share, imp_cv, lod_cv = _gate_statistics(result)
-        share_sum += share
-        imp_sum += imp_cv
-        lod_sum += lod_cv
-        for i, task_id in enumerate(ids):
-            per_task_scores.setdefault(task_id, []).append(
-                result.logits.data[i])
-            per_task_labels.setdefault(task_id, []).append(labels[i])
-
-    denom = max(num_batches, 1)
-    per_task_auc = {
-        task_id: auc_roc(per_task_scores[task_id], per_task_labels[task_id])
-        for task_id in sorted(per_task_scores)
-    }
-    defined = [a for a in per_task_auc.values() if a is not None]
-    return EpochMetrics(
-        epoch=epoch,
-        split=split,
-        per_task_auc=per_task_auc,
-        mean_auc=float(np.mean(defined)) if defined else None,
-        loss_means={k: v / denom for k, v in loss_sums.items()},
-        max_gate_share=share_sum / denom,
-        importance_cv=imp_sum / denom,
-        load_cv=lod_sum / denom,
-    )
+        acc.add(model_loss(model, result, labels, settings.beta,
+                           settings.toggles), result, labels, ids)
+    return acc.metrics(epoch, split)
 
 
 METRICS_HEADER = ["epoch", "task_id", "split", "auc", "base", "att", "exp",

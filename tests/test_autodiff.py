@@ -134,12 +134,13 @@ class TestMatmul:
         np.testing.assert_allclose(grads[a], np.ones((3, 2)) @ b.data.T, atol=1e-12)
         np.testing.assert_allclose(grads[b], a.data.T @ np.ones((3, 2)), atol=1e-12)
 
-    def test_vector_promotion(self):
+    def test_vector_operand_rejected(self):
         v = Tensor(np.array([1.0, 2.0]))
         m = Tensor(np.array([[3.0], [4.0]]))
-        out = ad.matmul(v, m)
-        assert out.shape == (1,)
-        assert out.data[0] == pytest.approx(11.0)
+        with pytest.raises(ShapeMismatch):
+            ad.matmul(v, m)
+        with pytest.raises(ShapeMismatch):
+            ad.matmul(Tensor(np.ones((1, 2))), Tensor(np.array([3.0, 4.0])))
 
     def test_inner_dim_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -243,6 +244,18 @@ class TestTapeSemantics:
             _ = x * 3.0
             with pytest.raises(NotScalar):
                 other.backward(y)
+
+    def test_tensor_from_another_tape_is_a_leaf(self):
+        # y sits at position 0 of its own tape; the other tape also has a
+        # node at position 0, which must not be mistaken for y's
+        x = Tensor(2.0, requires_grad=True)
+        with Tape():
+            y = x * x
+        with Tape() as other:
+            z = ad.mul(y, Tensor(3.0))
+            grads = other.backward(z)
+        assert grads[y] == pytest.approx(3.0)
+        assert x not in grads
 
     def test_no_tape_means_no_recording(self):
         x = Tensor(2.0, requires_grad=True)

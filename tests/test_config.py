@@ -116,12 +116,11 @@ class TestDerivedViews:
         assert mc.task_dim == 12
 
     def test_train_settings_fields(self):
-        cfg = parse_config("batch_size = 64\nepochs = 7\nseed = 3\n"
+        cfg = parse_config("batch_size = 64\nseed = 3\n"
                            "lr = 0.002\nweight_decay = 0.05\nbeta = 0.2\n"
                            "use_imp_loss = false\n")
         ts = cfg.train_settings()
         assert ts.batch_size == 64
-        assert ts.epochs == 7
         assert ts.seed == 3
         assert ts.lr == 0.002
         assert ts.weight_decay == 0.05

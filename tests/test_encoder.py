@@ -13,10 +13,8 @@ from moce.encoder import (
     batch_graphs,
     embed_features,
     embed_inputs,
-    encode,
     encode_from,
     gin_forward,
-    global_mean_pool,
     segment_mean_pool,
 )
 from moce.molgraph import FeaturizedGraph, featurize, parse_smiles
@@ -153,12 +151,23 @@ class TestGinForward:
         np.testing.assert_allclose(out.data, [[1.0], [1.0]], rtol=0, atol=0)
 
 
+def gin_stack(g, cfg: EncoderConfig, layers: list[GinLayer]) -> list[Tensor]:
+    """Embed a graph or batch and run the GIN stack over it."""
+    nodes, edges = embed_inputs(g, cfg)
+    return encode_from(nodes, edges, g.edge_index, layers)
+
+
+def mean_readout(nodes: Tensor) -> Tensor:
+    """Readout of a single graph, pooled as a B=1 batch."""
+    return segment_mean_pool(nodes, np.zeros(nodes.shape[0], dtype=np.int64), 1)
+
+
 class TestEncode:
     def test_layer_count_and_shapes(self):
         rng = np.random.default_rng(7)
         cfg = EncoderConfig.create(rng, embed_dim=5, num_gnn_layers=3)
         layers = [GinLayer.create(rng, 5) for _ in range(3)]
-        outs = encode(graph_of("c1ccccc1"), cfg, layers)
+        outs = gin_stack(graph_of("c1ccccc1"), cfg, layers)
         assert len(outs) == 3
         for o in outs:
             assert o.shape == (6, 5)
@@ -168,8 +177,8 @@ class TestEncode:
         cfg = EncoderConfig.create(rng, embed_dim=4, num_gnn_layers=2)
         layers = [GinLayer.create(rng, 4) for _ in range(2)]
         g = graph_of("CC(=O)O")
-        outs = encode(g, cfg, layers)
         nodes, edges = embed_inputs(g, cfg)
+        outs = encode_from(nodes, edges, g.edge_index, layers)
         step1 = gin_forward(layers[0], nodes, edges, g.edge_index)
         step2 = gin_forward(layers[1], step1, edges, g.edge_index)
         np.testing.assert_array_equal(outs[0].data, step1.data)
@@ -181,10 +190,9 @@ class TestEncode:
         layers = [GinLayer.create(rng, 6) for _ in range(2)]
         g1 = graph_of("CCO")
         g2 = graph_of("c1ccncc1")
-        batch = batch_graphs([g1, g2])
-        batched = encode(batch, cfg, layers)
-        solo1 = encode(g1, cfg, layers)
-        solo2 = encode(g2, cfg, layers)
+        batched = gin_stack(batch_graphs([g1, g2]), cfg, layers)
+        solo1 = gin_stack(batch_graphs([g1]), cfg, layers)
+        solo2 = gin_stack(batch_graphs([g2]), cfg, layers)
         for b, s1, s2 in zip(batched, solo1, solo2):
             np.testing.assert_allclose(
                 b.data, np.vstack([s1.data, s2.data]), rtol=1e-12, atol=1e-14)
@@ -194,20 +202,20 @@ class TestEncode:
         rng = np.random.default_rng(10)
         cfg = EncoderConfig.create(rng, embed_dim=5, num_gnn_layers=2)
         layers = [GinLayer.create(rng, 5) for _ in range(2)]
-        a = global_mean_pool(encode(graph_of("CCO"), cfg, layers)[-1])
-        b = global_mean_pool(encode(graph_of("OCC"), cfg, layers)[-1])
+        a = mean_readout(gin_stack(graph_of("CCO"), cfg, layers)[-1])
+        b = mean_readout(gin_stack(graph_of("OCC"), cfg, layers)[-1])
         np.testing.assert_allclose(a.data, b.data, rtol=1e-10, atol=1e-12)
 
 
 class TestPooling:
     def test_global_mean_matches_numpy(self):
         x = np.random.default_rng(11).normal(size=(7, 3))
-        np.testing.assert_allclose(global_mean_pool(Tensor(x)).data,
-                                   x.mean(axis=0), rtol=1e-15)
+        np.testing.assert_allclose(mean_readout(Tensor(x)).data,
+                                   x.mean(axis=0, keepdims=True), rtol=1e-15)
 
     def test_global_mean_rejects_empty(self):
         with pytest.raises(EmptyGraph):
-            global_mean_pool(Tensor(np.zeros((0, 3))))
+            mean_readout(Tensor(np.zeros((0, 3))))
 
     def test_segment_mean_matches_per_graph(self):
         rng = np.random.default_rng(12)
@@ -233,7 +241,7 @@ class TestEncoderGradients:
             params.extend(layer.parameters().values())
 
         def loss_fn(*_):
-            outs = encode(batch, cfg, layers)
+            outs = gin_stack(batch, cfg, layers)
             pooled = segment_mean_pool(outs[-1], batch.graph_ids, 2)
             return ad.reduce_sum(ad.mul(pooled, pooled))
 

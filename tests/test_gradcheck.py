@@ -2,9 +2,8 @@
 
 import numpy as np
 
-from moce.gradcheck import (CheckResult, all_passed, format_results, run_all,
-                            sampled_check)
-from moce.autodiff import FdReport, Tensor
+from moce.gradcheck import CheckResult, all_passed, format_results, run_all
+from moce.autodiff import FdReport, Tensor, finite_diff_check
 from moce import autodiff as ad
 
 
@@ -41,14 +40,16 @@ class TestSuite:
 
 
 class TestSampledCheck:
+    """finite_diff_check with a per-tensor coordinate sample."""
+
     def test_agrees_with_correct_gradient(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.uniform(-1, 1, size=(4, 5)), requires_grad=True)
 
-        def f():
-            return ad.reduce_sum(ad.mul(ad.tanh(x), ad.tanh(x)))
+        def f(t):
+            return ad.reduce_sum(ad.mul(ad.tanh(t), ad.tanh(t)))
 
-        report = sampled_check(f, [x], rng, per_tensor=6)
+        report = finite_diff_check(f, [x], per_tensor=6, rng=rng)
         assert report.passed
         assert report.coordinates_checked == 6
 
@@ -58,18 +59,38 @@ class TestSampledCheck:
         rng = np.random.default_rng(4)
         x = Tensor(rng.uniform(0.5, 1.0, size=(6,)), requires_grad=True)
 
-        def f():
-            tracked = ad.reduce_sum(ad.mul(x, x))
-            leaked = Tensor(np.asarray(x.data.sum()))
+        def f(t):
+            tracked = ad.reduce_sum(ad.mul(t, t))
+            leaked = Tensor(np.asarray(t.data.sum()))
             return ad.add(tracked, leaked)
 
-        report = sampled_check(f, [x], rng, per_tensor=6)
+        report = finite_diff_check(f, [x], per_tensor=6, rng=rng)
         assert not report.passed
         assert report.failures
 
     def test_samples_at_most_tensor_size(self):
         rng = np.random.default_rng(5)
         x = Tensor(np.array([0.3, 0.7]), requires_grad=True)
-        report = sampled_check(lambda: ad.reduce_sum(ad.mul(x, x)),
-                               [x], rng, per_tensor=50)
+        report = finite_diff_check(lambda t: ad.reduce_sum(ad.mul(t, t)),
+                                   [x], per_tensor=50, rng=rng)
         assert report.coordinates_checked == 2
+
+    def test_coordinates_drawn_per_tensor_in_input_order(self):
+        # the sample is rng.choice(size, min(per_tensor, size)) for each
+        # requires_grad input in turn, so a failure names exactly the
+        # coordinates an independent draw from the same seed picks
+        x = Tensor(np.ones(5), requires_grad=True)
+        skipped = Tensor(np.ones(7))
+        y = Tensor(np.ones((2, 3)), requires_grad=True)
+
+        def f(a, _, c):
+            # every sampled coordinate fails: the tape sees half the slope
+            tracked = ad.add(ad.reduce_sum(a), ad.reduce_sum(c))
+            return ad.add(tracked, Tensor(np.asarray(a.data.sum() + c.data.sum())))
+
+        report = finite_diff_check(f, [x, skipped, y], per_tensor=3,
+                                   rng=np.random.default_rng(8))
+        draw = np.random.default_rng(8)
+        expected = [(0, int(j)) for j in draw.choice(5, size=3, replace=False)]
+        expected += [(2, int(j)) for j in draw.choice(6, size=3, replace=False)]
+        assert [(i, j) for i, j, *_ in report.failures] == expected

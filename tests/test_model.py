@@ -179,6 +179,22 @@ class TestModelLoss:
             assert p.grad is not None, f"{name} missing gradient"
             assert np.all(np.isfinite(p.grad)), f"{name} non-finite gradient"
 
+    def test_float32_model_stays_float32(self):
+        rng = np.random.default_rng(13)
+        model = Model.create(tiny_config(k_s=3, k_t=3), seed=13,
+                             dtype=np.float32)
+        tasks = Tensor(rng.normal(size=(2, 5)).astype(np.float32))
+        rngs = [np.random.default_rng(60 + b) for b in range(2)]
+        with Tape() as tape:
+            out = model.forward(tiny_batch(("CCO", "C=O")), tasks,
+                                noise_on=True, rngs=rngs)
+            lb = model_loss(model, out, np.array([1.0, 0.0]), beta=0.5)
+            tape.backward(lb.overall)
+        for term in ("base", "att", "exp", "imp", "lod", "col", "overall"):
+            assert getattr(lb, term).dtype == np.float32, term
+        for name, p in model.parameters().items():
+            assert p.grad.dtype == np.float32, name
+
     def test_finite_differences_through_composed_model(self):
         rng = np.random.default_rng(12)
         model = Model.create(tiny_config(embed_dim=3, num_gnn_layers=1,

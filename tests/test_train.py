@@ -1,13 +1,15 @@
 """Optimizer, schedule, AUC-ROC, and the training loop."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from moce.autodiff import Tensor
+from moce.autodiff import Tape, Tensor
 from moce.experts import resolve_tasks
-from moce.model import Model, ModelConfig
+from moce.model import Model, ModelConfig, model_loss
 from moce.synthetic import synthesize_dataset
 from moce.train import (
     EpochMetrics,
@@ -187,8 +189,7 @@ def tiny_setup(seed=0, records=40):
     cfg = ModelConfig(embed_dim=4, num_gnn_layers=1, num_processing_layers=2,
                       num_experts=3, k_s=2, k_t=3, pool_ratio=0.5, task_dim=6)
     model = Model.create(cfg, seed=seed)
-    settings = TrainSettings(batch_size=20, epochs=2, seed=seed, lr=0.01,
-                             beta=0.1)
+    settings = TrainSettings(batch_size=20, seed=seed, lr=0.01, beta=0.1)
     return model, data, tasks, settings
 
 
@@ -249,6 +250,28 @@ class TestTrainingLoop:
         assert metrics.skipped_batches == 2
         assert opt.step_count == 0
         assert all(np.all(m == 0) for m in opt.m.values())
+
+    def test_finished_tape_is_freed_without_the_cyclic_collector(self):
+        model, data, tasks, settings = tiny_setup(seed=7)
+        params = model.parameters()
+        opt = OptimizerState.create(params, lr=settings.lr)
+
+        def one_step():
+            batch, t_matrix, labels, _ = make_batch(data[:20], tasks)
+            with Tape() as tape:
+                result = model.forward(batch, t_matrix, noise_on=True,
+                                       rngs=noise_rngs(0, 0, len(model.blocks)))
+                loss = model_loss(model, result, labels, settings.beta).overall
+                grads = tape.backward(loss)
+            adamw_step(params, {n: grads[p] for n, p in params.items()}, opt)
+            return weakref.ref(tape)
+
+        gc.disable()
+        try:
+            tape_ref = one_step()
+            assert tape_ref() is None
+        finally:
+            gc.enable()
 
     def test_evaluate_is_deterministic_and_noise_free(self):
         model, data, tasks, settings = tiny_setup(seed=6)
