@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -110,12 +111,20 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, n: int) -> str:
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptCheckpoint("text field is not valid UTF-8") from None
+
     def array(self) -> np.ndarray:
         (ndim,) = self.unpack("<B")
         shape = tuple(self.unpack("<I")[0] for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        raw = self.take(count * 8)
-        return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        raw = self.take(math.prod(shape) * 8)
+        try:
+            return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        except ValueError:
+            raise CorruptCheckpoint(f"array shape {shape} is too large") from None
 
 
 def deserialize(blob: bytes) -> CheckpointData:
@@ -135,7 +144,7 @@ def deserialize(blob: bytes) -> CheckpointData:
             f"checkpoint format version {version} is not supported "
             f"(expected {FORMAT_VERSION})")
     (config_len,) = reader.unpack("<I")
-    config_text = reader.take(config_len).decode("utf-8")
+    config_text = reader.text(config_len)
     seed, epoch, step = reader.unpack("<qqq")
     (opt_step_count,) = reader.unpack("<q")
     lr, weight_decay, beta1, beta2, eps = reader.unpack("<ddddd")
@@ -146,7 +155,7 @@ def deserialize(blob: bytes) -> CheckpointData:
                           eps=eps)
     for _ in range(num_params):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        name = reader.text(name_len)
         ckpt.params[name] = reader.array()
         ckpt.opt_m[name] = reader.array()
         ckpt.opt_v[name] = reader.array()

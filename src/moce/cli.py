@@ -123,8 +123,7 @@ def cmd_split(args) -> int:
     return EXIT_OK
 
 
-def _resolve_run_tasks(cfg: RunConfig, records, embeddings_path=None):
-    task_ids = sorted({r.task_id for r in records})
+def _resolve_run_tasks(cfg: RunConfig, task_ids, embeddings_path=None):
     path = embeddings_path or cfg.task_embeddings
     embeddings = load_task_embeddings(path) if path else None
     return resolve_tasks(task_ids, embeddings,
@@ -156,7 +155,7 @@ def cmd_train(args) -> int:
     if not train_records:
         raise DatasetError("no training records after applying the split", 1)
 
-    tasks = _resolve_run_tasks(cfg, records)
+    tasks = _resolve_run_tasks(cfg, [r.task_id for r in records])
     model = Model.create(cfg.model_config(), cfg.seed, dtype=cfg.dtype())
     params = model.parameters()
     opt = OptimizerState.create(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
@@ -232,7 +231,7 @@ def cmd_eval(args) -> int:
         raise DatasetError(
             f"no records in split {args.split_name!r}", 1)
 
-    tasks = _resolve_run_tasks(cfg, subset,
+    tasks = _resolve_run_tasks(cfg, [r.task_id for r in subset],
                                embeddings_path=args.task_embeddings)
     settings = cfg.train_settings()
     metrics = evaluate(model, subset, tasks, settings, epoch=0,
@@ -259,13 +258,8 @@ def cmd_predict(args) -> int:
     graph = featurize(parse_smiles(args.smiles))
     batch = batch_graphs([graph])
 
-    path = args.task_embeddings or cfg.task_embeddings
-    embeddings = None
-    if path and os.path.exists(path):
-        embeddings = load_task_embeddings(path)
-    tasks = resolve_tasks([args.task_id], embeddings,
-                          allow_fallback=cfg.allow_fallback_embeddings,
-                          fallback_dim=cfg.task_dim)
+    tasks = _resolve_run_tasks(cfg, [args.task_id],
+                               embeddings_path=args.task_embeddings)
     t = Tensor(tasks[args.task_id].embedding.reshape(1, -1)
                .astype(model.integrator.bias.dtype))
 

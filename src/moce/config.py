@@ -23,18 +23,10 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class RunConfig:
-    """Everything a training run needs, in one validated record."""
+class RunConfig(ModelConfig):
+    """Everything a training run needs, in one validated record; the model
+    shape fields come first, from ModelConfig."""
 
-    # model shape
-    embed_dim: int = 300
-    num_gnn_layers: int = 6
-    num_processing_layers: int = 2
-    num_experts: int = 60
-    k_s: int = 4
-    k_t: int = 12
-    pool_ratio: float = 0.5
-    task_dim: int = 64
     # optimization
     batch_size: int = 512
     epochs: int = 50
@@ -59,25 +51,16 @@ class RunConfig:
     out_dir: str = "runs/default"
 
     def validate(self) -> None:
-        if self.k_s < 1:
-            raise ConfigError(f"k_s must be at least 1, got {self.k_s}")
-        if self.k_s > self.k_t:
-            raise ConfigError(
-                f"k_s must not exceed k_t, got k_s={self.k_s}, k_t={self.k_t}")
-        if self.k_t > self.num_experts:
-            raise ConfigError(
-                f"k_t must not exceed num_experts, got k_t={self.k_t}, "
-                f"num_experts={self.num_experts}")
+        try:
+            super().validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not 0.0 < self.beta <= 1.0:
             raise ConfigError(f"beta must be in (0, 1], got {self.beta}")
-        if not 0.0 < self.pool_ratio <= 1.0:
-            raise ConfigError(
-                f"pool_ratio must be in (0, 1], got {self.pool_ratio}")
         if self.precision not in ("float64", "float32"):
             raise ConfigError(
                 f"precision must be float64 or float32, got {self.precision!r}")
-        for name in ("embed_dim", "num_gnn_layers", "num_processing_layers",
-                     "num_experts", "task_dim", "batch_size", "epochs"):
+        for name in ("batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, "
                                   f"got {getattr(self, name)}")
@@ -91,16 +74,8 @@ class RunConfig:
         return np.float64 if self.precision == "float64" else np.float32
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            embed_dim=self.embed_dim,
-            num_gnn_layers=self.num_gnn_layers,
-            num_processing_layers=self.num_processing_layers,
-            num_experts=self.num_experts,
-            k_s=self.k_s,
-            k_t=self.k_t,
-            pool_ratio=self.pool_ratio,
-            task_dim=self.task_dim,
-        )
+        return ModelConfig(**{f.name: getattr(self, f.name)
+                              for f in fields(ModelConfig)})
 
     def train_settings(self) -> TrainSettings:
         return TrainSettings(

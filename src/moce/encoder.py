@@ -9,7 +9,7 @@ per-graph pooling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,21 +50,19 @@ class GinLayer:
 
 @dataclass
 class EncoderConfig:
-    """Embedding tables and stack shape for one encoder block.
+    """Input embedding tables.
 
     ``node_embed`` holds one (vocab, dim) table per node feature column;
     ``edge_embed`` the same per edge feature column, shared by every GIN
-    layer of the stack.
+    layer of every block.
     """
 
-    num_gnn_layers: int
-    embed_dim: int
-    node_embed: list[Tensor] = field(default_factory=list)
-    edge_embed: list[Tensor] = field(default_factory=list)
+    node_embed: list[Tensor]
+    edge_embed: list[Tensor]
 
     @classmethod
     def create(cls, rng: np.random.Generator, embed_dim: int,
-               num_gnn_layers: int, dtype=np.float64) -> "EncoderConfig":
+               dtype=np.float64) -> "EncoderConfig":
         scale = 1.0 / np.sqrt(embed_dim)
         node_embed = [
             Tensor(rng.normal(0.0, scale, size=(v, embed_dim)),
@@ -76,8 +74,7 @@ class EncoderConfig:
                    requires_grad=True, dtype=dtype)
             for v in EDGE_VOCAB_SIZES
         ]
-        return cls(num_gnn_layers=num_gnn_layers, embed_dim=embed_dim,
-                   node_embed=node_embed, edge_embed=edge_embed)
+        return cls(node_embed=node_embed, edge_embed=edge_embed)
 
     def parameters(self) -> dict[str, Tensor]:
         out = {}
@@ -118,7 +115,7 @@ def batch_graphs(graphs: list[FeaturizedGraph]) -> BatchedGraph:
         offset += g.num_nodes
     return BatchedGraph(
         node_features=np.concatenate(node_rows, axis=0),
-        edge_index=np.concatenate(edge_rows, axis=0) if edge_rows else np.zeros((0, 2), np.int64),
+        edge_index=np.concatenate(edge_rows, axis=0),
         edge_features=np.concatenate(efeat_rows, axis=0),
         graph_ids=np.concatenate(ids),
         num_graphs=len(graphs),
@@ -128,9 +125,6 @@ def batch_graphs(graphs: list[FeaturizedGraph]) -> BatchedGraph:
 
 def embed_features(tables: list[Tensor], features: np.ndarray) -> Tensor:
     """Sum per-column table lookups into one (rows, dim) matrix."""
-    dim = tables[0].shape[1]
-    if features.shape[0] == 0:
-        return Tensor(np.zeros((0, dim), dtype=tables[0].dtype))
     out = ad.gather_rows(tables[0], features[:, 0])
     for col in range(1, len(tables)):
         out = ad.add(out, ad.gather_rows(tables[col], features[:, col]))
@@ -154,14 +148,8 @@ def gin_forward(layer: GinLayer, nodes: Tensor, edges: Tensor,
     with the rows of ``edges``; both directions of every bond must be
     present for symmetric message passing.
     """
-    n = nodes.shape[0]
-    if edge_index.shape[0] > 0:
-        src = edge_index[:, 0]
-        dst = edge_index[:, 1]
-        messages = ad.relu(ad.add(ad.gather_rows(nodes, src), edges))
-        agg = ad.scatter_segment_sum(messages, dst, n)
-    else:
-        agg = Tensor(np.zeros_like(nodes.data))
+    messages = ad.relu(ad.add(ad.gather_rows(nodes, edge_index[:, 0]), edges))
+    agg = ad.scatter_segment_sum(messages, edge_index[:, 1], nodes.shape[0])
     scaled = ad.mul(nodes, ad.add(layer.epsilon, Tensor(np.ones((), dtype=nodes.dtype))))
     h = ad.add(scaled, agg)
     hidden = ad.relu(ad.add(ad.matmul(h, layer.w1), layer.b1))

@@ -33,12 +33,14 @@ class TaskEmbeddingError(ValueError):
     """Malformed task embedding file."""
 
 
+_SIGMA_FLOOR = 1e-3  # lower bound on the routing noise scale
+
+
 @dataclass
 class TaskDescriptor:
-    """A prediction task: identifier, free-text description, embedding."""
+    """A prediction task: identifier and embedding."""
 
     task_id: str
-    description: str
     embedding: np.ndarray
 
 
@@ -51,9 +53,9 @@ def fnv1a_64(text: str) -> int:
     return h
 
 
-def fallback_embedding(description: str, dim: int = 64) -> np.ndarray:
-    """Deterministic pseudo-random unit vector for a task description."""
-    rng = np.random.Generator(np.random.PCG64(fnv1a_64(description)))
+def fallback_embedding(text: str, dim: int = 64) -> np.ndarray:
+    """Deterministic pseudo-random unit vector hashed from ``text``."""
+    rng = np.random.Generator(np.random.PCG64(fnv1a_64(text)))
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 
@@ -90,21 +92,18 @@ def load_task_embeddings(path) -> dict[str, np.ndarray]:
 
 
 def resolve_tasks(task_ids, embeddings: dict[str, np.ndarray] | None,
-                  allow_fallback: bool = True, fallback_dim: int = 64,
-                  descriptions: dict[str, str] | None = None) -> dict[str, TaskDescriptor]:
+                  allow_fallback: bool = True,
+                  fallback_dim: int = 64) -> dict[str, TaskDescriptor]:
     """Build a TaskDescriptor per task id from a loaded embedding table,
-    falling back to the hash embedder (over the task's description, or the
-    id itself when no description is known) for ids the table lacks."""
+    falling back to the hash embedder over the id for ids the table lacks."""
     embeddings = embeddings or {}
-    descriptions = descriptions or {}
     out: dict[str, TaskDescriptor] = {}
     for task_id in sorted(set(task_ids)):
-        desc = descriptions.get(task_id, task_id)
         if task_id in embeddings:
-            out[task_id] = TaskDescriptor(task_id, desc, embeddings[task_id])
+            out[task_id] = TaskDescriptor(task_id, embeddings[task_id])
         elif allow_fallback:
-            out[task_id] = TaskDescriptor(task_id, desc,
-                                          fallback_embedding(desc, fallback_dim))
+            out[task_id] = TaskDescriptor(task_id,
+                                          fallback_embedding(task_id, fallback_dim))
         else:
             raise MissingTaskEmbedding(
                 f"no embedding for task {task_id!r} and fallback is disabled")
@@ -126,7 +125,6 @@ class RouterParams:
     w_sigma2: Tensor
     k_s: int
     k_t: int
-    sigma_floor: float = 1e-3
 
     @property
     def num_experts(self) -> int:
@@ -227,7 +225,7 @@ def validate_k(k_s: int, k_t: int, num_experts: int) -> None:
     if k_s > k_t:
         raise BadK(f"k_s must not exceed k_t, got k_s={k_s}, k_t={k_t}")
     if k_t > num_experts:
-        raise BadK(f"k_t must not exceed the expert count, got k_t={k_t}, m={num_experts}")
+        raise BadK(f"k_t must not exceed num_experts, got k_t={k_t}, num_experts={num_experts}")
 
 
 def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
@@ -271,7 +269,7 @@ def route_batch(x_hat: Tensor, tasks: Tensor, r: RouterParams,
     raw_sigma = ad.add(gamma_mask(ad.matmul(x_hat, r.w_sigma1), r.k_t),
                        ad.matmul(tasks, r.w_sigma2))
     sigma = ad.add(ad.softplus(raw_sigma),
-                   Tensor(np.asarray(r.sigma_floor, dtype=dtype)))
+                   Tensor(np.asarray(_SIGMA_FLOOR, dtype=dtype)))
 
     if noise_on:
         if rng is None:
@@ -331,18 +329,14 @@ def sag_project_batch(nodes: Tensor, edge_index: np.ndarray,
     if not 0.0 < expert.pool_ratio <= 1.0:
         raise ValueError(f"pool_ratio must be in (0, 1], got {expert.pool_ratio}")
 
-    deg = np.bincount(edge_index[:, 1], minlength=n) if edge_index.size else np.zeros(n)
+    deg = np.bincount(edge_index[:, 1], minlength=n)
     dinv = Tensor((1.0 / np.sqrt(deg + 1.0))[:, None].astype(nodes.dtype))
 
     z = ad.matmul(nodes, expert.theta_att)
     u = ad.mul(z, dinv)
-    if edge_index.size:
-        au = ad.scatter_segment_sum(ad.gather_rows(u, edge_index[:, 0]),
-                                    edge_index[:, 1], n)
-        propagated = ad.add(au, u)
-    else:
-        propagated = u
-    z_tilde = ad.tanh(ad.mul(propagated, dinv))
+    au = ad.scatter_segment_sum(ad.gather_rows(u, edge_index[:, 0]),
+                                edge_index[:, 1], n)
+    z_tilde = ad.tanh(ad.mul(ad.add(au, u), dinv))
 
     weights = _sag_weights(z_tilde.data[:, 0], graph_ids, num_graphs,
                            expert.pool_ratio)

@@ -211,7 +211,7 @@ def _jitter(tensors, rng, scale=0.05):
 
 def _check_encoder(rng) -> FdReport:
     batch = _tiny_batch()
-    cfg = EncoderConfig.create(rng, embed_dim=3, num_gnn_layers=2)
+    cfg = EncoderConfig.create(rng, embed_dim=3)
     gins = [GinLayer.create(rng, 3) for _ in range(2)]
     inputs = list(cfg.parameters().values())
     for layer in gins:

@@ -97,7 +97,7 @@ def _importance_stats(per_expert_sums: Tensor) -> tuple[Tensor, Tensor]:
     return var, guarded
 
 
-def importance_loss(gates: Tensor, beta_scale: float = 1.0) -> Tensor:
+def importance_loss(gates: Tensor) -> Tensor:
     """Squared coefficient of variation of total gate mass per expert.
 
     ``gates`` is the (batch, experts) gate matrix; importance of expert j is
@@ -105,11 +105,10 @@ def importance_loss(gates: Tensor, beta_scale: float = 1.0) -> Tensor:
     """
     importance = ad.reduce_sum(gates, axis=0)
     var, guarded = _importance_stats(importance)
-    cv_sq = ad.div(var, ad.mul(guarded, guarded))
-    return ad.mul(cv_sq, Tensor(beta_scale, dtype=cv_sq.dtype))
+    return ad.div(var, ad.mul(guarded, guarded))
 
 
-def load_loss(p_choose: Tensor, beta_scale: float = 1.0) -> Tensor:
+def load_loss(p_choose: Tensor) -> Tensor:
     """Coefficient of variation (first power) of expected expert load.
 
     ``p_choose`` is the (batch, experts) matrix of selection probabilities
@@ -117,8 +116,7 @@ def load_loss(p_choose: Tensor, beta_scale: float = 1.0) -> Tensor:
     """
     load = ad.reduce_sum(p_choose, axis=0)
     var, guarded = _importance_stats(load)
-    cv = ad.div(ad.sqrt(var), guarded)
-    return ad.mul(cv, Tensor(beta_scale, dtype=cv.dtype))
+    return ad.div(ad.sqrt(var), guarded)
 
 
 @dataclass(frozen=True)

@@ -111,8 +111,7 @@ class Model:
         so (config, seed, precision) fully determine the initial state."""
         config.validate()
         rng = np.random.Generator(np.random.PCG64(seed))
-        tables = EncoderConfig.create(rng, config.embed_dim,
-                                      config.num_gnn_layers, dtype=dtype)
+        tables = EncoderConfig.create(rng, config.embed_dim, dtype=dtype)
         blocks = []
         for _ in range(config.num_processing_layers):
             gins = [GinLayer.create(rng, config.embed_dim, dtype=dtype)

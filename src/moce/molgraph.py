@@ -115,7 +115,6 @@ class Bond:
 class MolecularGraph:
     atoms: list[Atom]
     bonds: list[Bond]
-    source_smiles: str = ""
 
     @property
     def num_atoms(self) -> int:
@@ -127,17 +126,6 @@ class MolecularGraph:
             adj[bond.a].append(bond.b)
             adj[bond.b].append(bond.a)
         return adj
-
-
-@dataclass
-class _PendingAtom:
-    index: int
-    offset: int
-    bracket: bool
-    symbol_element: int
-    is_aromatic: bool
-    charge: int
-    hydrogens: int
 
 
 def _parse_bracket(s: str, start: int):
@@ -320,7 +308,7 @@ def parse_smiles(smiles: str) -> MolecularGraph:
         number, (_, _, offset) = sorted(ring_open.items())[0]
         raise UnmatchedRingClosure(f"unclosed ring bond {number}", offset)
 
-    graph = MolecularGraph(atoms, bonds, source_smiles=smiles)
+    graph = MolecularGraph(atoms, bonds)
     _mark_rings(graph)
 
     # an explicit aromatic bond between non-aromatic atoms is malformed; an
@@ -501,7 +489,7 @@ def murcko_scaffold(graph: MolecularGraph) -> MolecularGraph:
         counts[bond.b] += 1
     for idx, atom in enumerate(atoms):
         atom.degree = counts[idx]
-    return MolecularGraph(atoms, bonds, source_smiles=graph.source_smiles)
+    return MolecularGraph(atoms, bonds)
 
 
 ScaffoldKey = str

@@ -150,8 +150,6 @@ class EpochMetrics:
     mean_auc: float | None
     loss_means: dict[str, float]
     max_gate_share: float
-    importance_cv: float
-    load_cv: float
     skipped_batches: int = 0
 
 
@@ -166,19 +164,10 @@ def make_batch(records: list[DatasetRecord],
     return batch, Tensor(t), labels, ids
 
 
-def _gate_statistics(result: ForwardResult) -> tuple[float, float, float]:
-    """Mean max-gate share, importance CV, and load CV over the blocks."""
-    shares = []
-    imp_cvs = []
-    lod_cvs = []
-    for res in result.layers:
-        gates = res.route.gates.data
-        shares.append(gates.max(axis=1).mean())
-        for matrix, sink in ((gates, imp_cvs), (res.route.p_choose.data, lod_cvs)):
-            totals = matrix.sum(axis=0)
-            mean = totals.mean()
-            sink.append(float(totals.std() / (mean + 1e-10)))
-    return float(np.mean(shares)), float(np.mean(imp_cvs)), float(np.mean(lod_cvs))
+def _max_gate_share(result: ForwardResult) -> float:
+    """Mean over samples and blocks of each sample's largest gate."""
+    return float(np.mean([res.route.gates.data.max(axis=1).mean()
+                          for res in result.layers]))
 
 
 def _chunks(seq, size: int):
@@ -188,11 +177,11 @@ def _chunks(seq, size: int):
 
 @dataclass
 class _MetricsAccumulator:
-    """Per-batch sums of losses, gate statistics and per-task scores,
+    """Per-batch sums of losses, max-gate shares and per-task scores,
     shared by training and evaluation."""
 
     loss_sums: dict[str, float] = field(default_factory=dict)
-    gate_sums: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    share_sum: float = 0.0
     num_batches: int = 0
     scores: dict[str, list] = field(default_factory=dict)
     labels: dict[str, list] = field(default_factory=dict)
@@ -202,9 +191,7 @@ class _MetricsAccumulator:
         self.num_batches += 1
         for key, value in breakdown.floats().items():
             self.loss_sums[key] = self.loss_sums.get(key, 0.0) + value
-        self.gate_sums = tuple(
-            total + value
-            for total, value in zip(self.gate_sums, _gate_statistics(result)))
+        self.share_sum += _max_gate_share(result)
         for i, task_id in enumerate(ids):
             self.scores.setdefault(task_id, []).append(result.logits.data[i])
             self.labels.setdefault(task_id, []).append(labels[i])
@@ -217,16 +204,13 @@ class _MetricsAccumulator:
             for task_id in sorted(self.scores)
         }
         defined = [a for a in per_task_auc.values() if a is not None]
-        share, imp_cv, lod_cv = (total / denom for total in self.gate_sums)
         return EpochMetrics(
             epoch=epoch,
             split=split,
             per_task_auc=per_task_auc,
             mean_auc=float(np.mean(defined)) if defined else None,
             loss_means={k: v / denom for k, v in self.loss_sums.items()},
-            max_gate_share=share,
-            importance_cv=imp_cv,
-            load_cv=lod_cv,
+            max_gate_share=self.share_sum / denom,
             skipped_batches=skipped_batches,
         )
 

@@ -1,12 +1,16 @@
 """Checkpoint format: round trips, corruption detection, restoration."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
-from moce.checkpoint import (BadMagic, CheckpointData, CheckpointError,
-                             CorruptCheckpoint, VersionMismatch, deserialize,
-                             load_checkpoint, restore_model,
-                             restore_optimizer, save_checkpoint, serialize)
+from moce.checkpoint import (FORMAT_VERSION, MAGIC, BadMagic, CheckpointData,
+                             CheckpointError, CorruptCheckpoint,
+                             VersionMismatch, deserialize, load_checkpoint,
+                             restore_model, restore_optimizer,
+                             save_checkpoint, serialize)
 from moce.model import Model, ModelConfig
 from moce.train import OptimizerState
 
@@ -130,6 +134,48 @@ class TestCorruption:
         patched = bytes(body) + hashlib.sha256(bytes(body)).digest()
         with pytest.raises(VersionMismatch, match="99"):
             deserialize(patched)
+
+
+def sealed_body(config=b"", name=b"w", header=struct.pack("<BI", 1, 2),
+                data=bytes(16)) -> bytes:
+    """A checkpoint with one parameter, built field by field and given a
+    valid checksum, so only the named field can be at fault."""
+    body = MAGIC + struct.pack("<I", FORMAT_VERSION)
+    body += struct.pack("<I", len(config)) + config
+    body += struct.pack("<qqqq", 0, 0, 0, 0)
+    body += struct.pack("<ddddd", 0.01, 0.0, 0.9, 0.999, 1e-8)
+    body += struct.pack("<IH", 1, len(name)) + name + (header + data) * 3
+    return body + hashlib.sha256(body).digest()
+
+
+class TestChecksumValidBodies:
+    def test_well_formed_body_loads(self):
+        ckpt = deserialize(sealed_body())
+        assert ckpt.params["w"].shape == (2,)
+
+    def test_config_text_not_utf8(self):
+        with pytest.raises(CorruptCheckpoint):
+            deserialize(sealed_body(config=b"k_s = \xff\n"))
+
+    def test_parameter_name_not_utf8(self):
+        with pytest.raises(CorruptCheckpoint):
+            deserialize(sealed_body(name=b"w\xfe"))
+
+    def test_dimensions_overflowing_int64(self):
+        # 65536 ** 4 = 2 ** 64, which an int64 product wraps to 0
+        header = struct.pack("<B4I", 4, 65536, 65536, 65536, 65536)
+        with pytest.raises(CorruptCheckpoint):
+            deserialize(sealed_body(header=header, data=b""))
+
+    def test_zero_among_huge_dimensions(self):
+        header = struct.pack("<B4I", 4, 0, 2**32 - 1, 2**32 - 1, 2**32 - 1)
+        with pytest.raises(CorruptCheckpoint):
+            deserialize(sealed_body(header=header, data=b""))
+
+    def test_zero_size_array_loads(self):
+        header = struct.pack("<B2I", 2, 0, 3)
+        assert deserialize(sealed_body(header=header, data=b"")
+                           ).params["w"].shape == (0, 3)
 
 
 class TestRestoreValidation:

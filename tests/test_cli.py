@@ -259,6 +259,14 @@ class TestPredict:
                      "--smiles", "C1CC", "--task-id", "t"]) == 2
         capsys.readouterr()
 
+    def test_missing_task_embeddings_file_is_data_error(self, workdir,
+                                                        tmp_path, capsys):
+        absent = tmp_path / "typo.tsv"
+        assert main(["predict", "--checkpoint", str(workdir["checkpoint"]),
+                     "--smiles", "CCO", "--task-id", "carbonyl",
+                     "--task-embeddings", str(absent)]) == 2
+        assert str(absent) in capsys.readouterr().err
+
 
 class TestGradcheckCommand:
     def test_passes_with_exit_zero(self, capsys):

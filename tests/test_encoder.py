@@ -78,7 +78,7 @@ class TestBatching:
 class TestEmbedding:
     def test_zero_tables_embed_to_zeros(self):
         rng = np.random.default_rng(0)
-        cfg = EncoderConfig.create(rng, embed_dim=4, num_gnn_layers=1)
+        cfg = EncoderConfig.create(rng, embed_dim=4)
         for t in cfg.node_embed + cfg.edge_embed:
             t.data[:] = 0.0
         nodes, edges = embed_inputs(graph_of("CCO"), cfg)
@@ -95,21 +95,21 @@ class TestEmbedding:
 
     def test_identical_atoms_share_rows(self):
         rng = np.random.default_rng(1)
-        cfg = EncoderConfig.create(rng, embed_dim=6, num_gnn_layers=1)
+        cfg = EncoderConfig.create(rng, embed_dim=6)
         nodes, _ = embed_inputs(graph_of("c1ccccc1"), cfg)
         for row in range(1, 6):
             np.testing.assert_array_equal(nodes.data[row], nodes.data[0])
 
     def test_no_bonds_gives_empty_edge_matrix(self):
         rng = np.random.default_rng(2)
-        cfg = EncoderConfig.create(rng, embed_dim=3, num_gnn_layers=1)
+        cfg = EncoderConfig.create(rng, embed_dim=3)
         nodes, edges = embed_inputs(graph_of("C"), cfg)
         assert nodes.shape == (1, 3)
         assert edges.shape == (0, 3)
 
     def test_zero_node_graph_rejected(self):
         rng = np.random.default_rng(3)
-        cfg = EncoderConfig.create(rng, embed_dim=3, num_gnn_layers=1)
+        cfg = EncoderConfig.create(rng, embed_dim=3)
         with pytest.raises(EmptyGraph):
             embed_inputs(zero_node_graph(), cfg)
 
@@ -165,7 +165,7 @@ def mean_readout(nodes: Tensor) -> Tensor:
 class TestEncode:
     def test_layer_count_and_shapes(self):
         rng = np.random.default_rng(7)
-        cfg = EncoderConfig.create(rng, embed_dim=5, num_gnn_layers=3)
+        cfg = EncoderConfig.create(rng, embed_dim=5)
         layers = [GinLayer.create(rng, 5) for _ in range(3)]
         outs = gin_stack(graph_of("c1ccccc1"), cfg, layers)
         assert len(outs) == 3
@@ -174,7 +174,7 @@ class TestEncode:
 
     def test_encode_matches_manual_chain(self):
         rng = np.random.default_rng(8)
-        cfg = EncoderConfig.create(rng, embed_dim=4, num_gnn_layers=2)
+        cfg = EncoderConfig.create(rng, embed_dim=4)
         layers = [GinLayer.create(rng, 4) for _ in range(2)]
         g = graph_of("CC(=O)O")
         nodes, edges = embed_inputs(g, cfg)
@@ -186,7 +186,7 @@ class TestEncode:
 
     def test_batched_encode_matches_per_graph(self):
         rng = np.random.default_rng(9)
-        cfg = EncoderConfig.create(rng, embed_dim=6, num_gnn_layers=2)
+        cfg = EncoderConfig.create(rng, embed_dim=6)
         layers = [GinLayer.create(rng, 6) for _ in range(2)]
         g1 = graph_of("CCO")
         g2 = graph_of("c1ccncc1")
@@ -200,7 +200,7 @@ class TestEncode:
     def test_atom_order_does_not_change_readout(self):
         # the same molecule written from either end pools identically
         rng = np.random.default_rng(10)
-        cfg = EncoderConfig.create(rng, embed_dim=5, num_gnn_layers=2)
+        cfg = EncoderConfig.create(rng, embed_dim=5)
         layers = [GinLayer.create(rng, 5) for _ in range(2)]
         a = mean_readout(gin_stack(graph_of("CCO"), cfg, layers)[-1])
         b = mean_readout(gin_stack(graph_of("OCC"), cfg, layers)[-1])
@@ -233,7 +233,7 @@ class TestPooling:
 class TestEncoderGradients:
     def test_finite_diff_through_full_encoder(self):
         rng = np.random.default_rng(13)
-        cfg = EncoderConfig.create(rng, embed_dim=4, num_gnn_layers=2)
+        cfg = EncoderConfig.create(rng, embed_dim=4)
         layers = [GinLayer.create(rng, 4) for _ in range(2)]
         batch = batch_graphs([graph_of("CCO"), graph_of("C=O")])
         params = list(cfg.parameters().values())

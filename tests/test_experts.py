@@ -495,16 +495,11 @@ class TestTaskEmbeddings:
         out = resolve_tasks(["a", "b"], table, allow_fallback=True)
         np.testing.assert_array_equal(out["a"].embedding, np.zeros(64))
         np.testing.assert_array_equal(out["b"].embedding, fallback_embedding("b"))
-        assert out["b"].description == "b"
+        assert out["b"].task_id == "b"
 
     def test_resolve_without_fallback_raises(self):
         with pytest.raises(MissingTaskEmbedding):
             resolve_tasks(["a"], {}, allow_fallback=False)
-
-    def test_resolve_uses_description_for_fallback(self):
-        out = resolve_tasks(["t1"], {}, descriptions={"t1": "binding affinity"})
-        np.testing.assert_array_equal(out["t1"].embedding,
-                                      fallback_embedding("binding affinity"))
 
     def test_mixed_dimensions_rejected(self):
         table = {"a": np.zeros(8), "b": np.zeros(16)}

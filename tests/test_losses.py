@@ -185,12 +185,6 @@ class TestImportance:
         gates = Tensor(np.array([[1.0], [1.0], [1.0]]))
         assert importance_loss(gates).data == 0.0
 
-    def test_beta_scale_multiplies(self):
-        gates = Tensor(np.array([[1.0, 0.0], [1.0, 0.0]]))
-        full = importance_loss(gates, beta_scale=1.0).data
-        half = importance_loss(gates, beta_scale=0.5).data
-        assert half == pytest.approx(0.5 * full, rel=1e-14)
-
     def test_gradient_passes_finite_differences(self):
         rng = np.random.default_rng(6)
         gates = Tensor(np.abs(rng.normal(size=(4, 3))) + 0.1, requires_grad=True)
@@ -208,10 +202,6 @@ class TestLoad:
         p = Tensor(np.array([[0.75, 0.25], [0.75, 0.25]]))
         # loads [1.5, 0.5]: mean 1, population std 0.5, CV = 0.5
         assert load_loss(p).data == pytest.approx(0.5, abs=1e-9)
-
-    def test_beta_scale_multiplies(self):
-        p = Tensor(np.array([[0.75, 0.25], [0.75, 0.25]]))
-        assert load_loss(p, beta_scale=0.25).data == pytest.approx(0.125, abs=1e-9)
 
     def test_gradient_passes_finite_differences(self):
         rng = np.random.default_rng(7)

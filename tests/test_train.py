@@ -302,7 +302,7 @@ class TestMetricsLog:
             loss_means={"base": 0.5, "att": 0.25, "exp": 1.5, "imp": 0.1,
                         "lod": 0.2, "col": 2.05, "overall": 0.705,
                         "beta": 0.1},
-            max_gate_share=0.6, importance_cv=0.0, load_cv=0.0,
+            max_gate_share=0.6,
         )
         log.append(metrics)
         rows = read_metrics_log(path)
