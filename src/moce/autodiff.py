@@ -7,8 +7,8 @@ visits nodes exactly once in reverse. With no active tape, operations
 compute values only, which is what evaluation mode and the finite-difference
 harness rely on.
 
-Gradients never flow through integer index arrays (gather/scatter indices,
-argmax positions); those are constants of the forward pass.
+Gradients never flow through integer index arrays (gather/scatter
+indices); those are constants of the forward pass.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 _state = threading.local()
-
-
-def _active_tape():
-    return getattr(_state, "tape", None)
 
 
 class Node:
@@ -100,48 +96,8 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; scalars are lifted to constant tensors
-    def __add__(self, other):
-        return add(self, _lift(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_lift(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_lift(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other, self.dtype))
-
-    def __rmul__(self, other):
-        return mul(_lift(other, self.dtype), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other, self.dtype))
-
-    def __rtruediv__(self, other):
-        return div(_lift(other, self.dtype), self)
-
-    def __neg__(self):
-        return negate(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _lift(value, dtype) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=dtype))
 
 
 class Tape:
@@ -155,10 +111,7 @@ class Tape:
         self.nodes: list[Node] = []
 
     def __enter__(self):
-        if getattr(_state, "tape", None) is not None:
-            self._outer = _state.tape
-        else:
-            self._outer = None
+        self._outer = getattr(_state, "tape", None)
         _state.tape = self
         return self
 
@@ -217,16 +170,6 @@ class Tape:
         return leaf_grads
 
 
-def _should_record(*tensors: Tensor) -> Tape | None:
-    tape = _active_tape()
-    if tape is None:
-        return None
-    for t in tensors:
-        if t.requires_grad or t.node is not None:
-            return tape
-    return None
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` after numpy broadcasting."""
     if grad.shape == shape:
@@ -240,15 +183,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _binary(a: Tensor, b: Tensor, out_data, da_fn, db_fn) -> Tensor:
+def _op(out_data, inputs: tuple, *grad_fns) -> Tensor:
+    """Wrap ``out_data`` as the result of one primitive applied to ``inputs``.
+
+    ``grad_fns[i]`` maps the output gradient to the gradient of
+    ``inputs[i]``; the result is summed back over broadcast axes. The
+    primitive is recorded only on an active tape and only when some input
+    needs a gradient, and then each ``grad_fns[i]`` runs only for inputs
+    that need one.
+    """
     out = Tensor(out_data)
-    tape = _should_record(a, b)
-    if tape is not None:
+    tape = getattr(_state, "tape", None)
+    if tape is not None and any(t.requires_grad for t in inputs):
         def vjp(g):
-            ga = _unbroadcast(da_fn(g), a.data.shape) if (a.requires_grad or a.node) else None
-            gb = _unbroadcast(db_fn(g), b.data.shape) if (b.requires_grad or b.node) else None
-            return ga, gb
-        tape._record(out, (a, b), vjp)
+            return tuple(_unbroadcast(fn(g), t.data.shape) if t.requires_grad
+                         else None for t, fn in zip(inputs, grad_fns))
+        tape._record(out, inputs, vjp)
     return out
 
 
@@ -263,48 +213,41 @@ def _check_broadcast(a: Tensor, b: Tensor):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b)
-    return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g)
+    return _op(a.data + b.data, (a, b), lambda g: g, lambda g: g)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b)
-    return _binary(a, b, a.data - b.data, lambda g: g, lambda g: -g)
+    return _op(a.data - b.data, (a, b), lambda g: g, lambda g: -g)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b)
-    return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
+    return _op(a.data * b.data, (a, b),
+               lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b)
-    return _binary(
-        a, b, a.data / b.data,
+    return _op(
+        a.data / b.data, (a, b),
         lambda g: g / b.data,
         lambda g: -g * a.data / (b.data * b.data),
     )
 
 
-def _unary(x: Tensor, out_data, dx_fn) -> Tensor:
-    out = Tensor(out_data)
-    tape = _should_record(x)
-    if tape is not None:
-        tape._record(out, (x,), lambda g: (dx_fn(g),))
-    return out
-
-
 def negate(x: Tensor) -> Tensor:
-    return _unary(x, -x.data, lambda g: -g)
+    return _op(-x.data, (x,), lambda g: -g)
 
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
-    return _unary(x, np.where(mask, x.data, 0.0), lambda g: g * mask)
+    return _op(np.where(mask, x.data, 0.0), (x,), lambda g: g * mask)
 
 
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
-    return _unary(x, y, lambda g: g * (1.0 - y * y))
+    return _op(y, (x,), lambda g: g * (1.0 - y * y))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -318,7 +261,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: Tensor) -> Tensor:
     y = _sigmoid(x.data)
-    return _unary(x, y, lambda g: g * y * (1.0 - y))
+    return _op(y, (x,), lambda g: g * y * (1.0 - y))
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -327,16 +270,16 @@ def softplus(x: Tensor) -> Tensor:
     big = x.data > 30.0
     y = np.where(big, x.data, np.log1p(np.exp(np.minimum(x.data, 30.0))))
     s = _sigmoid(x.data)
-    return _unary(x, y, lambda g: g * s)
+    return _op(y, (x,), lambda g: g * s)
 
 
 def log(x: Tensor) -> Tensor:
-    return _unary(x, np.log(x.data), lambda g: g / x.data)
+    return _op(np.log(x.data), (x,), lambda g: g / x.data)
 
 
 def exp(x: Tensor) -> Tensor:
     y = np.exp(x.data)
-    return _unary(x, y, lambda g: g * y)
+    return _op(y, (x,), lambda g: g * y)
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -350,7 +293,7 @@ def sqrt(x: Tensor) -> Tensor:
         safe = np.where(denom == 0.0, 1.0, denom)
         return np.where(denom == 0.0, 0.0, g / safe)
 
-    return _unary(x, y, dx)
+    return _op(y, (x,), dx)
 
 
 def normal_cdf(x: Tensor) -> Tensor:
@@ -359,7 +302,7 @@ def normal_cdf(x: Tensor) -> Tensor:
     if x.data.dtype != np.float64:
         y = y.astype(x.data.dtype)
     pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-    return _unary(x, y, lambda g: g * pdf)
+    return _op(y, (x,), lambda g: g * pdf)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -367,15 +310,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     A, B = a.data, b.data
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise ShapeMismatch(f"matmul shapes {A.shape} and {B.shape}")
-    out = Tensor(A @ B)
-    tape = _should_record(a, b)
-    if tape is not None:
-        def vjp(g):
-            ga = (g @ B.T) if (a.requires_grad or a.node) else None
-            gb = (A.T @ g) if (b.requires_grad or b.node) else None
-            return ga, gb
-        tape._record(out, (a, b), vjp)
-    return out
+    if getattr(_state, "tape", None) is None:
+        return Tensor(A @ B)
+    return _op(A @ B, (a, b), lambda g: g @ B.T, lambda g: A.T @ g)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -393,7 +330,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         inner = np.sum(g * y, axis=axis, keepdims=True)
         return y * (g - inner)
 
-    return _unary(x, y, dx)
+    return _op(y, (x,), dx)
 
 
 def _norm_axis(x: Tensor, axis):
@@ -426,7 +363,7 @@ def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, x.data.shape).copy()
 
-    return _unary(x, y, dx)
+    return _op(y, (x,), dx)
 
 
 def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -443,7 +380,7 @@ def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, x.data.shape) / n
 
-    return _unary(x, y, dx)
+    return _op(y, (x,), dx)
 
 
 def reduce_max(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -470,7 +407,7 @@ def reduce_max(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             np.put_along_axis(out, np.expand_dims(idx, axis), g, axis=axis)
             return out
 
-    return _unary(x, y, dx)
+    return _op(y, (x,), dx)
 
 
 def scatter_segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
@@ -489,7 +426,7 @@ def scatter_segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tenso
     out_shape = (num_segments,) + values.data.shape[1:]
     out_data = np.zeros(out_shape, dtype=values.data.dtype)
     np.add.at(out_data, ids, values.data)
-    return _unary(values, out_data, lambda g: np.asarray(g)[ids])
+    return _op(out_data, (values,), lambda g: np.asarray(g)[ids])
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
@@ -503,7 +440,7 @@ def gather_rows(x: Tensor, indices) -> Tensor:
         np.add.at(out, idx, np.asarray(g))
         return out
 
-    return _unary(x, x.data[idx], dx)
+    return _op(x.data[idx], (x,), dx)
 
 
 def gather_cols(x: Tensor, indices) -> Tensor:
@@ -522,7 +459,7 @@ def gather_cols(x: Tensor, indices) -> Tensor:
         np.add.at(out, (np.broadcast_to(rows, idx.shape), idx), np.asarray(g))
         return out
 
-    return _unary(x, x.data[rows, idx], dx)
+    return _op(x.data[rows, idx], (x,), dx)
 
 
 def mask_fill(x: Tensor, keep_mask, fill_value: float) -> Tensor:
@@ -533,42 +470,28 @@ def mask_fill(x: Tensor, keep_mask, fill_value: float) -> Tensor:
     if keep.shape != x.data.shape:
         raise ShapeMismatch(f"mask shape {keep.shape} != tensor shape {x.data.shape}")
     out_data = np.where(keep, x.data, x.data.dtype.type(fill_value))
-    return _unary(x, out_data, lambda g: np.asarray(g) * keep)
+    return _op(out_data, (x,), lambda g: np.asarray(g) * keep)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    return _unary(
-        x, x.data.reshape(shape),
-        lambda g: np.asarray(g).reshape(x.data.shape),
-    )
+    return _op(x.data.reshape(shape), (x,),
+               lambda g: np.asarray(g).reshape(x.data.shape))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate along ``axis``; gradients split back by the same offsets."""
     if not tensors:
         raise ShapeMismatch("concat of an empty sequence")
-    datas = [t.data for t in tensors]
-    out_data = np.concatenate(datas, axis=axis)
-    out = Tensor(out_data)
-    tape = _should_record(*tensors)
-    if tape is not None:
-        sizes = [d.shape[axis] for d in datas]
-        offsets = np.cumsum([0] + sizes)
-
-        def vjp(g):
-            g = np.asarray(g)
-            pieces = []
-            for i, t in enumerate(tensors):
-                if t.requires_grad or t.node is not None:
-                    sl = [slice(None)] * g.ndim
-                    sl[axis] = slice(offsets[i], offsets[i + 1])
-                    pieces.append(g[tuple(sl)])
-                else:
-                    pieces.append(None)
-            return tuple(pieces)
-
-        tape._record(out, tuple(tensors), vjp)
-    return out
+    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    if getattr(_state, "tape", None) is None:
+        return Tensor(out_data)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    pieces = []
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        sl = [slice(None)] * out_data.ndim
+        sl[axis] = slice(lo, hi)
+        pieces.append(lambda g, sl=tuple(sl): np.asarray(g)[sl])
+    return _op(out_data, tuple(tensors), *pieces)
 
 
 @dataclass

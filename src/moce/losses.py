@@ -47,28 +47,34 @@ def bce(logit: Tensor, label) -> Tensor:
 def attention_cosine_loss(thetas: list[Tensor]) -> Tensor:
     """Mean pairwise cosine similarity of the expert attention vectors.
 
-    Each vector is normalized to unit length; the loss averages the full
-    M x M similarity table (diagonal included), which collapses to
-    ||sum of unit vectors||^2 / M^2. A zero-norm vector cannot be
-    normalized: it is replaced by the first basis vector and a
-    ZeroNormTheta warning is recorded.
+    The M vectors are stacked as the rows of one (M, d) matrix and each row
+    is normalized to unit length; the loss averages the full M x M
+    similarity table (diagonal included), which collapses to
+    ||sum of unit rows||^2 / M^2. A zero-norm vector cannot be normalized:
+    it is replaced by the first basis vector, passes no gradient, and a
+    ZeroNormTheta warning is recorded. Vectors of different shapes raise
+    ShapeMismatch.
     """
     if not thetas:
         raise ValueError("attention loss needs at least one vector")
+    if len({t.shape for t in thetas}) != 1:
+        raise ad.ShapeMismatch("attention vectors differ in shape")
     m = len(thetas)
-    total = None
-    for theta in thetas:
-        flat = ad.reshape(theta, (-1,))
-        norm = ad.sqrt(ad.reduce_sum(ad.mul(flat, flat)))
-        if norm.data == 0.0:
-            warnings.warn("zero-norm attention vector replaced by basis vector",
-                          ZeroNormTheta)
-            basis = np.zeros(flat.shape[0], dtype=flat.dtype)
-            basis[0] = 1.0
-            unit = Tensor(basis)
-        else:
-            unit = ad.div(flat, norm)
-        total = unit if total is None else ad.add(total, unit)
+    rows = ad.reshape(ad.concat(thetas, axis=0), (m, -1))
+    norms = ad.sqrt(ad.reduce_sum(ad.mul(rows, rows), axis=1, keepdims=True))
+    zero = norms.data == 0.0
+    if zero.any():
+        warnings.warn("zero-norm attention vector replaced by basis vector",
+                      ZeroNormTheta)
+        # a zero row is divided by 1, masked to 0, then set to the basis row
+        basis = np.zeros(rows.shape, dtype=rows.dtype)
+        basis[zero[:, 0], 0] = 1.0
+        unit = ad.div(rows, ad.add(norms, Tensor(zero.astype(rows.dtype))))
+        unit = ad.add(ad.mask_fill(unit, np.broadcast_to(~zero, rows.shape), 0.0),
+                      Tensor(basis))
+    else:
+        unit = ad.div(rows, norms)
+    total = ad.reduce_sum(unit, axis=0)
     dot = ad.reduce_sum(ad.mul(total, total))
     return ad.mul(dot, Tensor(1.0 / (m * m), dtype=dot.dtype))
 

@@ -196,8 +196,8 @@ def model_loss(model: Model, result: ForwardResult, labels, beta: float,
     scale = Tensor(1.0 / len(model.blocks), dtype=y.dtype)
     if toggles.att:
         att = ad.mul(accumulate([
-            attention_cosine_loss([e.theta_att for e in block.experts])
-            for block in model.blocks]), scale)
+            attention_cosine_loss(thetas)
+            for thetas in model.attention_vectors()]), scale)
     else:
         att = zero
     if toggles.exp:

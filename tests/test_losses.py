@@ -23,6 +23,26 @@ def bce_reference(z: float, y: float) -> float:
     return max(z, 0.0) - z * y + math.log1p(math.exp(-abs(z)))
 
 
+def attention_loss_per_vector(thetas):
+    """The attention penalty built one tape node chain per vector, as it was
+    before the vectors were stacked; the stacked form must match it bit for
+    bit. A zero vector becomes the first basis vector with no gradient."""
+    m = len(thetas)
+    total = None
+    for theta in thetas:
+        flat = ad.reshape(theta, (-1,))
+        norm = ad.sqrt(ad.reduce_sum(ad.mul(flat, flat)))
+        if norm.data == 0.0:
+            basis = np.zeros(flat.shape[0], dtype=flat.dtype)
+            basis[0] = 1.0
+            unit = Tensor(basis)
+        else:
+            unit = ad.div(flat, norm)
+        total = unit if total is None else ad.add(total, unit)
+    dot = ad.reduce_sum(ad.mul(total, total))
+    return ad.mul(dot, Tensor(1.0 / (m * m), dtype=dot.dtype))
+
+
 class TestBce:
     def test_zero_logit_label_one_is_log_two(self):
         assert bce(Tensor(np.asarray(0.0)), 1).data == pytest.approx(
@@ -112,6 +132,55 @@ class TestAttentionCosine:
         # expert attention parameters are stored (dim, 1)
         t = Tensor(np.array([[1.0], [2.0]]))
         assert attention_cosine_loss([t, t]).data == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("shape, count, dtype, zero_at", [
+        ((300, 1), 60, np.float64, None),
+        ((32, 1), 8, np.float64, None),
+        ((7,), 5, np.float64, None),
+        ((8, 1), 6, np.float32, None),
+        ((6, 1), 4, np.float64, 2),
+    ])
+    def test_bitwise_equal_to_per_vector_form(self, shape, count, dtype, zero_at):
+        rng = np.random.default_rng(12)
+        datas = [rng.normal(size=shape).astype(dtype) for _ in range(count)]
+        if zero_at is not None:
+            datas[zero_at][...] = 0.0
+
+        def run(loss_fn):
+            thetas = [Tensor(d.copy(), requires_grad=True) for d in datas]
+            with Tape() as tape:
+                loss = loss_fn(thetas)
+                tape.backward(loss)
+            return loss, [t.grad for t in thetas]
+
+        ref_loss, ref_grads = run(attention_loss_per_vector)
+        if zero_at is None:
+            loss, grads = run(attention_cosine_loss)
+        else:
+            with pytest.warns(ZeroNormTheta):
+                loss, grads = run(attention_cosine_loss)
+        assert loss.dtype == dtype
+        assert loss.data.tobytes() == ref_loss.data.tobytes()
+        for i, (grad, ref) in enumerate(zip(grads, ref_grads)):
+            if i == zero_at:
+                assert ref is None and not np.any(grad)
+            else:
+                assert grad.tobytes() == ref.tobytes()
+
+    def test_tape_nodes_do_not_grow_with_vector_count(self):
+        rng = np.random.default_rng(13)
+        counts = []
+        for m in (3, 60):
+            thetas = [Tensor(rng.normal(size=(5, 1)), requires_grad=True)
+                      for _ in range(m)]
+            with Tape() as tape:
+                attention_cosine_loss(thetas)
+            counts.append(len(tape.nodes))
+        assert counts[0] == counts[1]
+
+    def test_unequal_lengths_raise(self):
+        with pytest.raises(ad.ShapeMismatch):
+            attention_cosine_loss([Tensor(np.ones(3)), Tensor(np.ones(4))])
 
     def test_gradient_passes_finite_differences(self):
         rng = np.random.default_rng(4)
