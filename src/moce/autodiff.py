@@ -236,10 +236,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def negate(x: Tensor) -> Tensor:
-    return _op(-x.data, (x,), lambda g: -g)
-
-
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     return _op(np.where(mask, x.data, 0.0), (x,), lambda g: g * mask)
@@ -259,11 +255,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    y = _sigmoid(x.data)
-    return _op(y, (x,), lambda g: g * y * (1.0 - y))
-
-
 def softplus(x: Tensor) -> Tensor:
     # log(1 + exp(x)); for x > 30 the linear branch avoids exp overflow and
     # is exact to double precision
@@ -271,15 +262,6 @@ def softplus(x: Tensor) -> Tensor:
     y = np.where(big, x.data, np.log1p(np.exp(np.minimum(x.data, 30.0))))
     s = _sigmoid(x.data)
     return _op(y, (x,), lambda g: g * s)
-
-
-def log(x: Tensor) -> Tensor:
-    return _op(np.log(x.data), (x,), lambda g: g / x.data)
-
-
-def exp(x: Tensor) -> Tensor:
-    y = np.exp(x.data)
-    return _op(y, (x,), lambda g: g * y)
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -379,33 +361,6 @@ def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         if not keepdims:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, x.data.shape) / n
-
-    return _op(y, (x,), dx)
-
-
-def reduce_max(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Maximum along an axis; gradient flows only to the first argmax."""
-    axis = _norm_axis(x, axis)
-    _check_not_empty(x, axis)
-    y = np.max(x.data, axis=axis, keepdims=keepdims)
-
-    if axis is None:
-        flat_idx = int(np.argmax(x.data))
-
-        def dx(g):
-            out = np.zeros_like(x.data)
-            out.flat[flat_idx] = np.asarray(g).reshape(())
-            return out
-    else:
-        idx = np.argmax(x.data, axis=axis)
-
-        def dx(g):
-            g = np.asarray(g)
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            out = np.zeros_like(x.data)
-            np.put_along_axis(out, np.expand_dims(idx, axis), g, axis=axis)
-            return out
 
     return _op(y, (x,), dx)
 

@@ -148,8 +148,8 @@ def cmd_train(args) -> int:
     records = load_dataset_csv(cfg.dataset)
     if cfg.split_file:
         assignment = SplitAssignment.read_csv(cfg.split_file)
-        train_records = [records[i] for i in assignment.indices("train")]
-        valid_records = [records[i] for i in assignment.indices("valid")]
+        train_records = assignment.select(records, "train")
+        valid_records = assignment.select(records, "valid")
     else:
         train_records, valid_records = records, []
     if not train_records:
@@ -223,7 +223,7 @@ def cmd_eval(args) -> int:
     if args.split:
         if os.path.exists(args.split):
             assignment = SplitAssignment.read_csv(args.split)
-            subset = [records[i] for i in assignment.indices(args.split_name)]
+            subset = assignment.select(records, args.split_name)
         else:
             print(f"warning: split file {args.split!r} not found; "
                   f"treating every row as test", file=sys.stderr)

@@ -34,14 +34,15 @@ def bce(logit: Tensor, label) -> Tensor:
     """Binary cross-entropy from logits, elementwise.
 
     Computed as max(z, 0) - z*y + log(1 + exp(-|z|)), which never
-    exponentiates a positive argument. ``label`` may be a scalar or an
-    array broadcastable against ``logit``.
+    exponentiates a positive argument; its gradient is sigmoid(z) - y
+    everywhere, z = 0 included. ``label`` may be a scalar or an array
+    broadcastable against ``logit``.
     """
     z = logit if isinstance(logit, Tensor) else Tensor(np.asarray(logit, dtype=np.float64))
-    y = Tensor(np.asarray(label, dtype=z.dtype))
-    pos = ad.relu(z)
-    abs_z = ad.add(pos, ad.relu(ad.negate(z)))
-    return ad.add(ad.sub(pos, ad.mul(z, y)), ad.softplus(ad.negate(abs_z)))
+    y = np.asarray(label, dtype=z.dtype)
+    zd = z.data
+    value = (np.where(zd > 0, zd, 0.0) - zd * y) + np.log1p(np.exp(-np.abs(zd)))
+    return ad._op(value, (z,), lambda g: g * (ad._sigmoid(zd) - y))
 
 
 def attention_cosine_loss(thetas: list[Tensor]) -> Tensor:

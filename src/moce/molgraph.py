@@ -50,10 +50,11 @@ class EmptyClass(ValueError):
 
 
 class DatasetError(ValueError):
-    """A dataset file row failed to load; ``row`` is the 1-based line."""
+    """A dataset or split file failed to load; ``row`` is the 1-based line,
+    or None when no single line is at fault."""
 
-    def __init__(self, message: str, row: int):
-        super().__init__(f"row {row}: {message}")
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message if row is None else f"row {row}: {message}")
         self.row = row
 
 
@@ -323,16 +324,9 @@ def parse_smiles(smiles: str) -> MolecularGraph:
             if not bond.in_ring:
                 bond.order = BondOrder.SINGLE
 
-    counts = [0] * len(atoms)
-    for bond in graph.bonds:
-        counts[bond.a] += 1
-        counts[bond.b] += 1
+    valence = _set_degrees(graph.atoms, graph.bonds)
     for idx, atom in enumerate(graph.atoms):
-        atom.degree = counts[idx]
-
-    for idx, atom in enumerate(graph.atoms):
-        used = sum(b.order.valence_units for b in graph.bonds
-                   if b.a == idx or b.b == idx)
+        used = valence[idx]
         if atom.is_aromatic:
             used += 1
         if not atom_bracket[idx]:
@@ -344,6 +338,21 @@ def parse_smiles(smiles: str) -> MolecularGraph:
                     atom_offsets[idx])
             atom.explicit_hydrogens = max(0, _DEFAULT_VALENCE[atom.element] - used)
     return graph
+
+
+def _set_degrees(atoms: list[Atom], bonds: list[Bond]) -> list[int]:
+    """Set each atom's degree from ``bonds`` in one pass; returns the bond
+    valence units summed per atom."""
+    degree = [0] * len(atoms)
+    valence = [0] * len(atoms)
+    for bond in bonds:
+        units = bond.order.valence_units
+        for end in (bond.a, bond.b):
+            degree[end] += 1
+            valence[end] += units
+    for atom, count in zip(atoms, degree):
+        atom.degree = count
+    return valence
 
 
 def _mark_rings(graph: MolecularGraph) -> None:
@@ -483,12 +492,7 @@ def murcko_scaffold(graph: MolecularGraph) -> MolecularGraph:
     for bond in graph.bonds:
         if alive[bond.a] and alive[bond.b]:
             bonds.append(Bond(remap[bond.a], remap[bond.b], bond.order, bond.in_ring))
-    counts = [0] * len(atoms)
-    for bond in bonds:
-        counts[bond.a] += 1
-        counts[bond.b] += 1
-    for idx, atom in enumerate(atoms):
-        atom.degree = counts[idx]
+    _set_degrees(atoms, bonds)
     return MolecularGraph(atoms, bonds)
 
 
@@ -547,6 +551,15 @@ class SplitAssignment:
     def indices(self, split: str) -> list[int]:
         return sorted(i for i, s in self.splits.items() if s == split)
 
+    def select(self, records: list, split: str) -> list:
+        """The records assigned to ``split``, in index order. Raises
+        DatasetError if any index lies outside ``records``."""
+        if self.splits and max(self.splits) >= len(records):
+            raise DatasetError(
+                f"split index {max(self.splits)} is outside the dataset's "
+                f"{len(records)} records")
+        return [records[i] for i in self.indices(split)]
+
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -567,7 +580,13 @@ class SplitAssignment:
                     continue
                 if len(row) != 2 or row[1] not in ("train", "valid", "test"):
                     raise DatasetError(f"bad split row {row!r}", lineno)
-                out.splits[int(row[0])] = row[1]
+                if not row[0].isdecimal():
+                    raise DatasetError("record_index must be a non-negative "
+                                       f"integer, got {row[0]!r}", lineno)
+                idx = int(row[0])
+                if idx in out.splits:
+                    raise DatasetError(f"duplicate record_index {idx}", lineno)
+                out.splits[idx] = row[1]
         return out
 
 

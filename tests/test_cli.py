@@ -175,6 +175,18 @@ class TestTrain:
         assert "embedding" in capsys.readouterr().err.lower()
 
 
+    @pytest.mark.parametrize("index", ["999", "-1"])
+    def test_split_index_outside_dataset_is_data_error(
+            self, workdir, tmp_path, capsys, index):
+        splits = tmp_path / "splits.csv"
+        splits.write_text(f"record_index,split\n0,train\n{index},train\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CFG.format(data=workdir["data"], splits=splits,
+                                       out=tmp_path / "out"))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "record" in capsys.readouterr().err
+
+
 class TestEval:
     def test_table_and_file(self, workdir, capsys):
         out = workdir["root"] / "eval.csv"
@@ -199,6 +211,16 @@ class TestEval:
         assert "not found" in captured.err
         # every record evaluated: counts equal the whole dataset
         assert f"{'__mean__':<20s} {48:>6d}" in captured.out
+
+    @pytest.mark.parametrize("index", ["99", "-1"])
+    def test_split_index_outside_dataset_is_data_error(
+            self, workdir, tmp_path, capsys, index):
+        splits = tmp_path / "splits.csv"
+        splits.write_text(f"record_index,split\n{index},test\n")
+        assert main(["eval", "--checkpoint", str(workdir["checkpoint"]),
+                     "--data", str(workdir["data"]), "--split", str(splits),
+                     "--out", str(tmp_path / "e.csv")]) == 2
+        assert "record" in capsys.readouterr().err
 
     def test_corrupted_checkpoint_is_data_error(self, workdir, tmp_path,
                                                 capsys):

@@ -77,6 +77,12 @@ class TestBce:
         expected = 1.0 / (1.0 + math.exp(-0.3)) - 1.0
         assert z.grad == pytest.approx(expected, rel=1e-14)
 
+    def test_gradient_at_zero_logit_is_half_minus_label(self):
+        z = Tensor(np.asarray(0.0), requires_grad=True)
+        with Tape() as tape:
+            tape.backward(bce(z, 1))
+        assert z.grad == -0.5
+
 
 class TestAttentionCosine:
     def test_identical_pair_gives_one(self):

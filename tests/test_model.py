@@ -239,10 +239,8 @@ class TestBondlessBatch:
         model = Model.create(tiny_config(embed_dim=3, num_gnn_layers=1), seed=15)
         # at initialisation every bias is 0, so a node whose relu rows are
         # all dead has an exactly zero state: the next layer then sits on a
-        # relu kink, where finite differences see half a slope, and an
-        # expert logit of exactly 0 meets bce's two kinks, where the tape
-        # gives -y instead of sigmoid(0) - y. Offsets move the check to a
-        # point where the loss is differentiable.
+        # relu kink, where finite differences see half a slope. Offsets
+        # move the check to a point where the loss is differentiable.
         for p in model.parameters().values():
             p.data += 0.1 * rng.standard_normal(p.data.shape)
         batch = tiny_batch(self.SMILES)

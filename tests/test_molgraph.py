@@ -415,3 +415,21 @@ class TestDatasetCsv:
         split.write_csv(str(path))
         loaded = SplitAssignment.read_csv(str(path))
         assert loaded.splits == split.splits
+
+    @pytest.mark.parametrize("body, line", [
+        ("0,train\nx,valid\n", 3),
+        ("0,train\n-1,valid\n", 3),
+        ("0,train\n1,valid\n0,test\n", 4),
+    ], ids=["not-an-integer", "negative", "duplicate"])
+    def test_split_csv_bad_index_names_line(self, tmp_path, body, line):
+        path = tmp_path / "split.csv"
+        path.write_text("record_index,split\n" + body)
+        with pytest.raises(DatasetError) as err:
+            SplitAssignment.read_csv(str(path))
+        assert err.value.row == line
+
+    def test_select_rejects_index_outside_records(self):
+        split = SplitAssignment({0: "train", 7: "test"})
+        with pytest.raises(DatasetError):
+            split.select(["a", "b", "c"], "train")
+        assert split.select(list("abcdefgh"), "train") == ["a"]
