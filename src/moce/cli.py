@@ -153,7 +153,7 @@ def cmd_train(args) -> int:
     else:
         train_records, valid_records = records, []
     if not train_records:
-        raise DatasetError("no training records after applying the split", 1)
+        raise DatasetError("no training records after applying the split")
 
     tasks = _resolve_run_tasks(cfg, [r.task_id for r in records])
     model = Model.create(cfg.model_config(), cfg.seed, dtype=cfg.dtype())
@@ -228,8 +228,7 @@ def cmd_eval(args) -> int:
             print(f"warning: split file {args.split!r} not found; "
                   f"treating every row as test", file=sys.stderr)
     if not subset:
-        raise DatasetError(
-            f"no records in split {args.split_name!r}", 1)
+        raise DatasetError(f"no records in split {args.split_name!r}")
 
     tasks = _resolve_run_tasks(cfg, [r.task_id for r in subset],
                                embeddings_path=args.task_embeddings)
