@@ -5,6 +5,8 @@ every differentiable op against central finite differences, the tape's
 accumulation semantics, and the documented error conditions.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -287,7 +289,8 @@ def _fd_single(op, x_data, **kwargs):
 def _weights(op, x_data, kwargs):
     # fixed random weights turn any output into a scalar without losing
     # per-entry gradient information
-    rng = np.random.default_rng(abs(hash(op.__name__)) % (2**32))
+    # (crc32, not hash(): string hashes change from process to process)
+    rng = np.random.default_rng(zlib.crc32(op.__name__.encode()))
     probe = op(Tensor(np.asarray(x_data, dtype=np.float64)), **kwargs)
     return rng.normal(size=probe.data.shape)
 
@@ -307,6 +310,11 @@ class TestPerOpFiniteDifferences:
                 if name == "relu":
                     # keep inputs away from the kink
                     x = np.where(np.abs(x) < 1e-2, x + 0.05, x)
+                if name == "normal_cdf":
+                    # beyond |x| = 4 the density times a small weight falls
+                    # below what a central difference of an O(1) loss can
+                    # resolve in float64 (~1e-12 / 2e-4)
+                    x = np.clip(x, -4.0, 4.0)
                 r = _fd_single(op, x)
                 assert r.passed, f"{name}: {r}"
 
