@@ -365,6 +365,22 @@ def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _op(y, (x,), dx)
 
 
+def _index_add(shape, dtype, ids, values: np.ndarray) -> np.ndarray:
+    """zeros(shape, dtype) with each ``values[i]`` added into row ``ids[i]``.
+
+    ``values`` has shape ``ids.shape + shape[1:]``. The rows are flattened
+    so that ``np.add.at`` runs on 1-D operands, its fast path: every target
+    element still starts at zero and receives its additions in index order,
+    so the result is bit for bit that of ``np.add.at(out, ids, values)``.
+    """
+    out = np.zeros(shape, dtype=dtype)
+    width = math.prod(shape[1:])
+    flat = np.asarray(ids, dtype=np.intp).reshape(-1, 1) * width
+    flat = (flat + np.arange(width)).reshape(-1)
+    np.add.at(out.reshape(-1), flat, values.reshape(-1))
+    return out
+
+
 def scatter_segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     """out[s] = sum of values rows whose segment id is s.
 
@@ -378,9 +394,8 @@ def scatter_segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tenso
         )
     if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
         raise IndexOutOfRange("segment id outside [0, num_segments)")
-    out_shape = (num_segments,) + values.data.shape[1:]
-    out_data = np.zeros(out_shape, dtype=values.data.dtype)
-    np.add.at(out_data, ids, values.data)
+    out_data = _index_add((num_segments,) + values.data.shape[1:],
+                          values.data.dtype, ids, values.data)
     return _op(out_data, (values,), lambda g: np.asarray(g)[ids])
 
 
@@ -389,13 +404,9 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     idx = np.asarray(indices)
     if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
         raise IndexOutOfRange("row index outside [0, rows)")
-
-    def dx(g):
-        out = np.zeros_like(x.data)
-        np.add.at(out, idx, np.asarray(g))
-        return out
-
-    return _op(x.data[idx], (x,), dx)
+    return _op(x.data[idx], (x,),
+               lambda g: _index_add(x.data.shape, x.data.dtype, idx,
+                                    np.asarray(g)))
 
 
 def gather_cols(x: Tensor, indices) -> Tensor:
@@ -407,12 +418,12 @@ def gather_cols(x: Tensor, indices) -> Tensor:
         )
     if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[1]):
         raise IndexOutOfRange("column index outside [0, cols)")
-    rows = np.arange(x.data.shape[0])[:, None]
+    n, m = x.data.shape
+    rows = np.arange(n)[:, None]
 
     def dx(g):
-        out = np.zeros_like(x.data)
-        np.add.at(out, (np.broadcast_to(rows, idx.shape), idx), np.asarray(g))
-        return out
+        flat = _index_add((n * m,), x.data.dtype, rows * m + idx, np.asarray(g))
+        return flat.reshape(n, m)
 
     return _op(x.data[rows, idx], (x,), dx)
 
