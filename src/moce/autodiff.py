@@ -77,7 +77,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -202,9 +202,10 @@ def _op(out_data, inputs: tuple, *grad_fns) -> Tensor:
     return out
 
 
-def _check_broadcast(a: Tensor, b: Tensor):
+def _broadcast(ufunc, a: Tensor, b: Tensor) -> np.ndarray:
+    """``ufunc(a, b)``, with numpy's broadcast error raised as ShapeMismatch."""
     try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
+        return ufunc(a.data, b.data)
     except ValueError:
         raise ShapeMismatch(
             f"cannot broadcast shapes {a.data.shape} and {b.data.shape}"
@@ -212,25 +213,21 @@ def _check_broadcast(a: Tensor, b: Tensor):
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b)
-    return _op(a.data + b.data, (a, b), lambda g: g, lambda g: g)
+    return _op(_broadcast(np.add, a, b), (a, b), lambda g: g, lambda g: g)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b)
-    return _op(a.data - b.data, (a, b), lambda g: g, lambda g: -g)
+    return _op(_broadcast(np.subtract, a, b), (a, b), lambda g: g, lambda g: -g)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b)
-    return _op(a.data * b.data, (a, b),
+    return _op(_broadcast(np.multiply, a, b), (a, b),
                lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b)
     return _op(
-        a.data / b.data, (a, b),
+        _broadcast(np.divide, a, b), (a, b),
         lambda g: g / b.data,
         lambda g: -g * a.data / (b.data * b.data),
     )

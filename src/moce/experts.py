@@ -303,12 +303,15 @@ def _sag_weights(scores: np.ndarray, graph_ids: np.ndarray, num_graphs: int,
     """Constant per-node weights: 1/n_selected on each graph's top
     ceil(kappa * n) nodes by score (ties to the lower node index), 0 off."""
     weights = np.zeros_like(scores)
+    # The stable sort keeps each graph's members in ascending node order.
+    # ndarray methods skip the np.* wrappers, whose overhead dominates at B=1.
+    members = graph_ids.argsort(kind="stable")
+    bounds = [0] + np.bincount(graph_ids, minlength=num_graphs).cumsum().tolist()
     for g in range(num_graphs):
-        member_idx = np.nonzero(graph_ids == g)[0]
+        member_idx = members[bounds[g]:bounds[g + 1]]
         n = member_idx.size
         n_sel = int(math.ceil(pool_ratio * n))
-        local = scores[member_idx]
-        order = np.argsort(-local, kind="stable")[:n_sel]
+        order = (-scores[member_idx]).argsort(kind="stable")[:n_sel]
         weights[member_idx[order]] = 1.0 / n_sel
     return weights
 
