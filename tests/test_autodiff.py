@@ -9,6 +9,9 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from moce import autodiff as ad
 from moce.autodiff import (
@@ -198,6 +201,96 @@ class TestScatterGather:
             ad.scatter_segment_sum(Tensor(np.ones((2, 1))), np.array([0, 3]), 2)
         with pytest.raises(IndexOutOfRange):
             ad.gather_cols(Tensor(np.ones((1, 2))), np.array([[5]]))
+
+
+def _ref_segment_sum(values, ids, num_segments):
+    out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
+    np.add.at(out, ids, values)
+    return out
+
+
+def _ref_gather_cols_grad(shape, idx, g):
+    out = np.zeros(shape, dtype=g.dtype)
+    rows = np.arange(shape[0])[:, None]
+    np.add.at(out, (np.broadcast_to(rows, idx.shape), idx), g)
+    return out
+
+
+def _grad_of(out: Tensor, g: np.ndarray) -> np.ndarray:
+    """The gradient an op's single input receives for output gradient g."""
+    return out.node.vjp(g)[0]
+
+
+def _floats(dtype):
+    return st.floats(-1e6, 1e6, width=np.finfo(dtype).bits)
+
+
+@st.composite
+def _row_cases(draw):
+    """(dtype, rows, ids, values): ids unsorted and repeated, possibly
+    empty; values of shape ids.shape + trailing."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    trailing = draw(st.sampled_from([(), (1,), (5,), (2, 3)]))
+    rows = draw(st.integers(1, 6))
+    ids = np.array(draw(st.lists(st.integers(0, rows - 1), max_size=24)),
+                   dtype=np.int64)
+    values = draw(hnp.arrays(dtype, ids.shape + trailing,
+                             elements=_floats(dtype)))
+    return dtype, rows, ids, values
+
+
+@st.composite
+def _col_cases(draw):
+    """(dtype, (n, m), idx, g) for gather_cols, n possibly 0."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    n = draw(st.integers(0, 5))
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 8))
+    idx = draw(hnp.arrays(np.int64, (n, k), elements=st.integers(0, m - 1)))
+    g = draw(hnp.arrays(dtype, (n, k), elements=_floats(dtype)))
+    return dtype, (n, m), idx, g
+
+
+_BONDLESS = np.zeros((0, 2), dtype=np.int64)
+
+
+class TestIndexAddMatchesAddAt:
+    """Scatters and gather gradients are bit for bit the 2-D np.add.at of
+    the reference functions above, in float64 and float32."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(_row_cases())
+    @example((np.float64, 2, np.array([1, 0, 1]), np.array([-0.0, -0.0, -0.0])))
+    @example((np.float32, 3, _BONDLESS[:, 1], np.zeros((0, 4), np.float32)))
+    def test_scatter_segment_sum(self, case):
+        dtype, rows, ids, values = case
+        out = ad.scatter_segment_sum(Tensor(values), ids, rows)
+        assert out.data.dtype == dtype
+        assert out.data.tobytes() == _ref_segment_sum(values, ids, rows).tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(_row_cases())
+    @example((np.float64, 2, np.array([1, 0, 1]), np.array([-0.0, -0.0, -0.0])))
+    @example((np.float64, 3, _BONDLESS[:, 0], np.zeros((0, 4))))
+    def test_gather_rows_gradient(self, case):
+        dtype, rows, ids, g = case
+        x = Tensor(np.ones((rows,) + g.shape[1:], dtype=dtype), requires_grad=True)
+        with Tape():
+            grad = _grad_of(ad.gather_rows(x, ids), g)
+        assert grad.dtype == dtype
+        assert grad.tobytes() == _ref_segment_sum(g, ids, rows).tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(_col_cases())
+    @example((np.float32, (2, 3), np.array([[2, 2], [0, 2]]),
+              np.array([[-0.0, -0.0], [1.5, -0.0]], dtype=np.float32)))
+    def test_gather_cols_gradient(self, case):
+        dtype, shape, idx, g = case
+        x = Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
+        with Tape():
+            grad = _grad_of(ad.gather_cols(x, idx), g)
+        assert grad.dtype == dtype
+        assert grad.tobytes() == _ref_gather_cols_grad(shape, idx, g).tobytes()
 
 
 class TestTapeSemantics:

@@ -26,6 +26,7 @@ from moce.experts import (
     sag_project_batch,
     topk_indices,
 )
+from moce.experts import _sag_weights
 
 
 def zero_router(e_f: int, e_t: int, m: int, k_s: int, k_t: int) -> RouterParams:
@@ -59,6 +60,17 @@ def sag_one(nodes: Tensor, edge_index: np.ndarray, expert: ExpertParams) -> Tens
 
 
 NO_EDGES = np.zeros((0, 2), dtype=np.int64)
+
+
+def sag_weights_per_graph(scores, graph_ids, num_graphs, pool_ratio):
+    """Reference for ``_sag_weights``: one scan of every node per graph."""
+    weights = np.zeros_like(scores)
+    for g in range(num_graphs):
+        member_idx = np.nonzero(graph_ids == g)[0]
+        n_sel = int(math.ceil(pool_ratio * member_idx.size))
+        order = np.argsort(-scores[member_idx], kind="stable")[:n_sel]
+        weights[member_idx[order]] = 1.0 / n_sel
+    return weights
 
 
 class TestGammaMask:
@@ -334,6 +346,19 @@ class TestSagProject:
         e = constant_expert(2, 0.0)
         with pytest.raises(EmptyGraph):
             sag_one(Tensor(np.zeros((0, 2))), NO_EDGES, e)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_weights_match_per_graph_loop_on_shuffled_ids(self, seed):
+        rng = np.random.default_rng(seed)
+        num_graphs = int(rng.integers(1, 30))
+        sizes = rng.integers(1, 14, size=num_graphs)
+        graph_ids = rng.permutation(np.repeat(np.arange(num_graphs), sizes))
+        # one decimal makes score ties, which must go to the lower node index
+        scores = np.round(rng.uniform(-1.0, 1.0, size=graph_ids.size), 1)
+        for ratio in (0.3, 0.5, 1.0):
+            got = _sag_weights(scores, graph_ids, num_graphs, ratio)
+            want = sag_weights_per_graph(scores, graph_ids, num_graphs, ratio)
+            assert got.tobytes() == want.tobytes()
 
     def test_batched_matches_per_graph(self):
         rng = np.random.default_rng(17)
