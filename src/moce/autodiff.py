@@ -396,6 +396,49 @@ def scatter_segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tenso
     return _op(out_data, (values,), lambda g: np.asarray(g)[ids])
 
 
+def pool_rows(x: Tensor, scores: Tensor, weights, segment_ids,
+              num_segments: int) -> Tensor:
+    """out[s] = sum of (scores[i] * weights[i]) * x[i] over the rows i of
+    segment s whose constant weight is non-zero.
+
+    ``x`` is (n, d), ``scores`` (n, 1), ``weights`` and ``segment_ids``
+    constant (n,) vectors. Rows of zero weight are never read, and their
+    gradients are zero. The kept rows add in row order from zero, so the
+    result is bit for bit ``scatter_segment_sum(mul(x, mul(scores, w)))``:
+    the dropped terms were x * 0 = +-0, which leave a sum started at +0
+    unchanged.
+    """
+    w = np.asarray(weights)
+    ids = np.asarray(segment_ids)
+    n = x.data.shape[0]
+    if (x.data.ndim != 2 or scores.data.shape != (n, 1)
+            or w.shape != (n,) or ids.shape != (n,)):
+        raise ShapeMismatch(
+            f"pool_rows needs x (n, d), scores (n, 1), weights and ids (n,); "
+            f"got {x.data.shape}, {scores.data.shape}, {w.shape}, {ids.shape}")
+    if n and (ids.min() < 0 or ids.max() >= num_segments):
+        raise IndexOutOfRange("segment id outside [0, num_segments)")
+    rows = w.nonzero()[0]
+    seg = ids[rows]
+    scale = (scores.data[rows, 0] * w[rows])[:, None]
+    kept = x.data[rows] * scale
+    out_data = _index_add((num_segments, x.data.shape[1]), kept.dtype, seg, kept)
+
+    def dx(g):
+        out = np.zeros_like(x.data)
+        out[rows] = np.asarray(g)[seg] * scale
+        return out
+
+    def dscores(g):
+        out = np.zeros_like(scores.data)
+        # the row sums of mul's gradient, the same way (one column: no sum)
+        picked = np.asarray(g)[seg] * x.data[rows]
+        out[rows] = _unbroadcast(picked, (rows.size, 1)) * w[rows, None]
+        return out
+
+    return _op(out_data, (x, scores), dx, dscores)
+
+
 def gather_rows(x: Tensor, indices) -> Tensor:
     """Select rows of ``x`` by a constant index vector (embedding lookup)."""
     idx = np.asarray(indices)

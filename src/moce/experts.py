@@ -343,9 +343,7 @@ def sag_project_batch(nodes: Tensor, edge_index: np.ndarray,
 
     weights = _sag_weights(z_tilde.data[:, 0], graph_ids, num_graphs,
                            expert.pool_ratio)
-    scaled = ad.mul(z_tilde, Tensor(weights[:, None].astype(nodes.dtype)))
-    weighted_rows = ad.mul(nodes, scaled)
-    return ad.scatter_segment_sum(weighted_rows, graph_ids, num_graphs)
+    return ad.pool_rows(nodes, z_tilde, weights, graph_ids, num_graphs)
 
 
 def expert_mlp(expert: ExpertParams, pooled: Tensor) -> Tensor:
