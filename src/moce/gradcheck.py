@@ -131,6 +131,16 @@ def _check_structure(rng) -> FdReport:
     return finite_diff_check(f, [x, y])
 
 
+def _check_pool_rows(rng) -> FdReport:
+    x = _param(rng, (6, 3))
+    scores = _param(rng, (6, 1))
+    # segment 2 keeps no row; rows 1 and 4 are dropped
+    weights = np.array([0.5, 0.0, 1.0, 0.5, 0.0, 1.0])
+    ids = np.array([1, 3, 0, 1, 2, 3])
+    return finite_diff_check(
+        lambda u, s: _sq_sum(ad.pool_rows(u, s, weights, ids, 4)), [x, scores])
+
+
 def _check_bce(rng) -> FdReport:
     z = _param(rng, (6,), low=-2.0, high=2.0)
     y = (rng.uniform(size=6) < 0.5).astype(np.float64)
@@ -213,6 +223,7 @@ def _check_encoder(rng) -> FdReport:
     inputs = list(cfg.parameters().values())
     for layer in gins:
         inputs.extend(layer.parameters().values())
+    _jitter(inputs, rng)
     readout = Tensor(rng.uniform(0.5, 1.5, size=(3, 3)))
 
     def f(*unused):
@@ -242,6 +253,11 @@ def _check_full_model(rng) -> FdReport:
     return finite_diff_check(f, inputs, per_tensor=3, rng=rng)
 
 
+def _row_rng(seed: int, name: str) -> np.random.Generator:
+    """The generator that row ``name`` of ``run_all(seed)`` draws from."""
+    return np.random.Generator(np.random.PCG64([seed, zlib.crc32(name.encode())]))
+
+
 def run_all(seed: int = 0, rel_tol: float = DEFAULT_TOL) -> list[CheckResult]:
     """Run every gradient check; returns one result row per family.
 
@@ -264,6 +280,7 @@ def run_all(seed: int = 0, rel_tol: float = DEFAULT_TOL) -> list[CheckResult]:
         ("masked-softmax", _check_masked_softmax),
         ("reductions", _check_reductions),
         ("structure-ops", _check_structure),
+        ("pool-rows", _check_pool_rows),
         ("bce", _check_bce),
         ("attention-loss", _check_attention_loss),
         ("expert-loss", _check_expert_loss),
@@ -275,8 +292,7 @@ def run_all(seed: int = 0, rel_tol: float = DEFAULT_TOL) -> list[CheckResult]:
     ]
     results = []
     for name, runner in checks:
-        rng = np.random.Generator(
-            np.random.PCG64([seed, zlib.crc32(name.encode())]))
+        rng = _row_rng(seed, name)
         start = time.perf_counter()
         report = runner(rng)
         elapsed = time.perf_counter() - start

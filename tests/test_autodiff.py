@@ -293,6 +293,98 @@ class TestIndexAddMatchesAddAt:
         assert grad.tobytes() == _ref_gather_cols_grad(shape, idx, g).tobytes()
 
 
+def _ref_pool_rows(x, scores, weights, ids, num_segments):
+    """The composition ``pool_rows`` replaces: every row, weighted by
+    scores * weights, summed per segment."""
+    scaled = ad.mul(scores, Tensor(weights[:, None]))
+    return ad.scatter_segment_sum(ad.mul(x, scaled), ids, num_segments)
+
+
+def _pool_value_and_grads(pool, x, scores, g):
+    """pool(x, scores) and the gradients of x and scores for output
+    gradient g."""
+    xt = Tensor(x, requires_grad=True)
+    st_ = Tensor(scores, requires_grad=True)
+    with Tape() as tape:
+        out = pool(xt, st_)
+        grads = tape.backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+    return out.data, grads[xt], grads[st_]
+
+
+@st.composite
+def _pool_cases(draw):
+    """(x, scores, weights, ids, num_segments, g) of one dtype: ids unsorted,
+    weights zero or 1/k as ``_sag_weights`` makes them, signed zeros."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    n = draw(st.integers(0, 12))
+    d = draw(st.integers(1, 5))
+    segments = draw(st.integers(1, 5))
+    ids = np.array(draw(st.lists(st.integers(0, segments - 1), min_size=n,
+                                 max_size=n)), dtype=np.int64)
+    weights = np.array(draw(st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, 0.5, 1 / 3, 0.25]), min_size=n,
+        max_size=n)), dtype=dtype)
+    x = draw(hnp.arrays(dtype, (n, d), elements=_floats(dtype)))
+    scores = draw(hnp.arrays(dtype, (n, 1), elements=_floats(dtype)))
+    g = draw(hnp.arrays(dtype, (segments, d), elements=_floats(dtype)))
+    return x, scores, weights, ids, segments, g
+
+
+def _signed_zero_case(dtype):
+    """Segment 1 holds one row, of zero weight; -0.0 in x and scores."""
+    x = np.array([[-0.0, 1.5], [2.0, -0.0], [-0.0, -0.0], [3.0, -2.0]], dtype)
+    scores = np.array([[-0.0], [0.5], [-1.0], [0.25]], dtype)
+    weights = np.array([0.5, 0.0, 0.5, 1.0], dtype)
+    g = np.array([[-1.0, 2.0], [4.0, -0.0], [-0.0, 0.5]], dtype)
+    return x, scores, weights, np.array([2, 1, 0, 2]), 3, g
+
+
+class TestPoolRows:
+    """``pool_rows`` is bit for bit the three-op reference on rows of
+    non-zero weight and reads nothing else."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(_pool_cases())
+    @example(_signed_zero_case(np.float64))
+    @example(_signed_zero_case(np.float32))
+    def test_matches_reference_composition(self, case):
+        x, scores, weights, ids, segments, g = case
+        out, dx, ds = _pool_value_and_grads(
+            lambda u, s: ad.pool_rows(u, s, weights, ids, segments), x, scores, g)
+        ref, ref_dx, ref_ds = _pool_value_and_grads(
+            lambda u, s: _ref_pool_rows(u, s, weights, ids, segments),
+            x, scores, g)
+        assert out.dtype == dx.dtype == ds.dtype == x.dtype
+        assert out.tobytes() == ref.tobytes()
+        keep = weights != 0
+        assert dx[keep].tobytes() == ref_dx[keep].tobytes()
+        assert ds[keep].tobytes() == ref_ds[keep].tobytes()
+        assert not dx[~keep].any() and not ds[~keep].any()
+
+    def test_non_finite_dropped_rows_are_never_read(self):
+        x = np.array([[1.0, 2.0], [np.inf, -np.inf], [np.nan, 1.0], [3.0, 4.0]])
+        scores = np.array([[0.5], [np.nan], [2.0], [-1.0]])
+        weights = np.array([0.5, 0.0, 0.0, 0.5])
+        out, dx, ds = _pool_value_and_grads(
+            lambda u, s: ad.pool_rows(u, s, weights, np.array([0, 0, 1, 1]), 2),
+            x, scores, np.ones((2, 2)))
+        np.testing.assert_array_equal(out, [[0.25, 0.5], [-1.5, -2.0]])
+        assert np.isfinite(dx).all() and np.isfinite(ds).all()
+
+    def test_bad_shapes_and_ids_raise(self):
+        x, s = Tensor(np.ones((3, 2))), Tensor(np.ones((3, 1)))
+        w, ids = np.ones(3), np.array([0, 1, 1])
+        for args in ((Tensor(np.ones(3)), s, w, ids),
+                     (x, Tensor(np.ones(3)), w, ids),
+                     (x, s, np.ones(4), ids),
+                     (x, s, w, np.array([0, 1]))):
+            with pytest.raises(ShapeMismatch):
+                ad.pool_rows(*args, 2)
+        for bad in (np.array([0, -1, 1]), np.array([0, 2, 1])):
+            with pytest.raises(IndexOutOfRange):
+                ad.pool_rows(x, s, w, bad, 2)
+
+
 class TestTapeSemantics:
     def test_fanout_accumulates(self):
         """x used twice receives the sum of both branch gradients."""

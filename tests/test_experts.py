@@ -276,6 +276,36 @@ class TestRoute:
                                        rtol=1e-12)
 
 
+def sag_project_three_ops(nodes, edge_index, graph_ids, num_graphs, expert):
+    """Reference for ``sag_project_batch``: every node row is weighted and
+    scattered, the dropped ones by an exact zero."""
+    n = nodes.shape[0]
+    deg = np.bincount(edge_index[:, 1], minlength=n)
+    dinv = Tensor((1.0 / np.sqrt(deg + 1.0))[:, None].astype(nodes.dtype))
+    u = ad.mul(ad.matmul(nodes, expert.theta_att), dinv)
+    au = ad.scatter_segment_sum(ad.gather_rows(u, edge_index[:, 0]),
+                                edge_index[:, 1], n)
+    z_tilde = ad.tanh(ad.mul(ad.add(au, u), dinv))
+    weights = _sag_weights(z_tilde.data[:, 0], graph_ids, num_graphs,
+                           expert.pool_ratio)
+    scaled = ad.mul(z_tilde, Tensor(weights[:, None].astype(nodes.dtype)))
+    return ad.scatter_segment_sum(ad.mul(nodes, scaled), graph_ids, num_graphs)
+
+
+def random_batch(rng, num_graphs):
+    """Block-diagonal batch of random connected graphs of 1-9 nodes, each
+    edge listed in both directions; returns (edge_index, graph_ids)."""
+    edges, ids, offset = [], [], 0
+    for g in range(num_graphs):
+        size = int(rng.integers(1, 10))
+        for v in range(1, size):
+            u = int(rng.integers(0, v))
+            edges += [(offset + u, offset + v), (offset + v, offset + u)]
+        ids += [g] * size
+        offset += size
+    return np.array(edges, dtype=np.int64).reshape(-1, 2), np.array(ids)
+
+
 class TestSagProject:
     """Single graphs are pooled as B=1 batches; row 0 is the graph's view."""
 
@@ -374,6 +404,28 @@ class TestSagProject:
         solo2 = sag_one(Tensor(x[n1:]), ei2, e)
         np.testing.assert_allclose(pooled.data[0], solo1.data[0], rtol=1e-12)
         np.testing.assert_allclose(pooled.data[1], solo2.data[0], rtol=1e-12)
+
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_three_op_reference(self, dtype):
+        rng = np.random.default_rng(18)
+        edge_index, graph_ids = random_batch(rng, 7)
+        x = rng.normal(size=(graph_ids.size, 5)).astype(dtype)
+        g = rng.normal(size=(7, 5)).astype(dtype)
+        e = ExpertParams.create(rng, 5, pool_ratio=0.5, dtype=dtype)
+        results = []
+        for project in (sag_project_batch, sag_project_three_ops):
+            nodes = Tensor(x, requires_grad=True)
+            with Tape() as tape:
+                pooled = project(nodes, edge_index, graph_ids, 7, e)
+                grads = tape.backward(ad.reduce_sum(ad.mul(pooled, Tensor(g))))
+            results.append((pooled.data, grads[e.theta_att], grads[nodes]))
+        (out, d_theta, d_nodes), (ref, ref_theta, ref_nodes) = results
+        assert out.dtype == d_theta.dtype == d_nodes.dtype == dtype
+        assert out.tobytes() == ref.tobytes()
+        assert d_theta.tobytes() == ref_theta.tobytes()
+        # dropped rows get +0 here and +-0 in the reference
+        assert np.array_equal(d_nodes, ref_nodes)
 
 
 class TestLayerForward:
