@@ -48,8 +48,8 @@ def main() -> None:
     straddles = 0
     groups = defaultdict(set)
     for idx, record in enumerate(records):
-        groups[(record.task_id, record.label, record.scaffold)].add(
-            assignment.splits[idx])
+        key = scaffold_key(murcko_scaffold(parse_smiles(record.smiles)))
+        groups[(record.task_id, record.label, key)].add(assignment.splits[idx])
     straddles = sum(1 for dests in groups.values() if len(dests) > 1)
     print(f"{len(groups)} scaffold groups, {straddles} straddle a boundary")
 

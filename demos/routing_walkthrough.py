@@ -33,7 +33,7 @@ def main() -> None:
 
     print()
     print("-- noise off: the vote is the masked means --")
-    quiet = route_batch(x_hat, task, router, noise_on=False)
+    quiet = route_batch(x_hat, task, router)
     print(f"mu       : {quiet.mu.data[0]}")
     print(f"sigma    : {quiet.sigma.data[0]}")
     print(f"selected : {quiet.selected[0]}")
@@ -43,7 +43,7 @@ def main() -> None:
     print()
     print("-- noise on: scores are resampled around mu --")
     for draw in range(3):
-        noisy = route_batch(x_hat, task, router, noise_on=True,
+        noisy = route_batch(x_hat, task, router,
                             rng=np.random.default_rng(100 + draw))
         print(f"draw {draw}: h = {noisy.h.data[0]} -> experts {noisy.selected[0]}")
 
@@ -52,7 +52,7 @@ def main() -> None:
     shifted = RouterParams.create(rng, 5, 3, num_experts, k_s, k_t)
     shifted.w_mu1 = router.w_mu1
     shifted.w_mu2 = Tensor(router.w_mu2.data + 10.0 * np.ones_like(router.w_mu2.data))
-    moved = route_batch(x_hat, task, shifted, noise_on=False)
+    moved = route_batch(x_hat, task, shifted)
     drift = np.abs(moved.gates.data - quiet.gates.data).max()
     print(f"adding a constant to every mean score moves the gates by {drift:.2e}")
 

@@ -3,7 +3,8 @@
 A ``Tensor`` wraps an ndarray. While a ``Tape`` is active, every operation
 appends one node recording its inputs and a vector-Jacobian closure; the
 append order is a topological order of the computation, so ``backward``
-visits nodes exactly once in reverse. With no active tape, operations
+visits nodes exactly once in reverse and returns the gradient of each
+reached leaf in a map keyed by that leaf. With no active tape, operations
 compute values only, which is what evaluation mode and the finite-difference
 harness rely on.
 
@@ -69,11 +70,11 @@ class Tensor:
 
     ``requires_grad`` marks leaves that should receive gradients. Results of
     operations on such tensors carry ``node`` references while a tape is
-    active; ``Tape.backward`` fills ``grad`` on every requires_grad leaf it
-    reaches.
+    active. Gradients live only in the map ``Tape.backward`` returns, keyed
+    by leaf.
     """
 
-    __slots__ = ("data", "requires_grad", "node", "grad")
+    __slots__ = ("data", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -82,7 +83,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.node: Node | None = None
-        self.grad: np.ndarray | None = None
 
     @property
     def shape(self):
@@ -130,9 +130,9 @@ class Tape:
                 and self.nodes[node.pos] is node)
 
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
-        """Accumulate gradients of the scalar ``loss`` into every
-        requires_grad leaf reachable from it. Returns the leaf gradient map
-        and also stores each gradient on ``leaf.grad``.
+        """Gradients of the scalar ``loss`` with respect to every
+        requires_grad leaf reachable from it, as a map keyed by leaf. A leaf
+        the loss does not reach has no entry.
         """
         if loss.data.size != 1:
             raise NotScalar(f"loss must be scalar, got shape {loss.data.shape}")
@@ -164,9 +164,6 @@ class Tape:
                         leaf_grads[tensor] = leaf_grads[tensor] + gin
                     else:
                         leaf_grads[tensor] = gin.copy()
-
-        for tensor, grad in leaf_grads.items():
-            tensor.grad = grad
         return leaf_grads
 
 
@@ -289,8 +286,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     A, B = a.data, b.data
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise ShapeMismatch(f"matmul shapes {A.shape} and {B.shape}")
-    if getattr(_state, "tape", None) is None:
-        return Tensor(A @ B)
     return _op(A @ B, (a, b), lambda g: g @ B.T, lambda g: A.T @ g)
 
 
@@ -489,6 +484,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeMismatch("concat of an empty sequence")
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    # Without a tape, skip building one slice closure per input: 60 inputs
+    # take ~17 us this way and ~80 us through _op.
     if getattr(_state, "tape", None) is None:
         return Tensor(out_data)
     offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])

@@ -3,9 +3,11 @@
 A checkpoint is a single self-describing file holding the configuration
 snapshot, every named parameter buffer, the optimizer moments, and the
 counters needed to resume the run exactly where it stopped (seed, epoch,
-global step). All numbers are little-endian; parameter data is stored as
-raw 64-bit floats. The file ends with a SHA-256 digest of everything
-before it, so a flipped byte anywhere is detected at load time.
+global step). The header also holds Adam's two decay rates and epsilon,
+which are fixed; the reader checks them against the training constants.
+All numbers are little-endian; parameter data is stored as raw 64-bit
+floats. The file ends with a SHA-256 digest of everything before it, so a
+flipped byte anywhere is detected at load time.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 MAGIC = b"MOCE1"
 FORMAT_VERSION = 1
@@ -49,9 +53,6 @@ class CheckpointData:
     opt_step_count: int
     lr: float
     weight_decay: float
-    beta1: float
-    beta2: float
-    eps: float
     params: dict = field(default_factory=dict)
     opt_m: dict = field(default_factory=dict)
     opt_v: dict = field(default_factory=dict)
@@ -73,8 +74,7 @@ def _write_array(buf: io.BytesIO, arr: np.ndarray) -> None:
 
 def serialize(config_text: str, params: dict, opt_m: dict, opt_v: dict,
               seed: int, epoch: int, step: int, opt_step_count: int,
-              lr: float, weight_decay: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> bytes:
+              lr: float, weight_decay: float) -> bytes:
     """Encode training state into the framed binary format."""
     buf = io.BytesIO()
     buf.write(MAGIC)
@@ -82,7 +82,8 @@ def serialize(config_text: str, params: dict, opt_m: dict, opt_v: dict,
     _write_bytes(buf, config_text.encode("utf-8"))
     buf.write(struct.pack("<qqq", seed, epoch, step))
     buf.write(struct.pack("<q", opt_step_count))
-    buf.write(struct.pack("<ddddd", lr, weight_decay, beta1, beta2, eps))
+    buf.write(struct.pack("<ddddd", lr, weight_decay, ADAM_BETA1, ADAM_BETA2,
+                          ADAM_EPS))
     names = sorted(params)
     buf.write(struct.pack("<I", len(names)))
     for name in names:
@@ -147,12 +148,15 @@ def deserialize(blob: bytes) -> CheckpointData:
     config_text = reader.text(config_len)
     seed, epoch, step = reader.unpack("<qqq")
     (opt_step_count,) = reader.unpack("<q")
-    lr, weight_decay, beta1, beta2, eps = reader.unpack("<ddddd")
+    lr, weight_decay, *adam = reader.unpack("<ddddd")
+    if adam != [ADAM_BETA1, ADAM_BETA2, ADAM_EPS]:
+        raise CorruptCheckpoint(
+            f"Adam decay rates and epsilon {tuple(adam)} differ from the fixed "
+            f"{(ADAM_BETA1, ADAM_BETA2, ADAM_EPS)}")
     (num_params,) = reader.unpack("<I")
     ckpt = CheckpointData(config_text=config_text, seed=seed, epoch=epoch,
                           step=step, opt_step_count=opt_step_count, lr=lr,
-                          weight_decay=weight_decay, beta1=beta1, beta2=beta2,
-                          eps=eps)
+                          weight_decay=weight_decay)
     for _ in range(num_params):
         (name_len,) = reader.unpack("<H")
         name = reader.text(name_len)
@@ -169,8 +173,7 @@ def save_checkpoint(path, config_text: str, model, opt, seed: int,
     """Write model parameters and optimizer state to `path`."""
     params = {name: p.data for name, p in model.parameters().items()}
     blob = serialize(config_text, params, opt.m, opt.v, seed, epoch, step,
-                     opt.step_count, opt.lr, opt.weight_decay, opt.beta1,
-                     opt.beta2, opt.eps)
+                     opt.step_count, opt.lr, opt.weight_decay)
     with open(path, "wb") as fh:
         fh.write(blob)
 
@@ -203,9 +206,6 @@ def restore_optimizer(opt, ckpt: CheckpointData) -> None:
     opt.step_count = ckpt.opt_step_count
     opt.lr = ckpt.lr
     opt.weight_decay = ckpt.weight_decay
-    opt.beta1 = ckpt.beta1
-    opt.beta2 = ckpt.beta2
-    opt.eps = ckpt.eps
     for name, arr in opt.m.items():
         arr[...] = ckpt.opt_m[name].astype(arr.dtype)
     for name, arr in opt.v.items():

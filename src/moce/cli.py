@@ -221,12 +221,8 @@ def cmd_eval(args) -> int:
     records = load_dataset_csv(args.data)
     subset = records
     if args.split:
-        if os.path.exists(args.split):
-            assignment = SplitAssignment.read_csv(args.split)
-            subset = assignment.select(records, args.split_name)
-        else:
-            print(f"warning: split file {args.split!r} not found; "
-                  f"treating every row as test", file=sys.stderr)
+        assignment = SplitAssignment.read_csv(args.split)
+        subset = assignment.select(records, args.split_name)
     if not subset:
         raise DatasetError(f"no records in split {args.split_name!r}")
 

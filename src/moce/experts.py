@@ -161,13 +161,10 @@ class ExpertParams:
     b1: Tensor
     w2: Tensor
     b2: Tensor
-    pool_ratio: float = 0.5
 
     @classmethod
-    def create(cls, rng: np.random.Generator, dim: int, pool_ratio: float = 0.5,
+    def create(cls, rng: np.random.Generator, dim: int,
                dtype=np.float64) -> "ExpertParams":
-        if not 0.0 < pool_ratio <= 1.0:
-            raise ValueError(f"pool_ratio must be in (0, 1], got {pool_ratio}")
         scale = 1.0 / np.sqrt(dim)
         return cls(
             theta_att=Tensor(rng.normal(0.0, 1.0, size=(dim, 1)),
@@ -178,7 +175,6 @@ class ExpertParams:
             w2=Tensor(rng.normal(0.0, scale, size=(dim, 1)),
                       requires_grad=True, dtype=dtype),
             b2=Tensor(np.zeros(1), requires_grad=True, dtype=dtype),
-            pool_ratio=pool_ratio,
         )
 
     def parameters(self) -> dict[str, Tensor]:
@@ -250,15 +246,15 @@ def gamma_mask(v: Tensor, k_t: int) -> Tensor:
 
 
 def route_batch(x_hat: Tensor, tasks: Tensor, r: RouterParams,
-                noise_on: bool, rng: np.random.Generator | None = None) -> RouteBatch:
+                rng: np.random.Generator | None = None) -> RouteBatch:
     """Noisy top-k gating for a batch of readout vectors.
 
     mu adds masked sample scores to task scores; sigma gets its own heads, a
-    softplus, and a floor. Training draws h = mu + sigma * z; evaluation
-    uses h = mu. Gates are the softmax over the k_s selected entries (exact
-    zeros elsewhere), and p_choose is the probability that each expert would
-    be selected under fresh noise, a normal CDF around the k_s-th largest
-    competing score.
+    softplus, and a floor. Given an ``rng`` (training), h = mu + sigma * z
+    with z drawn from it; without one (evaluation), h = mu. Gates are the
+    softmax over the k_s selected entries (exact zeros elsewhere), and
+    p_choose is the probability that each expert would be selected under
+    fresh noise, a normal CDF around the k_s-th largest competing score.
     """
     m = r.num_experts
     validate_k(r.k_s, r.k_t, m)
@@ -271,9 +267,7 @@ def route_batch(x_hat: Tensor, tasks: Tensor, r: RouterParams,
     sigma = ad.add(ad.softplus(raw_sigma),
                    Tensor(np.asarray(_SIGMA_FLOOR, dtype=dtype)))
 
-    if noise_on:
-        if rng is None:
-            raise ValueError("noise_on route needs an rng")
+    if rng is not None:
         z = rng.standard_normal(size=mu.shape).astype(dtype)
         h = ad.add(mu, ad.mul(sigma, Tensor(z)))
     else:
@@ -318,19 +312,20 @@ def _sag_weights(scores: np.ndarray, graph_ids: np.ndarray, num_graphs: int,
 
 def sag_project_batch(nodes: Tensor, edge_index: np.ndarray,
                       graph_ids: np.ndarray, num_graphs: int,
-                      expert: ExpertParams) -> Tensor:
+                      expert: ExpertParams, pool_ratio: float) -> Tensor:
     """Expert-specific pooled view of every graph in the batch: (B, dim).
 
     Scores are tanh of the symmetric-normalized (A + I) propagation of the
     attention projection; the output is the mean of the selected nodes'
     feature rows, each scaled by its score, so the projection receives
-    gradient through both the scale and the selection values.
+    gradient through both the scale and the selection values. Each graph
+    keeps its top ceil(pool_ratio * n) nodes.
     """
     n = nodes.shape[0]
     if n == 0:
         raise EmptyGraph("projection over zero nodes")
-    if not 0.0 < expert.pool_ratio <= 1.0:
-        raise ValueError(f"pool_ratio must be in (0, 1], got {expert.pool_ratio}")
+    if not 0.0 < pool_ratio <= 1.0:
+        raise ValueError(f"pool_ratio must be in (0, 1], got {pool_ratio}")
 
     deg = np.bincount(edge_index[:, 1], minlength=n)
     dinv = Tensor((1.0 / np.sqrt(deg + 1.0))[:, None].astype(nodes.dtype))
@@ -341,8 +336,7 @@ def sag_project_batch(nodes: Tensor, edge_index: np.ndarray,
                                 edge_index[:, 1], n)
     z_tilde = ad.tanh(ad.mul(ad.add(au, u), dinv))
 
-    weights = _sag_weights(z_tilde.data[:, 0], graph_ids, num_graphs,
-                           expert.pool_ratio)
+    weights = _sag_weights(z_tilde.data[:, 0], graph_ids, num_graphs, pool_ratio)
     return ad.pool_rows(nodes, z_tilde, weights, graph_ids, num_graphs)
 
 
@@ -363,19 +357,21 @@ class LayerResult:
 
 def layer_forward(nodes: Tensor, edge_index: np.ndarray, graph_ids: np.ndarray,
                   num_graphs: int, tasks: Tensor, experts: list[ExpertParams],
-                  r: RouterParams, noise_on: bool,
+                  r: RouterParams, pool_ratio: float,
                   rng: np.random.Generator | None = None) -> LayerResult:
-    """Route a batch and form gate-weighted expert votes.
+    """Route a batch and form gate-weighted expert votes; routing noise is
+    drawn from ``rng`` when one is given.
 
     Every expert's logits are computed for the full batch and retained (the
     expert-specific loss needs them); unselected positions have an exact
     zero gate, so they contribute nothing to the output or its gradient.
     """
     x_hat = segment_mean_pool(nodes, graph_ids, num_graphs)
-    rb = route_batch(x_hat, tasks, r, noise_on, rng)
+    rb = route_batch(x_hat, tasks, r, rng)
     columns = []
     for expert in experts:
-        pooled = sag_project_batch(nodes, edge_index, graph_ids, num_graphs, expert)
+        pooled = sag_project_batch(nodes, edge_index, graph_ids, num_graphs,
+                                   expert, pool_ratio)
         columns.append(expert_mlp(expert, pooled))
     expert_logits = ad.concat(columns, axis=1)
     output = ad.reduce_sum(ad.mul(rb.gates, expert_logits), axis=1)

@@ -181,7 +181,7 @@ def _check_routing(rng) -> FdReport:
               router.w_sigma2]
 
     def f(*unused):
-        rb = route_batch(x, t, router, noise_on=False)
+        rb = route_batch(x, t, router)
         part = ad.add(importance_loss(rb.gates), load_loss(rb.p_choose))
         return ad.add(part, _sq_sum(rb.gates))
 
@@ -189,14 +189,14 @@ def _check_routing(rng) -> FdReport:
 
 
 def _check_sag(rng) -> FdReport:
-    expert = ExpertParams.create(rng, dim=3, pool_ratio=0.5)
+    expert = ExpertParams.create(rng, dim=3)
     nodes = _param(rng, (5, 3))
     edge_index = np.array([[0, 1], [1, 0], [1, 2], [2, 1], [3, 4], [4, 3]])
     graph_ids = np.array([0, 0, 0, 1, 1])
     inputs = [nodes, expert.theta_att]
 
     def f(*unused):
-        pooled = sag_project_batch(nodes, edge_index, graph_ids, 2, expert)
+        pooled = sag_project_batch(nodes, edge_index, graph_ids, 2, expert, 0.5)
         return _sq_sum(pooled)
 
     return finite_diff_check(f, inputs)

@@ -38,11 +38,10 @@ def bce(logit: Tensor, label) -> Tensor:
     everywhere, z = 0 included. ``label`` may be a scalar or an array
     broadcastable against ``logit``.
     """
-    z = logit if isinstance(logit, Tensor) else Tensor(np.asarray(logit, dtype=np.float64))
-    y = np.asarray(label, dtype=z.dtype)
-    zd = z.data
+    y = np.asarray(label, dtype=logit.dtype)
+    zd = logit.data
     value = (np.where(zd > 0, zd, 0.0) - zd * y) + np.log1p(np.exp(-np.abs(zd)))
-    return ad._op(value, (z,), lambda g: g * (ad._sigmoid(zd) - y))
+    return ad._op(value, (logit,), lambda g: g * (ad._sigmoid(zd) - y))
 
 
 def attention_cosine_loss(thetas: list[Tensor]) -> Tensor:

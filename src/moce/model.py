@@ -119,8 +119,7 @@ class Model:
             router = RouterParams.create(rng, config.embed_dim, config.task_dim,
                                          config.num_experts, config.k_s,
                                          config.k_t, dtype=dtype)
-            experts = [ExpertParams.create(rng, config.embed_dim,
-                                           config.pool_ratio, dtype=dtype)
+            experts = [ExpertParams.create(rng, config.embed_dim, dtype=dtype)
                        for _ in range(config.num_experts)]
             blocks.append(ProcessingBlock(gins, router, experts))
         integrator = IntegratorParams.create(rng, config.task_dim,
@@ -160,7 +159,7 @@ class Model:
             state = states[-1]
             res = layer_forward(state, batch.edge_index, batch.graph_ids,
                                 batch.num_graphs, tasks, block.experts,
-                                block.router, noise_on,
+                                block.router, self.config.pool_ratio,
                                 rngs[b] if noise_on else None)
             columns.append(ad.reshape(res.output, (batch.num_graphs, 1)))
             layer_results.append(res)

@@ -539,7 +539,6 @@ class DatasetRecord:
     graph: FeaturizedGraph
     label: int
     task_id: str
-    scaffold: ScaffoldKey = ""
 
 
 @dataclass
@@ -600,10 +599,11 @@ def stratified_scaffold_split(
 ) -> SplitAssignment:
     """Scaffold-grouped split stratified by (task, label) class.
 
-    Within each class, records group by scaffold key; groups are ordered by
-    (size descending, key ascending), equal-size runs are shuffled by the
-    seed, and each group goes whole to the currently most-underfilled split,
-    so a scaffold never straddles splits within one class.
+    Within each class, records group by the scaffold key of their SMILES,
+    computed here once per record; groups are ordered by (size descending,
+    key ascending), equal-size runs are shuffled by the seed, and each group
+    goes whole to the currently most-underfilled split, so a scaffold never
+    straddles splits within one class.
     """
     if len(fractions) != 3:
         raise ValueError("fractions must be (train, valid, test)")
@@ -629,7 +629,8 @@ def stratified_scaffold_split(
         members = classes[class_key]
         groups: dict[str, list[int]] = {}
         for idx in members:
-            groups.setdefault(records[idx].scaffold, []).append(idx)
+            mol = parse_smiles(records[idx].smiles)
+            groups.setdefault(scaffold_key(murcko_scaffold(mol)), []).append(idx)
         ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
 
         shuffled: list[tuple[str, list[int]]] = []
@@ -676,15 +677,11 @@ def load_dataset_csv(path: str) -> list[DatasetRecord]:
             if label_text not in ("0", "1"):
                 raise DatasetError(f"label must be 0 or 1, got {label_text!r}", lineno)
             try:
-                mol = parse_smiles(smiles)
-                graph = featurize(mol)
-                key = scaffold_key(murcko_scaffold(mol))
+                graph = featurize(parse_smiles(smiles))
             except (SmilesError, UnsupportedElement) as exc:
                 raise DatasetError(f"{smiles!r}: {exc}", lineno) from exc
-            records.append(DatasetRecord(
-                smiles=smiles, graph=graph, label=int(label_text),
-                task_id=task_id, scaffold=key,
-            ))
+            records.append(DatasetRecord(smiles=smiles, graph=graph,
+                                         label=int(label_text), task_id=task_id))
     return records
 
 

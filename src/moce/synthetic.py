@@ -18,9 +18,7 @@ from .molgraph import (
     DatasetRecord,
     MolecularGraph,
     featurize,
-    murcko_scaffold,
     parse_smiles,
-    scaffold_key,
 )
 
 
@@ -99,7 +97,6 @@ def synthesize_task(rng: np.random.Generator, task_id: str, rule_name: str,
             graph=featurize(mol),
             label=label,
             task_id=task_id,
-            scaffold=scaffold_key(murcko_scaffold(mol)),
         ))
     return records
 

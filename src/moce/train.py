@@ -29,6 +29,8 @@ class NonFiniteGradient(RuntimeError):
 
 _SHUFFLE_STREAM = 0xF1D0  # key word reserved for epoch shuffling
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 def shuffle_rng(seed: int, epoch: int) -> np.random.Generator:
     return np.random.Generator(
@@ -45,13 +47,11 @@ def noise_rngs(seed: int, step: int, num_blocks: int) -> list[np.random.Generato
 
 @dataclass
 class OptimizerState:
-    """Decoupled-weight-decay Adam moments, keyed by parameter name."""
+    """Decoupled-weight-decay Adam moments, keyed by parameter name. The
+    decay rates and epsilon are the fixed ADAM_* constants."""
 
     lr: float = 0.01
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -81,17 +81,17 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         lr = state.lr
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         p.data -= lr * (update + state.weight_decay * p.data)
 
 

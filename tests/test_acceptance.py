@@ -28,7 +28,8 @@ from moce.experts import RouterParams, gamma_mask, resolve_tasks, route_batch
 from moce.losses import (LossToggles, attention_cosine_loss,
                          expert_specific_loss, importance_loss, load_loss)
 from moce.model import Model, ModelConfig
-from moce.molgraph import stratified_scaffold_split, write_dataset_csv
+from moce.molgraph import (murcko_scaffold, parse_smiles, scaffold_key,
+                           stratified_scaffold_split, write_dataset_csv)
 from moce.synthetic import synthesize_dataset
 from moce.train import (MetricsLog, OptimizerState, ScheduleConfig,
                         TrainSettings, auc_roc, evaluate, train_epoch)
@@ -150,8 +151,7 @@ def test_02_routing_invariants():
         x = Tensor(rng.normal(size=(5, feat)))
         t = Tensor(rng.normal(size=(5, tdim)))
         noise = bool(rng.integers(0, 2))
-        rb = route_batch(x, t, router, noise_on=noise,
-                         rng=rng if noise else None)
+        rb = route_batch(x, t, router, rng=rng if noise else None)
         for row in rb.gates.data:
             positive = row > 0
             assert int(positive.sum()) == k_s
@@ -183,7 +183,7 @@ def test_02_routing_invariants():
         row[order[k_s]] = row[order[k_s - 1]]
         router.w_mu2 = Tensor(row.reshape(1, m))
         rb = route_batch(Tensor(np.zeros((1, 2))), Tensor(np.ones((1, 1))),
-                         router, noise_on=False)
+                         router)
         assert np.array_equal(rb.mu.data[0], row)
         twins = sorted((int(order[k_s - 1]), int(order[k_s])))
         assert twins[0] in rb.selected[0] and twins[1] not in rb.selected[0]
@@ -203,7 +203,7 @@ def test_02_routing_invariants():
             router = RouterParams.create(rng, 2, 1, m, k_s, m)
             router.w_mu2 = Tensor(row + offset)
             rb = route_batch(Tensor(np.zeros((1, 2))),
-                             Tensor(np.ones((1, 1))), router, noise_on=False)
+                             Tensor(np.ones((1, 1))), router)
             gates.append(rb.gates.data[0])
             selected.append(rb.selected[0])
         assert np.array_equal(selected[0], selected[1])
@@ -417,7 +417,8 @@ def test_08_split_integrity():
     for idxs in classes.values():
         groups: dict[str, list[int]] = {}
         for idx in idxs:
-            groups.setdefault(records[idx].scaffold, []).append(idx)
+            key = scaffold_key(murcko_scaffold(parse_smiles(records[idx].smiles)))
+            groups.setdefault(key, []).append(idx)
         for members in groups.values():
             assert len({first.splits[i] for i in members}) == 1
         train_n = sum(1 for i in idxs if first.splits[i] == "train")

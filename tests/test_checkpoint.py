@@ -137,13 +137,13 @@ class TestCorruption:
 
 
 def sealed_body(config=b"", name=b"w", header=struct.pack("<BI", 1, 2),
-                data=bytes(16)) -> bytes:
+                data=bytes(16), adam=(0.9, 0.999, 1e-8)) -> bytes:
     """A checkpoint with one parameter, built field by field and given a
     valid checksum, so only the named field can be at fault."""
     body = MAGIC + struct.pack("<I", FORMAT_VERSION)
     body += struct.pack("<I", len(config)) + config
     body += struct.pack("<qqqq", 0, 0, 0, 0)
-    body += struct.pack("<ddddd", 0.01, 0.0, 0.9, 0.999, 1e-8)
+    body += struct.pack("<ddddd", 0.01, 0.0, *adam)
     body += struct.pack("<IH", 1, len(name)) + name + (header + data) * 3
     return body + hashlib.sha256(body).digest()
 
@@ -172,10 +172,47 @@ class TestChecksumValidBodies:
         with pytest.raises(CorruptCheckpoint):
             deserialize(sealed_body(header=header, data=b""))
 
+    @pytest.mark.parametrize("adam", [(0.8, 0.999, 1e-8),
+                                      (0.9, 0.99, 1e-8),
+                                      (0.9, 0.999, 1e-7),
+                                      (0.9, 0.999, float("nan"))])
+    def test_adam_slots_other_than_the_fixed_constants(self, adam):
+        with pytest.raises(CorruptCheckpoint, match="Adam"):
+            deserialize(sealed_body(adam=adam))
+
     def test_zero_size_array_loads(self):
         header = struct.pack("<B2I", 2, 0, 3)
         assert deserialize(sealed_body(header=header, data=b"")
                            ).params["w"].shape == (0, 3)
+
+
+# serialize("k_s = 2\n", {"w": [0.5, -1.25]}, m={"w": [0.125, 0]},
+# v={"w": [0.0625, 2]}, seed=1, epoch=2, step=3, opt_step_count=3, lr=0.01,
+# weight_decay=0), written when beta1, beta2 and eps were still arguments
+# of serialize and fields of the optimizer.
+EARLIER_BLOB = bytes.fromhex(
+    "4d4f43453101000000080000006b5f73203d20320a010000000000000002000000"
+    "00000000030000000000000003000000000000007b14ae47e17a843f0000000000"
+    "000000cdccccccccccec3f2b8716d9cef7ef3f3a8c30e28e79453e010000000100"
+    "770102000000000000000000e03f000000000000f4bf0102000000000000000000"
+    "c03f00000000000000000102000000000000000000b03f00000000000000401d03"
+    "290c0f5d06b65b25f3d6e04aa57c97428ec315d51e9f022a2f7c6ac40428")
+
+
+class TestEarlierFiles:
+    def test_earlier_blob_loads(self):
+        ckpt = deserialize(EARLIER_BLOB)
+        assert (ckpt.seed, ckpt.epoch, ckpt.step) == (1, 2, 3)
+        assert (ckpt.lr, ckpt.weight_decay) == (0.01, 0.0)
+        assert ckpt.params["w"].tolist() == [0.5, -1.25]
+        assert ckpt.opt_v["w"].tolist() == [0.0625, 2.0]
+
+    def test_writer_reproduces_earlier_blob(self):
+        w = {"w": np.array([0.5, -1.25])}
+        m = {"w": np.array([0.125, 0.0])}
+        v = {"w": np.array([0.0625, 2.0])}
+        assert serialize("k_s = 2\n", w, m, v, 1, 2, 3, 3, 0.01,
+                         0.0) == EARLIER_BLOB
 
 
 class TestRestoreValidation:
@@ -183,7 +220,6 @@ class TestRestoreValidation:
         model = tiny_model()
         ckpt = CheckpointData(config_text="", seed=0, epoch=0, step=0,
                               opt_step_count=0, lr=0.1, weight_decay=0.0,
-                              beta1=0.9, beta2=0.999, eps=1e-8,
                               params={"nope": np.zeros(3)})
         with pytest.raises(CheckpointError, match="do not match"):
             restore_model(model, ckpt)

@@ -200,17 +200,15 @@ class TestEval:
         rows = read_metrics_log(out)
         assert {r["split"] for r in rows} == {"valid"}
 
-    def test_missing_split_file_warns_and_uses_everything(self, workdir,
-                                                          tmp_path, capsys):
+    def test_missing_split_file_is_data_error(self, workdir, tmp_path,
+                                              capsys):
         out = tmp_path / "eval.csv"
         assert main(["eval", "--checkpoint", str(workdir["checkpoint"]),
                      "--data", str(workdir["data"]),
                      "--split", str(tmp_path / "absent.csv"),
-                     "--out", str(out)]) == 0
-        captured = capsys.readouterr()
-        assert "not found" in captured.err
-        # every record evaluated: counts equal the whole dataset
-        assert f"{'__mean__':<20s} {48:>6d}" in captured.out
+                     "--out", str(out)]) == 2
+        assert "absent.csv" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("index", ["99", "-1"])
     def test_split_index_outside_dataset_is_data_error(

@@ -315,27 +315,32 @@ class TestScaffoldKey:
         assert len(keys) == 1
 
 
-def _record(label: int, task: str, scaffold: str) -> DatasetRecord:
-    graph = featurize(parse_smiles("C"))
-    return DatasetRecord(smiles="C", graph=graph, label=label,
-                         task_id=task, scaffold=scaffold)
+def _record(label: int, task: str, group: int) -> DatasetRecord:
+    """A record whose scaffold is a carbon ring of 3 + ``group`` atoms, so
+    each group number has its own scaffold key."""
+    return _smiles_record(label, task, "C1" + "C" * (2 + group) + "1")
+
+
+def _smiles_record(label: int, task: str, smiles: str) -> DatasetRecord:
+    return DatasetRecord(smiles=smiles, graph=featurize(parse_smiles(smiles)),
+                         label=label, task_id=task)
 
 
 class TestStratifiedScaffoldSplit:
     def test_partition_and_no_straddle(self):
         records = []
         for i in range(30):
-            records.append(_record(i % 2, "t", f"scaf{i % 7}"))
+            records.append(_record(i % 2, "t", i % 7))
         split = stratified_scaffold_split(records, (0.6, 0.2, 0.2), seed=0)
         assert sorted(split.splits) == list(range(30))
         # same scaffold and class never straddles splits
         seen = {}
         for idx, name in split.splits.items():
-            key = (records[idx].label, records[idx].scaffold)
+            key = (records[idx].label, records[idx].smiles)
             assert seen.setdefault(key, name) == name
 
     def test_deterministic_for_fixed_seed(self):
-        records = [_record(i % 2, "t", f"s{i}") for i in range(20)]
+        records = [_record(i % 2, "t", i) for i in range(20)]
         a = stratified_scaffold_split(records, (0.8, 0.1, 0.1), seed=5)
         b = stratified_scaffold_split(records, (0.8, 0.1, 0.1), seed=5)
         assert a.splits == b.splits
@@ -343,15 +348,15 @@ class TestStratifiedScaffoldSplit:
     def test_different_seeds_differ(self):
         """10 records, distinct scaffolds: the seeded permutation decides
         which groups land in the small splits."""
-        records = [_record(i % 2, "t", f"s{i}") for i in range(10)]
+        records = [_record(i % 2, "t", i) for i in range(10)]
         a = stratified_scaffold_split(records, (0.8, 0.1, 0.1), seed=0)
         b = stratified_scaffold_split(records, (0.8, 0.1, 0.1), seed=1)
         assert a.splits != b.splits
 
     def test_class_ratios_respected(self):
         # 3 label-0 and 7 label-1 records, all distinct scaffolds
-        records = [_record(0, "t", f"a{i}") for i in range(3)]
-        records += [_record(1, "t", f"b{i}") for i in range(7)]
+        records = [_record(0, "t", i) for i in range(3)]
+        records += [_record(1, "t", 3 + i) for i in range(7)]
         split = stratified_scaffold_split(records, (0.8, 0.1, 0.1), seed=2)
         train = split.indices("train")
         zeros = sum(1 for i in train if records[i].label == 0)
@@ -361,18 +366,29 @@ class TestStratifiedScaffoldSplit:
         assert 5 <= ones <= 6
 
     def test_empty_class_raises(self):
-        records = [_record(1, "t", f"s{i}") for i in range(5)]
+        records = [_record(1, "t", i) for i in range(5)]
         with pytest.raises(EmptyClass):
             stratified_scaffold_split(records, (0.8, 0.1, 0.1), seed=0)
 
     def test_multi_task_classes_are_independent(self):
-        records = [_record(i % 2, "t1", f"s{i}") for i in range(10)]
-        records += [_record(i % 2, "t2", f"s{i}") for i in range(10)]
+        records = [_record(i % 2, "t1", i) for i in range(10)]
+        records += [_record(i % 2, "t2", i) for i in range(10)]
         split = stratified_scaffold_split(records, (0.8, 0.0, 0.2), seed=3)
         assert len(split.splits) == 20
 
+    def test_shared_murcko_scaffold_stays_together(self):
+        """Side chains differ but the benzene scaffold is shared, so the
+        three benzenes of class 1 form one group and land in one split."""
+        benzenes = ["c1ccccc1", "Cc1ccccc1", "CCc1ccccc1"]
+        records = [_smiles_record(1, "t", s) for s in benzenes]
+        records += [_record(1, "t", i) for i in range(7)]
+        records += [_record(0, "t", i) for i in range(5)]
+        split = stratified_scaffold_split(records, (0.6, 0.2, 0.2), seed=4)
+        assert len({split.splits[i] for i in range(3)}) == 1
+        assert len({split.splits[i] for i in range(3, 10)}) > 1
+
     def test_bad_fractions_rejected(self):
-        records = [_record(i % 2, "t", f"s{i}") for i in range(4)]
+        records = [_record(i % 2, "t", i) for i in range(4)]
         with pytest.raises(ValueError):
             stratified_scaffold_split(records, (0.5, 0.2, 0.2), seed=0)
 
@@ -387,7 +403,7 @@ class TestDatasetCsv:
         records = load_dataset_csv(str(path))
         assert len(records) == 2
         assert records[0].smiles == "CCO" and records[0].label == 0
-        assert records[1].scaffold != EMPTY_SCAFFOLD_KEY
+        assert records[1].graph.num_nodes == 6 and records[1].label == 1
 
     def test_bad_smiles_names_row(self, tmp_path):
         path = tmp_path / "data.csv"
