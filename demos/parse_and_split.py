@@ -1,13 +1,15 @@
-"""Walk through SMILES parsing, scaffold extraction, and a stratified split.
+"""Walk through SMILES parsing, scaffold keys, and a stratified split.
 
-Parses a few molecules by hand to show what the graph looks like, then
-builds a synthetic two-task corpus and splits it so scaffold groups never
-straddle the train/test boundary within a label class.
+Parses a few molecules by hand to show what the graph looks like and the
+Murcko scaffold key of each featurized graph (an acyclic molecule has the
+empty scaffold; toluene shares benzene's key), then builds a synthetic
+two-task corpus and splits it so scaffold groups never straddle the
+train/test boundary within a label class.
 """
 
 from collections import Counter, defaultdict
 
-from moce.molgraph import (murcko_scaffold, parse_smiles, scaffold_key,
+from moce.molgraph import (featurize, parse_smiles, scaffold_key,
                            stratified_scaffold_split)
 from moce.synthetic import synthesize_dataset
 
@@ -20,16 +22,15 @@ def describe(smiles: str) -> None:
     atoms = " ".join(
         SYMBOLS.get(a.element, str(a.element)) + ("*" if a.is_aromatic else "")
         for a in mol.atoms)
-    scaffold = murcko_scaffold(mol)
-    print(f"{smiles:>12}: {mol.num_atoms} atoms [{atoms}], "
-          f"{len(mol.bonds)} bonds, scaffold {scaffold.num_atoms} atoms, "
-          f"key {scaffold_key(scaffold)[:24]}...")
+    print(f"{smiles:>14}: {mol.num_atoms} atoms [{atoms}], "
+          f"{len(mol.bonds)} bonds, "
+          f"scaffold key {scaffold_key(featurize(mol))[:16]}")
 
 
 def main() -> None:
     print("-- parsing --")
     for smiles in ("CCO", "CC(=O)O", "c1ccccc1", "c1ccc2ccccc2c1",
-                   "CC(N)Cc1ccccc1"):
+                   "CC(N)Cc1ccccc1", "Cc1ccccc1"):
         describe(smiles)
 
     print()
@@ -48,7 +49,7 @@ def main() -> None:
     straddles = 0
     groups = defaultdict(set)
     for idx, record in enumerate(records):
-        key = scaffold_key(murcko_scaffold(parse_smiles(record.smiles)))
+        key = scaffold_key(record.graph)
         groups[(record.task_id, record.label, key)].add(assignment.splits[idx])
     straddles = sum(1 for dests in groups.values() if len(dests) > 1)
     print(f"{len(groups)} scaffold groups, {straddles} straddle a boundary")

@@ -171,6 +171,12 @@ def cmd_train(args) -> int:
             print(f"note: resuming with checkpoint seed {ckpt.seed} "
                   f"(config said {cfg.seed})", file=sys.stderr)
             settings = replace(settings, seed=ckpt.seed)
+        # restore_optimizer already took the decay; the schedule reads lr
+        if (ckpt.lr, ckpt.weight_decay) != (cfg.lr, cfg.weight_decay):
+            print(f"note: resuming with checkpoint lr {ckpt.lr} and weight "
+                  f"decay {ckpt.weight_decay} (config said {cfg.lr} and "
+                  f"{cfg.weight_decay})", file=sys.stderr)
+            settings = replace(settings, lr=ckpt.lr)
 
     batches_per_epoch = max(1, math.ceil(len(train_records) / cfg.batch_size))
     schedule = ScheduleConfig(total_steps=cfg.epochs * batches_per_epoch,

@@ -1,11 +1,13 @@
 """Finite-difference verification of the whole differentiable stack.
 
-Each check builds a small deterministic problem, runs one reverse pass,
-and compares every tape gradient against central differences. Elementwise
-and structural operations are checked coordinate by coordinate; the
-encoder and the full model are checked on a random sample of coordinates
-per parameter tensor, which keeps the complete suite fast while still
-touching every parameter family. Inputs are drawn away from the kinks of
+Each check builds a small deterministic problem, ``(f, inputs)`` or, for
+a sampled check, ``(f, inputs, coordinates per tensor)``; the suite runs
+one reverse pass on it and compares every tape gradient against central
+differences at the suite's tolerance. Elementwise and structural
+operations are checked coordinate by coordinate; the encoder and the full
+model are checked on a random sample of coordinates per parameter
+tensor, which keeps the complete suite fast while still touching every
+parameter family. Inputs are drawn away from the kinks of
 non-smooth operations (relu at zero, top-k selection boundaries) so the
 comparison is meaningful.
 """
@@ -52,7 +54,7 @@ def _sq_sum(t: Tensor) -> Tensor:
     return ad.reduce_sum(ad.mul(t, t))
 
 
-def _check_unary(rng, op, positive=False, away_from_zero=False) -> FdReport:
+def _check_unary(rng, op, positive=False, away_from_zero=False) -> tuple:
     data = rng.uniform(0.3, 1.8, size=(3, 4))
     if not positive:
         signs = np.where(rng.uniform(size=data.shape) < 0.5, -1.0, 1.0)
@@ -60,33 +62,32 @@ def _check_unary(rng, op, positive=False, away_from_zero=False) -> FdReport:
     if away_from_zero:
         data = np.where(np.abs(data) < 0.2, 0.2, data)
     x = Tensor(data, requires_grad=True)
-    return finite_diff_check(lambda t: _sq_sum(op(t)), [x])
+    return (lambda t: _sq_sum(op(t))), [x]
 
 
-def _check_binary(rng, op, shapes, positive_b=False) -> FdReport:
+def _check_binary(rng, op, shapes, positive_b=False) -> tuple:
     a = _param(rng, shapes[0])
     b_data = rng.uniform(0.5, 2.0, size=shapes[1])
     if not positive_b:
         b_data = b_data * np.where(rng.uniform(size=shapes[1]) < 0.5, -1.0, 1.0)
         b_data = np.where(np.abs(b_data) < 0.4, 0.6, b_data)
     b = Tensor(b_data, requires_grad=True)
-    return finite_diff_check(lambda u, v: _sq_sum(op(u, v)), [a, b])
+    return (lambda u, v: _sq_sum(op(u, v))), [a, b]
 
 
-def _check_matmul(rng) -> FdReport:
+def _check_matmul(rng) -> tuple:
     a = _param(rng, (3, 4))
     b = _param(rng, (4, 2))
-    return finite_diff_check(lambda u, v: _sq_sum(ad.matmul(u, v)), [a, b])
+    return (lambda u, v: _sq_sum(ad.matmul(u, v))), [a, b]
 
 
-def _check_softmax(rng) -> FdReport:
+def _check_softmax(rng) -> tuple:
     x = _param(rng, (3, 5))
     w = Tensor(rng.uniform(0.5, 1.5, size=(3, 5)))
-    return finite_diff_check(
-        lambda t: ad.reduce_sum(ad.mul(ad.softmax(t, axis=-1), w)), [x])
+    return (lambda t: ad.reduce_sum(ad.mul(ad.softmax(t, axis=-1), w))), [x]
 
 
-def _check_masked_softmax(rng) -> FdReport:
+def _check_masked_softmax(rng) -> tuple:
     x = _param(rng, (3, 5))
     keep = rng.uniform(size=(3, 5)) < 0.7
     keep[:, 0] = True
@@ -96,10 +97,10 @@ def _check_masked_softmax(rng) -> FdReport:
         masked = ad.mask_fill(t, keep, ad.neg_inf())
         return ad.reduce_sum(ad.mul(ad.softmax(masked, axis=-1), w))
 
-    return finite_diff_check(f, [x])
+    return f, [x]
 
 
-def _check_reductions(rng) -> FdReport:
+def _check_reductions(rng) -> tuple:
     x = _param(rng, (3, 4), low=-2.0, high=2.0)
 
     def f(t):
@@ -107,10 +108,10 @@ def _check_reductions(rng) -> FdReport:
         b = ad.reduce_mean(t, axis=1, keepdims=True)
         return ad.add(_sq_sum(a), _sq_sum(b))
 
-    return finite_diff_check(f, [x])
+    return f, [x]
 
 
-def _check_structure(rng) -> FdReport:
+def _check_structure(rng) -> tuple:
     x = _param(rng, (4, 3))
     y = _param(rng, (2, 3))
     rows = np.array([0, 2, 2, 3, 1])
@@ -128,40 +129,39 @@ def _check_structure(rng) -> FdReport:
         total = ad.add(total, _sq_sum(summed))
         return ad.add(total, _sq_sum(pooled))
 
-    return finite_diff_check(f, [x, y])
+    return f, [x, y]
 
 
-def _check_pool_rows(rng) -> FdReport:
+def _check_pool_rows(rng) -> tuple:
     x = _param(rng, (6, 3))
     scores = _param(rng, (6, 1))
     # segment 2 keeps no row; rows 1 and 4 are dropped
     weights = np.array([0.5, 0.0, 1.0, 0.5, 0.0, 1.0])
     ids = np.array([1, 3, 0, 1, 2, 3])
-    return finite_diff_check(
-        lambda u, s: _sq_sum(ad.pool_rows(u, s, weights, ids, 4)), [x, scores])
+    return ((lambda u, s: _sq_sum(ad.pool_rows(u, s, weights, ids, 4))),
+            [x, scores])
 
 
-def _check_bce(rng) -> FdReport:
+def _check_bce(rng) -> tuple:
     z = _param(rng, (6,), low=-2.0, high=2.0)
     y = (rng.uniform(size=6) < 0.5).astype(np.float64)
-    return finite_diff_check(lambda t: ad.reduce_sum(bce(t, y)), [z])
+    return (lambda t: ad.reduce_sum(bce(t, y))), [z]
 
 
-def _check_attention_loss(rng) -> FdReport:
+def _check_attention_loss(rng) -> tuple:
     thetas = [_param(rng, (4, 1), low=0.5, high=1.5) for _ in range(3)]
-    return finite_diff_check(lambda *ts: attention_cosine_loss(list(ts)), thetas)
+    return (lambda *ts: attention_cosine_loss(list(ts))), thetas
 
 
-def _check_expert_loss(rng) -> FdReport:
+def _check_expert_loss(rng) -> tuple:
     logits = _param(rng, (4, 3))
     labels = (rng.uniform(size=4) < 0.5).astype(np.float64)
     assignment = (rng.uniform(size=(4, 3)) < 0.5).astype(np.float64)
     assignment[0, 0] = 1.0
-    return finite_diff_check(
-        lambda t: expert_specific_loss(t, labels, assignment), [logits])
+    return (lambda t: expert_specific_loss(t, labels, assignment)), [logits]
 
 
-def _check_balance_losses(rng) -> FdReport:
+def _check_balance_losses(rng) -> tuple:
     x = _param(rng, (5, 4))
 
     def f(t):
@@ -169,10 +169,10 @@ def _check_balance_losses(rng) -> FdReport:
         probs = ad.normal_cdf(t)
         return ad.add(importance_loss(gates), load_loss(probs))
 
-    return finite_diff_check(f, [x])
+    return f, [x]
 
 
-def _check_routing(rng) -> FdReport:
+def _check_routing(rng) -> tuple:
     m, d, td = 5, 4, 3
     router = RouterParams.create(rng, d, td, num_experts=m, k_s=2, k_t=3)
     x = _param(rng, (3, d))
@@ -185,10 +185,10 @@ def _check_routing(rng) -> FdReport:
         part = ad.add(importance_loss(rb.gates), load_loss(rb.p_choose))
         return ad.add(part, _sq_sum(rb.gates))
 
-    return finite_diff_check(f, inputs)
+    return f, inputs
 
 
-def _check_sag(rng) -> FdReport:
+def _check_sag(rng) -> tuple:
     expert = ExpertParams.create(rng, dim=3)
     nodes = _param(rng, (5, 3))
     edge_index = np.array([[0, 1], [1, 0], [1, 2], [2, 1], [3, 4], [4, 3]])
@@ -199,7 +199,7 @@ def _check_sag(rng) -> FdReport:
         pooled = sag_project_batch(nodes, edge_index, graph_ids, 2, expert, 0.5)
         return _sq_sum(pooled)
 
-    return finite_diff_check(f, inputs)
+    return f, inputs
 
 
 def _tiny_batch():
@@ -216,7 +216,7 @@ def _jitter(tensors, rng, scale=0.05):
         t.data += offset * sign
 
 
-def _check_encoder(rng) -> FdReport:
+def _check_encoder(rng) -> tuple:
     batch = _tiny_batch()
     cfg = EncoderConfig.create(rng, embed_dim=3)
     gins = [GinLayer.create(rng, 3) for _ in range(2)]
@@ -232,10 +232,10 @@ def _check_encoder(rng) -> FdReport:
         pooled = segment_mean_pool(states[-1], batch.graph_ids, 3)
         return ad.reduce_sum(ad.mul(pooled, readout))
 
-    return finite_diff_check(f, inputs, per_tensor=4, rng=rng)
+    return f, inputs, 4
 
 
-def _check_full_model(rng) -> FdReport:
+def _check_full_model(rng) -> tuple:
     batch = _tiny_batch()
     config = ModelConfig(embed_dim=3, num_gnn_layers=1,
                          num_processing_layers=2, num_experts=3, k_s=2,
@@ -250,7 +250,17 @@ def _check_full_model(rng) -> FdReport:
         result = model.forward(batch, tasks, noise_on=False)
         return model_loss(model, result, labels, beta=0.5).overall
 
-    return finite_diff_check(f, inputs, per_tensor=3, rng=rng)
+    return f, inputs, 3
+
+
+def _run_check(problem: tuple, rng: np.random.Generator,
+               rel_tol: float = DEFAULT_TOL) -> FdReport:
+    """Run one check's problem; a sampled check draws its coordinates from
+    ``rng``, the generator that built it."""
+    f, inputs, *per_tensor = problem
+    return finite_diff_check(f, inputs, rel_tol=rel_tol,
+                             per_tensor=per_tensor[0] if per_tensor else None,
+                             rng=rng)
 
 
 def _row_rng(seed: int, name: str) -> np.random.Generator:
@@ -291,12 +301,11 @@ def run_all(seed: int = 0, rel_tol: float = DEFAULT_TOL) -> list[CheckResult]:
         ("full-model", _check_full_model),
     ]
     results = []
-    for name, runner in checks:
+    for name, build in checks:
         rng = _row_rng(seed, name)
         start = time.perf_counter()
-        report = runner(rng)
+        report = _run_check(build(rng), rng, rel_tol)
         elapsed = time.perf_counter() - start
-        report.passed = report.max_rel_error <= rel_tol
         results.append(CheckResult(name, report, elapsed))
     return results
 

@@ -121,13 +121,6 @@ class MolecularGraph:
     def num_atoms(self) -> int:
         return len(self.atoms)
 
-    def neighbor_lists(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.atoms]
-        for bond in self.bonds:
-            adj[bond.a].append(bond.b)
-            adj[bond.b].append(bond.a)
-        return adj
-
 
 def _parse_bracket(s: str, start: int):
     """Parse a bracket atom starting at '['; returns (info, next_index)."""
@@ -455,47 +448,6 @@ def featurize(graph: MolecularGraph) -> FeaturizedGraph:
     return FeaturizedGraph(node_features, edge_index, edge_features, graph.num_atoms)
 
 
-def murcko_scaffold(graph: MolecularGraph) -> MolecularGraph:
-    """Iteratively delete non-ring atoms of degree <= 1 until fixpoint.
-
-    Ring systems and the linkers between them survive; acyclic molecules
-    reduce to the empty scaffold.
-    """
-    alive = [True] * graph.num_atoms
-    adj = graph.neighbor_lists()
-    degree = [len(neigh) for neigh in adj]
-    while True:
-        victims = [i for i in range(graph.num_atoms)
-                   if alive[i] and not graph.atoms[i].in_ring and degree[i] <= 1]
-        if not victims:
-            break
-        for v in victims:
-            alive[v] = False
-            for w in adj[v]:
-                if alive[w]:
-                    degree[w] -= 1
-            degree[v] = 0
-
-    remap = {}
-    atoms = []
-    for i, atom in enumerate(graph.atoms):
-        if alive[i]:
-            remap[i] = len(atoms)
-            atoms.append(Atom(
-                element=atom.element,
-                formal_charge=atom.formal_charge,
-                explicit_hydrogens=atom.explicit_hydrogens,
-                is_aromatic=atom.is_aromatic,
-                in_ring=atom.in_ring,
-            ))
-    bonds = []
-    for bond in graph.bonds:
-        if alive[bond.a] and alive[bond.b]:
-            bonds.append(Bond(remap[bond.a], remap[bond.b], bond.order, bond.in_ring))
-    _set_degrees(atoms, bonds)
-    return MolecularGraph(atoms, bonds)
-
-
 ScaffoldKey = str
 
 EMPTY_SCAFFOLD_KEY: ScaffoldKey = "scaffold:empty"
@@ -505,30 +457,54 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def scaffold_key(scaffold: MolecularGraph) -> ScaffoldKey:
-    """Deterministic scaffold identity via iterated neighborhood refinement.
+def scaffold_key(graph: FeaturizedGraph) -> ScaffoldKey:
+    """Deterministic identity of the molecule's Murcko scaffold.
 
-    Atom labels start from the element and are refined for at least
-    num_atoms rounds over the multiset of (bond order, neighbor label)
-    pairs, then hashed order-independently. The empty scaffold maps to a
-    fixed sentinel key.
+    The scaffold is what survives repeatedly deleting non-ring atoms of
+    degree <= 1: ring systems and the linkers between them; acyclic
+    molecules reduce to the empty scaffold, which maps to a fixed sentinel
+    key. Scaffold atom labels start from the atomic number and are refined
+    for num_atoms rounds over the multiset of (bond order, neighbor label)
+    pairs, then hashed order-independently. Atoms in the "other" element
+    bucket, which ``parse_smiles`` never produces, all share the label
+    "other".
     """
-    n = scaffold.num_atoms
-    if n == 0:
-        return EMPTY_SCAFFOLD_KEY
+    n = graph.num_nodes
+    in_ring = graph.node_features[:, 4].tolist()
     neighbors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for bond in scaffold.bonds:
-        neighbors[bond.a].append((int(bond.order), bond.b))
-        neighbors[bond.b].append((int(bond.order), bond.a))
-    labels = [_digest(str(atom.element)) for atom in scaffold.atoms]
-    for _ in range(n):
-        labels = [
-            _digest(labels[i] + "|" + ",".join(
-                sorted(f"{order}:{labels[j]}" for order, j in neighbors[i])
+    for (a, b), order in zip(graph.edge_index.tolist(),
+                             (graph.edge_features[:, 0] + 1).tolist()):
+        neighbors[a].append((order, b))
+
+    alive = [True] * n
+    degree = [len(neigh) for neigh in neighbors]
+    while True:
+        victims = [i for i in range(n)
+                   if alive[i] and not in_ring[i] and degree[i] <= 1]
+        if not victims:
+            break
+        for v in victims:
+            alive[v] = False
+            for _, w in neighbors[v]:
+                if alive[w]:
+                    degree[w] -= 1
+
+    kept = [i for i in range(n) if alive[i]]
+    if not kept:
+        return EMPTY_SCAFFOLD_KEY
+    labels = {
+        i: _digest("other" if e == OTHER_ELEMENT_INDEX else str(ELEMENT_VOCAB[e]))
+        for i, e in zip(kept, graph.node_features[kept, 0].tolist())
+    }
+    for _ in range(len(kept)):
+        labels = {
+            i: _digest(labels[i] + "|" + ",".join(
+                sorted(f"{order}:{labels[j]}"
+                       for order, j in neighbors[i] if alive[j])
             ))
-            for i in range(n)
-        ]
-    return hashlib.sha256(";".join(sorted(labels)).encode("utf-8")).hexdigest()
+            for i in kept
+        }
+    return hashlib.sha256(";".join(sorted(labels.values())).encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -599,8 +575,8 @@ def stratified_scaffold_split(
 ) -> SplitAssignment:
     """Scaffold-grouped split stratified by (task, label) class.
 
-    Within each class, records group by the scaffold key of their SMILES,
-    computed here once per record; groups are ordered by (size descending,
+    Within each class, records group by the scaffold key of their
+    featurized graph, computed here once per record; groups are ordered by (size descending,
     key ascending), equal-size runs are shuffled by the seed, and each group
     goes whole to the currently most-underfilled split, so a scaffold never
     straddles splits within one class.
@@ -629,8 +605,7 @@ def stratified_scaffold_split(
         members = classes[class_key]
         groups: dict[str, list[int]] = {}
         for idx in members:
-            mol = parse_smiles(records[idx].smiles)
-            groups.setdefault(scaffold_key(murcko_scaffold(mol)), []).append(idx)
+            groups.setdefault(scaffold_key(records[idx].graph), []).append(idx)
         ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
 
         shuffled: list[tuple[str, list[int]]] = []

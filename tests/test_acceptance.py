@@ -24,12 +24,13 @@ import pytest
 from moce import autodiff as ad
 from moce import cli, gradcheck
 from moce.autodiff import Tensor
+from moce.checkpoint import load_checkpoint
 from moce.experts import RouterParams, gamma_mask, resolve_tasks, route_batch
 from moce.losses import (LossToggles, attention_cosine_loss,
                          expert_specific_loss, importance_loss, load_loss)
 from moce.model import Model, ModelConfig
-from moce.molgraph import (murcko_scaffold, parse_smiles, scaffold_key,
-                           stratified_scaffold_split, write_dataset_csv)
+from moce.molgraph import (scaffold_key, stratified_scaffold_split,
+                           write_dataset_csv)
 from moce.synthetic import synthesize_dataset
 from moce.train import (MetricsLog, OptimizerState, ScheduleConfig,
                         TrainSettings, auc_roc, evaluate, train_epoch)
@@ -417,7 +418,7 @@ def test_08_split_integrity():
     for idxs in classes.values():
         groups: dict[str, list[int]] = {}
         for idx in idxs:
-            key = scaffold_key(murcko_scaffold(parse_smiles(records[idx].smiles)))
+            key = scaffold_key(records[idx].graph)
             groups.setdefault(key, []).append(idx)
         for members in groups.values():
             assert len({first.splits[i] for i in members}) == 1
@@ -472,4 +473,7 @@ def test_10_bitwise_reproducibility(tmp_path):
     blob_a = first.read_bytes()
     blob_b = (out_dir / "checkpoint.bin").read_bytes()
     assert blob_a == blob_b
-    return f"two runs, {len(blob_a)} identical bytes"
+    # parameter bytes, not the file size: the file holds the config text,
+    # whose paths change with the temporary directory
+    param_bytes = sum(a.nbytes for a in load_checkpoint(first).params.values())
+    return f"two runs, identical checkpoints of {param_bytes} parameter bytes"

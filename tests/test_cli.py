@@ -10,6 +10,7 @@ import shutil
 import numpy as np
 import pytest
 
+from moce import molgraph
 from moce.checkpoint import load_checkpoint, restore_model
 from moce.cli import main
 from moce.config import parse_config
@@ -103,6 +104,21 @@ class TestSplit:
                 assert f"task {task} label {label}:" in printed
         assert "train=" in printed and "test=" in printed
 
+    def test_parses_each_row_once(self, workdir, monkeypatch, capsys):
+        calls = []
+        real = molgraph.parse_smiles
+
+        def counting(smiles):
+            calls.append(smiles)
+            return real(smiles)
+
+        monkeypatch.setattr(molgraph, "parse_smiles", counting)
+        assert main(["split", "--data", str(workdir["data"]),
+                     "--out", str(workdir["root"] / "once.csv")]) == 0
+        capsys.readouterr()
+        rows = workdir["data"].read_text().splitlines()[1:]
+        assert sorted(calls) == sorted(row.split(",")[0] for row in rows)
+
     def test_bad_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("who,what,where\nx,y,z\n")
@@ -157,6 +173,65 @@ class TestTrain:
         for name in unbroken.params:
             assert np.array_equal(resumed.params[name], unbroken.params[name])
             assert np.array_equal(resumed.opt_m[name], unbroken.opt_m[name])
+
+    def test_resume_keeps_checkpoint_lr_and_weight_decay(self, workdir,
+                                                         capsys):
+        # the resumed run edits lr and weight_decay; the checkpoint's values
+        # win, so the run still matches the unbroken one
+        root = workdir["root"]
+        cfg_a = root / "lr-a.cfg"
+        cfg_a.write_text(TINY_CFG.format(data=workdir["data"],
+                                         splits=workdir["splits"],
+                                         out=root / "run-lr")
+                         + "stop_after = 1\n")
+        assert main(["train", "--config", str(cfg_a)]) == 0
+        capsys.readouterr()
+        cfg_b = root / "lr-b.cfg"
+        cfg_b.write_text(TINY_CFG.format(data=workdir["data"],
+                                         splits=workdir["splits"],
+                                         out=root / "run-lr")
+                         .replace("lr = 0.005", "lr = 0.05")
+                         + "weight_decay = 0.3\n")
+        assert main(["train", "--config", str(cfg_b), "--resume",
+                     str(root / "run-lr" / "checkpoint.bin")]) == 0
+        err = capsys.readouterr().err
+        assert err.count("note: resuming with checkpoint lr 0.005 and "
+                         "weight decay 0.01 (config said 0.05 and 0.3)") == 1
+
+        resumed = load_checkpoint(root / "run-lr" / "checkpoint.bin")
+        unbroken = load_checkpoint(workdir["checkpoint"])
+        assert (resumed.lr, resumed.weight_decay) == (0.005, 0.01)
+        assert resumed.step == unbroken.step
+        for name in unbroken.params:
+            assert np.array_equal(resumed.params[name], unbroken.params[name])
+            assert np.array_equal(resumed.opt_m[name], unbroken.opt_m[name])
+            assert np.array_equal(resumed.opt_v[name], unbroken.opt_v[name])
+
+    def test_checkpoint_every_writes_each_epoch_but_the_last(
+            self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "every.cfg"
+        cfg.write_text(TINY_CFG.format(data=workdir["data"],
+                                       splits=workdir["splits"],
+                                       out=tmp_path / "run")
+                       .replace("epochs = 2", "epochs = 3")
+                       + "checkpoint_every = 1\n")
+        assert main(["train", "--config", str(cfg)]) == 0
+        run = tmp_path / "run"
+        assert (run / "checkpoint-epoch1.bin").exists()
+        assert (run / "checkpoint-epoch2.bin").exists()
+        assert not (run / "checkpoint-epoch3.bin").exists()
+
+        resumed_cfg = tmp_path / "resumed.cfg"
+        resumed_cfg.write_text(cfg.read_text().replace(
+            str(tmp_path / "run"), str(tmp_path / "resumed")))
+        assert main(["train", "--config", str(resumed_cfg), "--resume",
+                     str(run / "checkpoint-epoch1.bin")]) == 0
+        capsys.readouterr()
+        final = load_checkpoint(run / "checkpoint.bin")
+        resumed = load_checkpoint(tmp_path / "resumed" / "checkpoint.bin")
+        assert (resumed.epoch, resumed.step) == (final.epoch, final.step)
+        for name in final.params:
+            assert np.array_equal(resumed.params[name], final.params[name])
 
     def test_missing_dataset_key_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "no-data.cfg"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from moce.gradcheck import CheckResult, all_passed, format_results, run_all
-from moce.gradcheck import _check_encoder, _row_rng
+from moce.gradcheck import _check_encoder, _row_rng, _run_check
 from moce.autodiff import FdReport, Tensor, finite_diff_check
 from moce import autodiff as ad
 
@@ -28,13 +28,26 @@ class TestSuite:
     def test_encoder_row_is_off_the_relu_kinks(self, seed):
         # without jitter the zero GIN biases sit on relu kinks, and the
         # encoder row failed at these seeds (rel err 1.0 and 0.3)
-        report = _check_encoder(_row_rng(seed, "encoder"))
+        rng = _row_rng(seed, "encoder")
+        report = _run_check(_check_encoder(rng), rng)
         assert report.max_rel_error <= 1e-4
 
     def test_impossible_tolerance_fails(self):
         results = run_all(seed=0, rel_tol=1e-18)
         assert not all_passed(results)
         assert "FAILED" in format_results(results)
+
+    def test_every_failing_row_lists_its_failures(self):
+        # the tolerance reaches finite_diff_check itself, so a row that
+        # fails at a tight tolerance names the coordinates that failed
+        results = run_all(seed=0, rel_tol=1e-9)
+        failing = [r for r in results if not r.report.passed]
+        assert failing
+        for r in failing:
+            assert r.report.failures, r.name
+            assert all(rel > 1e-9 for *_, rel in r.report.failures), r.name
+        for r in results:
+            assert r.report.passed == (r.report.max_rel_error <= 1e-9), r.name
 
     def test_summary_counts_checks(self):
         results = run_all(seed=0)

@@ -5,10 +5,13 @@ import pytest
 
 from moce.molgraph import (
     EMPTY_SCAFFOLD_KEY,
+    Atom,
+    Bond,
     BondOrder,
     DatasetError,
     DatasetRecord,
     EmptyClass,
+    MolecularGraph,
     UnbalancedParenthesis,
     UnknownAtomToken,
     UnmatchedRingClosure,
@@ -17,7 +20,6 @@ from moce.molgraph import (
     EDGE_VOCAB_SIZES,
     featurize,
     load_dataset_csv,
-    murcko_scaffold,
     parse_smiles,
     scaffold_key,
     stratified_scaffold_split,
@@ -262,57 +264,72 @@ class TestFeaturize:
                     assert np.all(g.edge_features[:, col] < size), smiles
 
 
+def _key(smiles: str) -> str:
+    return scaffold_key(featurize(parse_smiles(smiles)))
+
+
 class TestMurckoScaffold:
     def test_acyclic_reduces_to_empty(self):
-        s = murcko_scaffold(parse_smiles("CCO"))
-        assert s.num_atoms == 0
-        assert scaffold_key(s) == EMPTY_SCAFFOLD_KEY
+        assert _key("CCO") == EMPTY_SCAFFOLD_KEY
 
     def test_single_atom_reduces_to_empty(self):
-        assert murcko_scaffold(parse_smiles("C")).num_atoms == 0
+        assert _key("C") == EMPTY_SCAFFOLD_KEY
 
     def test_toluene_strips_to_benzene(self):
-        s = murcko_scaffold(parse_smiles("Cc1ccccc1"))
-        assert s.num_atoms == 6
-        assert scaffold_key(s) == scaffold_key(parse_smiles("c1ccccc1"))
+        assert _key("Cc1ccccc1") == _key("c1ccccc1")
 
     def test_ring_is_fixpoint(self):
-        g = parse_smiles("c1ccccc1")
-        s = murcko_scaffold(g)
-        assert s.num_atoms == 6
-        s2 = murcko_scaffold(s)
-        assert scaffold_key(s2) == scaffold_key(s)
+        assert _key("c1ccccc1") != EMPTY_SCAFFOLD_KEY
+        assert _key("C1CCCCC1") == _key("CC1CCCCC1")
 
     def test_linker_between_rings_survives(self):
-        s = murcko_scaffold(parse_smiles("c1ccccc1CCc1ccccc1"))
-        assert s.num_atoms == 14
+        assert _key("c1ccccc1CCc1ccccc1") == _key("Cc1ccccc1CCc1ccc(O)cc1")
+        assert _key("c1ccccc1CCc1ccccc1") != _key("c1ccccc1Cc1ccccc1")
 
     def test_long_side_chain_fully_removed(self):
-        s = murcko_scaffold(parse_smiles("CCCCCc1ccccc1"))
-        assert s.num_atoms == 6
+        assert _key("CCCCCc1ccccc1") == _key("c1ccccc1")
+
+    def test_branched_side_chain_fully_removed(self):
+        assert _key("CC(C)(C)C(=O)c1ccncc1") == _key("c1ccncc1")
 
 
 class TestScaffoldKey:
     def test_deterministic_across_calls(self):
-        a = scaffold_key(murcko_scaffold(parse_smiles("c1ccc2ccccc2c1")))
-        b = scaffold_key(murcko_scaffold(parse_smiles("c1ccc2ccccc2c1")))
-        assert a == b
+        assert _key("c1ccc2ccccc2c1") == _key("c1ccc2ccccc2c1")
+
+    def test_independent_of_atom_order(self):
+        assert _key("c1ccncc1") == _key("n1ccccc1")
 
     def test_distinguishes_ring_chemistry(self):
-        benzene = scaffold_key(parse_smiles("c1ccccc1"))
-        cyclohexane = scaffold_key(parse_smiles("C1CCCCC1"))
-        pyridine = scaffold_key(parse_smiles("c1ccncc1"))
+        benzene = _key("c1ccccc1")
+        cyclohexane = _key("C1CCCCC1")
+        pyridine = _key("c1ccncc1")
         assert len({benzene, cyclohexane, pyridine}) == 3
 
     def test_distinguishes_ring_sizes(self):
-        keys = {scaffold_key(parse_smiles(s))
-                for s in ("C1CC1", "C1CCC1", "C1CCCC1", "C1CCCCC1")}
+        keys = {_key(s) for s in ("C1CC1", "C1CCC1", "C1CCCC1", "C1CCCCC1")}
         assert len(keys) == 4
 
     def test_substituent_invariance_through_murcko(self):
         variants = ["c1ccccc1", "Cc1ccccc1", "CCc1ccccc1", "OCc1ccccc1"]
-        keys = {scaffold_key(murcko_scaffold(parse_smiles(s))) for s in variants}
-        assert len(keys) == 1
+        assert len({_key(s) for s in variants}) == 1
+
+    def test_unchanged_hash_of_the_scaffold(self):
+        # the key of a fixed scaffold is pinned, so split files written
+        # before keep their grouping
+        assert _key("CCc1ccccc1") == (
+            "54b1d322d76764079ac0819c97dec66018497da702b50bd7dc31647a7d7b3546")
+
+    def test_other_element_bucket_shares_one_label(self):
+        # a hand-built three-membered ring: one atom of ``element``, two C
+        def ring_of(element: int) -> str:
+            atoms = [Atom(element=z, in_ring=True) for z in (element, 6, 6)]
+            bonds = [Bond(a, b, BondOrder.SINGLE, in_ring=True)
+                     for a, b in ((0, 1), (1, 2), (2, 0))]
+            return scaffold_key(featurize(MolecularGraph(atoms, bonds)))
+
+        assert ring_of(26) == ring_of(29)
+        assert ring_of(26) not in (ring_of(6), ring_of(14))
 
 
 def _record(label: int, task: str, group: int) -> DatasetRecord:
