@@ -262,7 +262,7 @@ def cmd_predict(args) -> int:
     tasks = _resolve_run_tasks(cfg, [args.task_id],
                                embeddings_path=args.task_embeddings)
     t = Tensor(tasks[args.task_id].embedding.reshape(1, -1)
-               .astype(model.integrator.bias.dtype))
+               .astype(model.dtype))
 
     result = model.forward(batch, t, noise_on=False)
     logit = float(result.logits.data[0])

@@ -3,8 +3,9 @@
 Node and edge integer features are embedded as sums of per-column table
 lookups. Each GIN layer aggregates relu(p_w + e_vw) over incoming directed
 edges and applies a two-layer MLP to (1 + eps) * p_v + m_v. Batches are
-block-diagonal: node matrices are concatenated and a graph-id vector routes
-per-graph pooling.
+block-diagonal: node matrices are concatenated, each graph owns a
+contiguous range of node rows, and a graph-id vector routes per-graph
+pooling.
 """
 
 from __future__ import annotations
@@ -33,14 +34,14 @@ class GinLayer:
     b2: Tensor
 
     @classmethod
-    def create(cls, rng: np.random.Generator, dim: int, dtype=np.float64) -> "GinLayer":
+    def create(cls, rng: np.random.Generator, dim: int) -> "GinLayer":
         scale = 1.0 / np.sqrt(dim)
         return cls(
-            epsilon=Tensor(np.zeros(()), requires_grad=True, dtype=dtype),
-            w1=Tensor(rng.normal(0.0, scale, size=(dim, dim)), requires_grad=True, dtype=dtype),
-            b1=Tensor(np.zeros(dim), requires_grad=True, dtype=dtype),
-            w2=Tensor(rng.normal(0.0, scale, size=(dim, dim)), requires_grad=True, dtype=dtype),
-            b2=Tensor(np.zeros(dim), requires_grad=True, dtype=dtype),
+            epsilon=Tensor(np.zeros(()), requires_grad=True),
+            w1=Tensor(rng.normal(0.0, scale, size=(dim, dim)), requires_grad=True),
+            b1=Tensor(np.zeros(dim), requires_grad=True),
+            w2=Tensor(rng.normal(0.0, scale, size=(dim, dim)), requires_grad=True),
+            b2=Tensor(np.zeros(dim), requires_grad=True),
         )
 
     def parameters(self) -> dict[str, Tensor]:
@@ -61,17 +62,14 @@ class EncoderConfig:
     edge_embed: list[Tensor]
 
     @classmethod
-    def create(cls, rng: np.random.Generator, embed_dim: int,
-               dtype=np.float64) -> "EncoderConfig":
+    def create(cls, rng: np.random.Generator, embed_dim: int) -> "EncoderConfig":
         scale = 1.0 / np.sqrt(embed_dim)
         node_embed = [
-            Tensor(rng.normal(0.0, scale, size=(v, embed_dim)),
-                   requires_grad=True, dtype=dtype)
+            Tensor(rng.normal(0.0, scale, size=(v, embed_dim)), requires_grad=True)
             for v in NODE_VOCAB_SIZES
         ]
         edge_embed = [
-            Tensor(rng.normal(0.0, scale, size=(v, embed_dim)),
-                   requires_grad=True, dtype=dtype)
+            Tensor(rng.normal(0.0, scale, size=(v, embed_dim)), requires_grad=True)
             for v in EDGE_VOCAB_SIZES
         ]
         return cls(node_embed=node_embed, edge_embed=edge_embed)
@@ -87,12 +85,16 @@ class EncoderConfig:
 
 @dataclass
 class BatchedGraph:
-    """Several graphs stacked block-diagonally."""
+    """Several graphs stacked block-diagonally: graph g owns the contiguous
+    node rows ``offsets[g]:offsets[g + 1]``, and ``in_degree`` counts each
+    node's incoming directed edges."""
 
     node_features: np.ndarray
     edge_index: np.ndarray
     edge_features: np.ndarray
     graph_ids: np.ndarray
+    offsets: np.ndarray
+    in_degree: np.ndarray
     num_graphs: int
     num_nodes: int
 
@@ -104,22 +106,25 @@ def batch_graphs(graphs: list[FeaturizedGraph]) -> BatchedGraph:
     edge_rows = []
     efeat_rows = []
     ids = []
-    offset = 0
+    offsets = [0]
     for gid, g in enumerate(graphs):
         if g.num_nodes == 0:
             raise EmptyGraph("graph with zero atoms in batch")
         node_rows.append(g.node_features)
-        edge_rows.append(g.edge_index + offset)
+        edge_rows.append(g.edge_index + offsets[-1])
         efeat_rows.append(g.edge_features)
         ids.append(np.full(g.num_nodes, gid, dtype=np.int64))
-        offset += g.num_nodes
+        offsets.append(offsets[-1] + g.num_nodes)
+    edge_index = np.concatenate(edge_rows, axis=0)
     return BatchedGraph(
         node_features=np.concatenate(node_rows, axis=0),
-        edge_index=np.concatenate(edge_rows, axis=0),
+        edge_index=edge_index,
         edge_features=np.concatenate(efeat_rows, axis=0),
         graph_ids=np.concatenate(ids),
+        offsets=np.array(offsets, dtype=np.int64),
+        in_degree=np.bincount(edge_index[:, 1], minlength=offsets[-1]),
         num_graphs=len(graphs),
-        num_nodes=offset,
+        num_nodes=offsets[-1],
     )
 
 
@@ -157,14 +162,12 @@ def gin_forward(layer: GinLayer, nodes: Tensor, edges: Tensor,
 
 
 def encode_from(nodes: Tensor, edges: Tensor, edge_index: np.ndarray,
-                layers: list[GinLayer]) -> list[Tensor]:
+                layers: list[GinLayer]) -> Tensor:
     """Run the GIN stack from an embedded node matrix; returns the node
-    matrix after every layer."""
-    out = []
+    matrix after the last layer."""
     for layer in layers:
         nodes = gin_forward(layer, nodes, edges, edge_index)
-        out.append(nodes)
-    return out
+    return nodes
 
 
 def segment_mean_pool(nodes: Tensor, graph_ids: np.ndarray,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import EmptyGraph, segment_mean_pool
+from .encoder import BatchedGraph, segment_mean_pool
 
 
 class BadK(ValueError):
@@ -132,13 +132,13 @@ class RouterParams:
 
     @classmethod
     def create(cls, rng: np.random.Generator, feat_dim: int, task_dim: int,
-               num_experts: int, k_s: int, k_t: int, dtype=np.float64) -> "RouterParams":
+               num_experts: int, k_s: int, k_t: int) -> "RouterParams":
         validate_k(k_s, k_t, num_experts)
         s1 = 1.0 / np.sqrt(feat_dim)
         s2 = 1.0 / np.sqrt(task_dim)
         def w(rows, cols, scale):
             return Tensor(rng.normal(0.0, scale, size=(rows, cols)),
-                          requires_grad=True, dtype=dtype)
+                          requires_grad=True)
         return cls(
             w_mu1=w(feat_dim, num_experts, s1),
             w_mu2=w(task_dim, num_experts, s2),
@@ -163,18 +163,14 @@ class ExpertParams:
     b2: Tensor
 
     @classmethod
-    def create(cls, rng: np.random.Generator, dim: int,
-               dtype=np.float64) -> "ExpertParams":
+    def create(cls, rng: np.random.Generator, dim: int) -> "ExpertParams":
         scale = 1.0 / np.sqrt(dim)
         return cls(
-            theta_att=Tensor(rng.normal(0.0, 1.0, size=(dim, 1)),
-                             requires_grad=True, dtype=dtype),
-            w1=Tensor(rng.normal(0.0, scale, size=(dim, dim)),
-                      requires_grad=True, dtype=dtype),
-            b1=Tensor(np.zeros(dim), requires_grad=True, dtype=dtype),
-            w2=Tensor(rng.normal(0.0, scale, size=(dim, 1)),
-                      requires_grad=True, dtype=dtype),
-            b2=Tensor(np.zeros(1), requires_grad=True, dtype=dtype),
+            theta_att=Tensor(rng.normal(0.0, 1.0, size=(dim, 1)), requires_grad=True),
+            w1=Tensor(rng.normal(0.0, scale, size=(dim, dim)), requires_grad=True),
+            b1=Tensor(np.zeros(dim), requires_grad=True),
+            w2=Tensor(rng.normal(0.0, scale, size=(dim, 1)), requires_grad=True),
+            b2=Tensor(np.zeros(1), requires_grad=True),
         )
 
     def parameters(self) -> dict[str, Tensor]:
@@ -190,13 +186,13 @@ class IntegratorParams:
     bias: Tensor
 
     @classmethod
-    def create(cls, rng: np.random.Generator, task_dim: int, num_layers: int,
-               dtype=np.float64) -> "IntegratorParams":
+    def create(cls, rng: np.random.Generator, task_dim: int,
+               num_layers: int) -> "IntegratorParams":
         scale = 1.0 / np.sqrt(task_dim)
         return cls(
             map_w=Tensor(rng.normal(0.0, scale, size=(task_dim, num_layers)),
-                         requires_grad=True, dtype=dtype),
-            bias=Tensor(np.zeros(num_layers), requires_grad=True, dtype=dtype),
+                         requires_grad=True),
+            bias=Tensor(np.zeros(num_layers), requires_grad=True),
         )
 
     def parameters(self) -> dict[str, Tensor]:
@@ -292,27 +288,23 @@ def route_batch(x_hat: Tensor, tasks: Tensor, r: RouterParams,
                       selected=selected, p_choose=p_choose)
 
 
-def _sag_weights(scores: np.ndarray, graph_ids: np.ndarray, num_graphs: int,
+def _sag_weights(scores: np.ndarray, offsets: np.ndarray,
                  pool_ratio: float) -> np.ndarray:
     """Constant per-node weights: 1/n_selected on each graph's top
-    ceil(kappa * n) nodes by score (ties to the lower node index), 0 off."""
+    ceil(kappa * n) rows by score (ties to the lower row), 0 off. Graph g
+    owns rows offsets[g]:offsets[g + 1]."""
     weights = np.zeros_like(scores)
-    # The stable sort keeps each graph's members in ascending node order.
-    # ndarray methods skip the np.* wrappers, whose overhead dominates at B=1.
-    members = graph_ids.argsort(kind="stable")
-    bounds = [0] + np.bincount(graph_ids, minlength=num_graphs).cumsum().tolist()
-    for g in range(num_graphs):
-        member_idx = members[bounds[g]:bounds[g + 1]]
-        n = member_idx.size
-        n_sel = int(math.ceil(pool_ratio * n))
-        order = (-scores[member_idx]).argsort(kind="stable")[:n_sel]
-        weights[member_idx[order]] = 1.0 / n_sel
+    bounds = offsets.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        n_sel = int(math.ceil(pool_ratio * (hi - lo)))
+        # ndarray methods skip the np.* wrappers, whose overhead dominates at B=1.
+        order = (-scores[lo:hi]).argsort(kind="stable")[:n_sel]
+        weights[order + lo] = 1.0 / n_sel
     return weights
 
 
-def sag_project_batch(nodes: Tensor, edge_index: np.ndarray,
-                      graph_ids: np.ndarray, num_graphs: int,
-                      expert: ExpertParams, pool_ratio: float) -> Tensor:
+def sag_project_batch(nodes: Tensor, batch: BatchedGraph, expert: ExpertParams,
+                      pool_ratio: float) -> Tensor:
     """Expert-specific pooled view of every graph in the batch: (B, dim).
 
     Scores are tanh of the symmetric-normalized (A + I) propagation of the
@@ -321,23 +313,20 @@ def sag_project_batch(nodes: Tensor, edge_index: np.ndarray,
     gradient through both the scale and the selection values. Each graph
     keeps its top ceil(pool_ratio * n) nodes.
     """
-    n = nodes.shape[0]
-    if n == 0:
-        raise EmptyGraph("projection over zero nodes")
     if not 0.0 < pool_ratio <= 1.0:
         raise ValueError(f"pool_ratio must be in (0, 1], got {pool_ratio}")
+    # each node's self-loop follows the batch's edges, so its own term adds last
+    loops = np.arange(batch.num_nodes)
+    src = np.concatenate((batch.edge_index[:, 0], loops))
+    dst = np.concatenate((batch.edge_index[:, 1], loops))
+    dinv = Tensor((1.0 / np.sqrt(batch.in_degree + 1.0))[:, None].astype(nodes.dtype))
 
-    deg = np.bincount(edge_index[:, 1], minlength=n)
-    dinv = Tensor((1.0 / np.sqrt(deg + 1.0))[:, None].astype(nodes.dtype))
+    u = ad.mul(ad.matmul(nodes, expert.theta_att), dinv)
+    au = ad.scatter_segment_sum(ad.gather_rows(u, src), dst, batch.num_nodes)
+    z_tilde = ad.tanh(ad.mul(au, dinv))
 
-    z = ad.matmul(nodes, expert.theta_att)
-    u = ad.mul(z, dinv)
-    au = ad.scatter_segment_sum(ad.gather_rows(u, edge_index[:, 0]),
-                                edge_index[:, 1], n)
-    z_tilde = ad.tanh(ad.mul(ad.add(au, u), dinv))
-
-    weights = _sag_weights(z_tilde.data[:, 0], graph_ids, num_graphs, pool_ratio)
-    return ad.pool_rows(nodes, z_tilde, weights, graph_ids, num_graphs)
+    weights = _sag_weights(z_tilde.data[:, 0], batch.offsets, pool_ratio)
+    return ad.pool_rows(nodes, z_tilde, weights, batch.graph_ids, batch.num_graphs)
 
 
 def expert_mlp(expert: ExpertParams, pooled: Tensor) -> Tensor:
@@ -355,9 +344,9 @@ class LayerResult:
     expert_logits: Tensor
 
 
-def layer_forward(nodes: Tensor, edge_index: np.ndarray, graph_ids: np.ndarray,
-                  num_graphs: int, tasks: Tensor, experts: list[ExpertParams],
-                  r: RouterParams, pool_ratio: float,
+def layer_forward(nodes: Tensor, batch: BatchedGraph, tasks: Tensor,
+                  experts: list[ExpertParams], router: RouterParams,
+                  pool_ratio: float,
                   rng: np.random.Generator | None = None) -> LayerResult:
     """Route a batch and form gate-weighted expert votes; routing noise is
     drawn from ``rng`` when one is given.
@@ -366,12 +355,11 @@ def layer_forward(nodes: Tensor, edge_index: np.ndarray, graph_ids: np.ndarray,
     expert-specific loss needs them); unselected positions have an exact
     zero gate, so they contribute nothing to the output or its gradient.
     """
-    x_hat = segment_mean_pool(nodes, graph_ids, num_graphs)
-    rb = route_batch(x_hat, tasks, r, rng)
+    x_hat = segment_mean_pool(nodes, batch.graph_ids, batch.num_graphs)
+    rb = route_batch(x_hat, tasks, router, rng)
     columns = []
     for expert in experts:
-        pooled = sag_project_batch(nodes, edge_index, graph_ids, num_graphs,
-                                   expert, pool_ratio)
+        pooled = sag_project_batch(nodes, batch, expert, pool_ratio)
         columns.append(expert_mlp(expert, pooled))
     expert_logits = ad.concat(columns, axis=1)
     output = ad.reduce_sum(ad.mul(rb.gates, expert_logits), axis=1)

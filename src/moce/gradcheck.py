@@ -191,12 +191,12 @@ def _check_routing(rng) -> tuple:
 def _check_sag(rng) -> tuple:
     expert = ExpertParams.create(rng, dim=3)
     nodes = _param(rng, (5, 3))
-    edge_index = np.array([[0, 1], [1, 0], [1, 2], [2, 1], [3, 4], [4, 3]])
-    graph_ids = np.array([0, 0, 0, 1, 1])
+    # edges 0-1, 1-2 and 3-4, each in both directions
+    batch = batch_graphs([featurize(parse_smiles(s)) for s in ("CCC", "CC")])
     inputs = [nodes, expert.theta_att]
 
     def f(*unused):
-        pooled = sag_project_batch(nodes, edge_index, graph_ids, 2, expert, 0.5)
+        pooled = sag_project_batch(nodes, batch, expert, 0.5)
         return _sq_sum(pooled)
 
     return f, inputs
@@ -228,8 +228,8 @@ def _check_encoder(rng) -> tuple:
 
     def f(*unused):
         nodes, edges = embed_inputs(batch, cfg)
-        states = encode_from(nodes, edges, batch.edge_index, gins)
-        pooled = segment_mean_pool(states[-1], batch.graph_ids, 3)
+        final = encode_from(nodes, edges, batch.edge_index, gins)
+        pooled = segment_mean_pool(final, batch.graph_ids, 3)
         return ad.reduce_sum(ad.mul(pooled, readout))
 
     return f, inputs, 4

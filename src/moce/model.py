@@ -108,25 +108,33 @@ class Model:
     @classmethod
     def create(cls, config: ModelConfig, seed: int, dtype=np.float64) -> "Model":
         """Build all parameters from one seeded generator in a fixed order,
-        so (config, seed, precision) fully determine the initial state."""
+        so (config, seed, precision) fully determine the initial state. Each
+        parameter is drawn in float64 and cast to ``dtype`` once, here."""
         config.validate()
         rng = np.random.Generator(np.random.PCG64(seed))
-        tables = EncoderConfig.create(rng, config.embed_dim, dtype=dtype)
+        tables = EncoderConfig.create(rng, config.embed_dim)
         blocks = []
         for _ in range(config.num_processing_layers):
-            gins = [GinLayer.create(rng, config.embed_dim, dtype=dtype)
+            gins = [GinLayer.create(rng, config.embed_dim)
                     for _ in range(config.num_gnn_layers)]
             router = RouterParams.create(rng, config.embed_dim, config.task_dim,
                                          config.num_experts, config.k_s,
-                                         config.k_t, dtype=dtype)
-            experts = [ExpertParams.create(rng, config.embed_dim, dtype=dtype)
+                                         config.k_t)
+            experts = [ExpertParams.create(rng, config.embed_dim)
                        for _ in range(config.num_experts)]
             blocks.append(ProcessingBlock(gins, router, experts))
         integrator = IntegratorParams.create(rng, config.task_dim,
-                                             config.num_processing_layers,
-                                             dtype=dtype)
-        return cls(config=config, input_tables=tables, blocks=blocks,
-                   integrator=integrator)
+                                             config.num_processing_layers)
+        model = cls(config=config, input_tables=tables, blocks=blocks,
+                    integrator=integrator)
+        for t in model.parameters().values():
+            t.data = t.data.astype(dtype, copy=False)
+        return model
+
+    @property
+    def dtype(self):
+        """The floating-point type of every parameter, set by ``create``."""
+        return self.integrator.bias.dtype
 
     def parameters(self) -> dict[str, Tensor]:
         """Stable name -> tensor mapping; the checkpoint format keys off it."""
@@ -155,10 +163,8 @@ class Model:
         layer_results = []
         state = nodes
         for b, block in enumerate(self.blocks):
-            states = encode_from(state, edges, batch.edge_index, block.gin_layers)
-            state = states[-1]
-            res = layer_forward(state, batch.edge_index, batch.graph_ids,
-                                batch.num_graphs, tasks, block.experts,
+            state = encode_from(state, edges, batch.edge_index, block.gin_layers)
+            res = layer_forward(state, batch, tasks, block.experts,
                                 block.router, self.config.pool_ratio,
                                 rngs[b] if noise_on else None)
             columns.append(ad.reshape(res.output, (batch.num_graphs, 1)))
@@ -182,7 +188,7 @@ def model_loss(model: Model, result: ForwardResult, labels, beta: float,
     so it stays a sum across blocks too. Terms switched off in ``toggles``
     are exact zeros.
     """
-    y = np.asarray(labels, dtype=model.integrator.bias.dtype)
+    y = np.asarray(labels, dtype=model.dtype)
     base = ad.reduce_mean(bce(result.logits, y))
 
     def accumulate(pieces):

@@ -247,7 +247,7 @@ def train_epoch(model: Model, records: list[DatasetRecord],
     acc = _MetricsAccumulator()
     for chunk in _chunks(shuffled, settings.batch_size):
         batch, t_matrix, labels, ids = make_batch(
-            chunk, tasks, dtype=model.integrator.bias.dtype)
+            chunk, tasks, dtype=model.dtype)
         rngs = noise_rngs(settings.seed, step, len(model.blocks))
         with Tape() as tape:
             result = model.forward(batch, t_matrix, noise_on=True, rngs=rngs)
@@ -277,7 +277,7 @@ def evaluate(model: Model, records: list[DatasetRecord],
     acc = _MetricsAccumulator()
     for chunk in _chunks(records, settings.batch_size):
         batch, t_matrix, labels, ids = make_batch(
-            chunk, tasks, dtype=model.integrator.bias.dtype)
+            chunk, tasks, dtype=model.dtype)
         result = model.forward(batch, t_matrix, noise_on=False)
         acc.add(model_loss(model, result, labels, settings.beta,
                            settings.toggles), result, labels, ids)

@@ -67,6 +67,23 @@ class TestBatching:
         with pytest.raises(EmptyGraph):
             batch_graphs([graph_of("CC"), zero_node_graph()])
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_offsets_and_in_degrees(self, seed):
+        # bondless molecules give empty edge lists and zero in-degrees
+        pool = ["C", "[NH4+]", "CCO", "c1ccccc1", "CC(=O)N", "C1CC1", "O=C=O"]
+        rng = np.random.default_rng(seed)
+        smiles = ["C", "[NH4+]"] + list(rng.choice(pool, size=int(rng.integers(0, 10))))
+        graphs = [graph_of(smiles[i]) for i in rng.permutation(len(smiles))]
+        batch = batch_graphs(graphs)
+        sizes = [g.num_nodes for g in graphs]
+        np.testing.assert_array_equal(batch.offsets,
+                                      np.concatenate(([0], np.cumsum(sizes))))
+        np.testing.assert_array_equal(
+            batch.in_degree,
+            np.bincount(batch.edge_index[:, 1], minlength=batch.num_nodes))
+        for g, (lo, hi) in enumerate(zip(batch.offsets, batch.offsets[1:])):
+            assert np.all(batch.graph_ids[lo:hi] == g)
+
     def test_single_graph_is_unchanged(self):
         g = graph_of("C1CC1")
         batch = batch_graphs([g])
@@ -151,7 +168,7 @@ class TestGinForward:
         np.testing.assert_allclose(out.data, [[1.0], [1.0]], rtol=0, atol=0)
 
 
-def gin_stack(g, cfg: EncoderConfig, layers: list[GinLayer]) -> list[Tensor]:
+def gin_stack(g, cfg: EncoderConfig, layers: list[GinLayer]) -> Tensor:
     """Embed a graph or batch and run the GIN stack over it."""
     nodes, edges = embed_inputs(g, cfg)
     return encode_from(nodes, edges, g.edge_index, layers)
@@ -167,10 +184,8 @@ class TestEncode:
         rng = np.random.default_rng(7)
         cfg = EncoderConfig.create(rng, embed_dim=5)
         layers = [GinLayer.create(rng, 5) for _ in range(3)]
-        outs = gin_stack(graph_of("c1ccccc1"), cfg, layers)
-        assert len(outs) == 3
-        for o in outs:
-            assert o.shape == (6, 5)
+        out = gin_stack(graph_of("c1ccccc1"), cfg, layers)
+        assert out.shape == (6, 5)
 
     def test_encode_matches_manual_chain(self):
         rng = np.random.default_rng(8)
@@ -178,11 +193,10 @@ class TestEncode:
         layers = [GinLayer.create(rng, 4) for _ in range(2)]
         g = graph_of("CC(=O)O")
         nodes, edges = embed_inputs(g, cfg)
-        outs = encode_from(nodes, edges, g.edge_index, layers)
+        out = encode_from(nodes, edges, g.edge_index, layers)
         step1 = gin_forward(layers[0], nodes, edges, g.edge_index)
         step2 = gin_forward(layers[1], step1, edges, g.edge_index)
-        np.testing.assert_array_equal(outs[0].data, step1.data)
-        np.testing.assert_array_equal(outs[1].data, step2.data)
+        np.testing.assert_array_equal(out.data, step2.data)
 
     def test_batched_encode_matches_per_graph(self):
         rng = np.random.default_rng(9)
@@ -193,17 +207,17 @@ class TestEncode:
         batched = gin_stack(batch_graphs([g1, g2]), cfg, layers)
         solo1 = gin_stack(batch_graphs([g1]), cfg, layers)
         solo2 = gin_stack(batch_graphs([g2]), cfg, layers)
-        for b, s1, s2 in zip(batched, solo1, solo2):
-            np.testing.assert_allclose(
-                b.data, np.vstack([s1.data, s2.data]), rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(
+            batched.data, np.vstack([solo1.data, solo2.data]), rtol=1e-12,
+            atol=1e-14)
 
     def test_atom_order_does_not_change_readout(self):
         # the same molecule written from either end pools identically
         rng = np.random.default_rng(10)
         cfg = EncoderConfig.create(rng, embed_dim=5)
         layers = [GinLayer.create(rng, 5) for _ in range(2)]
-        a = mean_readout(gin_stack(graph_of("CCO"), cfg, layers)[-1])
-        b = mean_readout(gin_stack(graph_of("OCC"), cfg, layers)[-1])
+        a = mean_readout(gin_stack(graph_of("CCO"), cfg, layers))
+        b = mean_readout(gin_stack(graph_of("OCC"), cfg, layers))
         np.testing.assert_allclose(a.data, b.data, rtol=1e-10, atol=1e-12)
 
 
@@ -241,8 +255,8 @@ class TestEncoderGradients:
             params.extend(layer.parameters().values())
 
         def loss_fn(*_):
-            outs = gin_stack(batch, cfg, layers)
-            pooled = segment_mean_pool(outs[-1], batch.graph_ids, 2)
+            out = gin_stack(batch, cfg, layers)
+            pooled = segment_mean_pool(out, batch.graph_ids, 2)
             return ad.reduce_sum(ad.mul(pooled, pooled))
 
         report = finite_diff_check(loss_fn, params, rel_tol=1e-4)

@@ -7,7 +7,7 @@ import pytest
 
 from moce import autodiff as ad
 from moce.autodiff import Tape, Tensor
-from moce.encoder import EmptyGraph, segment_mean_pool
+from moce.encoder import EmptyGraph, batch_graphs, segment_mean_pool
 from moce.experts import (
     BadK,
     ExpertParams,
@@ -27,6 +27,7 @@ from moce.experts import (
     topk_indices,
 )
 from moce.experts import _sag_weights
+from moce.molgraph import FeaturizedGraph
 
 
 def zero_router(e_f: int, e_t: int, m: int, k_s: int, k_t: int) -> RouterParams:
@@ -52,11 +53,31 @@ def row(*values) -> Tensor:
     return Tensor(np.array([values], dtype=np.float64))
 
 
+def graph_with(num_nodes: int, edge_index) -> FeaturizedGraph:
+    """A graph of ``num_nodes`` featureless nodes and the given directed
+    edges."""
+    edge_index = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2)
+    return FeaturizedGraph(
+        node_features=np.zeros((num_nodes, 5), dtype=np.int64),
+        edge_index=edge_index,
+        edge_features=np.zeros((len(edge_index), 2), dtype=np.int64),
+        num_nodes=num_nodes)
+
+
 def sag_one(nodes: Tensor, edge_index: np.ndarray, expert: ExpertParams,
             pool_ratio: float) -> Tensor:
     """Pooled view of a single graph, as a B=1 batch."""
-    ids = np.zeros(nodes.shape[0], dtype=np.int64)
-    return sag_project_batch(nodes, edge_index, ids, 1, expert, pool_ratio)
+    batch = batch_graphs([graph_with(nodes.shape[0], edge_index)])
+    return sag_project_batch(nodes, batch, expert, pool_ratio)
+
+
+def expert_of(rng, dim: int, dtype) -> ExpertParams:
+    """An expert drawn in float64 and cast to ``dtype``, as Model.create
+    does."""
+    expert = ExpertParams.create(rng, dim)
+    for t in expert.parameters().values():
+        t.data = t.data.astype(dtype)
+    return expert
 
 
 NO_EDGES = np.zeros((0, 2), dtype=np.int64)
@@ -271,34 +292,52 @@ class TestRoute:
                                        rtol=1e-12)
 
 
-def sag_project_three_ops(nodes, edge_index, graph_ids, num_graphs, expert,
-                          pool_ratio):
-    """Reference for ``sag_project_batch``: every node row is weighted and
-    scattered, the dropped ones by an exact zero."""
-    n = nodes.shape[0]
-    deg = np.bincount(edge_index[:, 1], minlength=n)
+def scatter_then_add(nodes, batch, expert):
+    """The SAG scores with (A + I)u as its own scatter and add: A u, then
+    + u."""
+    n = batch.num_nodes
+    deg = np.bincount(batch.edge_index[:, 1], minlength=n)
     dinv = Tensor((1.0 / np.sqrt(deg + 1.0))[:, None].astype(nodes.dtype))
     u = ad.mul(ad.matmul(nodes, expert.theta_att), dinv)
-    au = ad.scatter_segment_sum(ad.gather_rows(u, edge_index[:, 0]),
-                                edge_index[:, 1], n)
-    z_tilde = ad.tanh(ad.mul(ad.add(au, u), dinv))
-    weights = _sag_weights(z_tilde.data[:, 0], graph_ids, num_graphs, pool_ratio)
+    au = ad.scatter_segment_sum(ad.gather_rows(u, batch.edge_index[:, 0]),
+                                batch.edge_index[:, 1], n)
+    return ad.tanh(ad.mul(ad.add(au, u), dinv))
+
+
+def sag_project_scatter_then_add(nodes, batch, expert, pool_ratio):
+    """Reference for ``sag_project_batch`` with the self-term added by a
+    separate op and the weights from the per-graph loop."""
+    z_tilde = scatter_then_add(nodes, batch, expert)
+    weights = sag_weights_per_graph(z_tilde.data[:, 0], batch.graph_ids,
+                                    batch.num_graphs, pool_ratio)
+    return ad.pool_rows(nodes, z_tilde, weights, batch.graph_ids,
+                        batch.num_graphs)
+
+
+def sag_project_three_ops(nodes, batch, expert, pool_ratio):
+    """Reference for ``sag_project_batch``: every node row is weighted and
+    scattered, the dropped ones by an exact zero."""
+    z_tilde = scatter_then_add(nodes, batch, expert)
+    weights = _sag_weights(z_tilde.data[:, 0], batch.offsets, pool_ratio)
     scaled = ad.mul(z_tilde, Tensor(weights[:, None].astype(nodes.dtype)))
-    return ad.scatter_segment_sum(ad.mul(nodes, scaled), graph_ids, num_graphs)
+    return ad.scatter_segment_sum(ad.mul(nodes, scaled), batch.graph_ids,
+                                  batch.num_graphs)
 
 
 def random_batch(rng, num_graphs):
-    """Block-diagonal batch of random connected graphs of 1-9 nodes, each
-    edge listed in both directions; returns (edge_index, graph_ids)."""
-    edges, ids, offset = [], [], 0
-    for g in range(num_graphs):
+    """Batch of random graphs of 1-9 nodes, each edge listed in both
+    directions. A node joins an earlier one with probability 0.7 and stays
+    isolated otherwise, so most graphs hold isolated atoms."""
+    graphs = []
+    for _ in range(num_graphs):
         size = int(rng.integers(1, 10))
+        edges = []
         for v in range(1, size):
-            u = int(rng.integers(0, v))
-            edges += [(offset + u, offset + v), (offset + v, offset + u)]
-        ids += [g] * size
-        offset += size
-    return np.array(edges, dtype=np.int64).reshape(-1, 2), np.array(ids)
+            if rng.uniform() < 0.7:
+                u = int(rng.integers(0, v))
+                edges += [(u, v), (v, u)]
+        graphs.append(graph_with(size, edges))
+    return batch_graphs(graphs)
 
 
 class TestSagProject:
@@ -379,15 +418,17 @@ class TestSagProject:
             sag_one(nodes, NO_EDGES, constant_expert(2, 0.0), ratio)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_weights_match_per_graph_loop_on_shuffled_ids(self, seed):
+    def test_weights_match_per_graph_loop(self, seed):
         rng = np.random.default_rng(seed)
         num_graphs = int(rng.integers(1, 30))
         sizes = rng.integers(1, 14, size=num_graphs)
-        graph_ids = rng.permutation(np.repeat(np.arange(num_graphs), sizes))
+        sizes[rng.integers(num_graphs)] = 1
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        graph_ids = np.repeat(np.arange(num_graphs), sizes)
         # one decimal makes score ties, which must go to the lower node index
         scores = np.round(rng.uniform(-1.0, 1.0, size=graph_ids.size), 1)
         for ratio in (0.3, 0.5, 1.0):
-            got = _sag_weights(scores, graph_ids, num_graphs, ratio)
+            got = _sag_weights(scores, offsets, ratio)
             want = sag_weights_per_graph(scores, graph_ids, num_graphs, ratio)
             assert got.tobytes() == want.tobytes()
 
@@ -398,35 +439,52 @@ class TestSagProject:
         x = rng.normal(size=(n1 + n2, 3))
         ei1 = np.array([[0, 1], [1, 0], [2, 3], [3, 2]])
         ei2 = np.array([[0, 1], [1, 0], [1, 2], [2, 1]])
-        batch_ei = np.vstack([ei1, ei2 + n1])
-        ids = np.array([0] * n1 + [1] * n2)
-        pooled = sag_project_batch(Tensor(x), batch_ei, ids, 2, e, 0.6)
+        batch = batch_graphs([graph_with(n1, ei1), graph_with(n2, ei2)])
+        pooled = sag_project_batch(Tensor(x), batch, e, 0.6)
         solo1 = sag_one(Tensor(x[:n1]), ei1, e, 0.6)
         solo2 = sag_one(Tensor(x[n1:]), ei2, e, 0.6)
         np.testing.assert_allclose(pooled.data[0], solo1.data[0], rtol=1e-12)
         np.testing.assert_allclose(pooled.data[1], solo2.data[0], rtol=1e-12)
 
+    @staticmethod
+    def _project_and_backward(project, batch, expert, x, g):
+        nodes = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            pooled = project(nodes, batch, expert, 0.5)
+            grads = tape.backward(ad.reduce_sum(ad.mul(pooled, Tensor(g))))
+        return pooled.data, grads[expert.theta_att], grads[nodes]
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_matches_three_op_reference(self, dtype):
         rng = np.random.default_rng(18)
-        edge_index, graph_ids = random_batch(rng, 7)
-        x = rng.normal(size=(graph_ids.size, 5)).astype(dtype)
+        batch = random_batch(rng, 7)
+        x = rng.normal(size=(batch.num_nodes, 5)).astype(dtype)
         g = rng.normal(size=(7, 5)).astype(dtype)
-        e = ExpertParams.create(rng, 5, dtype=dtype)
-        results = []
-        for project in (sag_project_batch, sag_project_three_ops):
-            nodes = Tensor(x, requires_grad=True)
-            with Tape() as tape:
-                pooled = project(nodes, edge_index, graph_ids, 7, e, 0.5)
-                grads = tape.backward(ad.reduce_sum(ad.mul(pooled, Tensor(g))))
-            results.append((pooled.data, grads[e.theta_att], grads[nodes]))
-        (out, d_theta, d_nodes), (ref, ref_theta, ref_nodes) = results
+        e = expert_of(rng, 5, dtype)
+        (out, d_theta, d_nodes), (ref, ref_theta, ref_nodes) = (
+            self._project_and_backward(project, batch, e, x, g)
+            for project in (sag_project_batch, sag_project_three_ops))
         assert out.dtype == d_theta.dtype == d_nodes.dtype == dtype
         assert out.tobytes() == ref.tobytes()
         assert d_theta.tobytes() == ref_theta.tobytes()
         # dropped rows get +0 here and +-0 in the reference
         assert np.array_equal(d_nodes, ref_nodes)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_self_loops_match_scatter_then_add(self, dtype, seed):
+        rng = np.random.default_rng(100 + seed)
+        batch = random_batch(rng, 12)
+        assert np.any(batch.in_degree == 0)
+        x = rng.normal(size=(batch.num_nodes, 4)).astype(dtype)
+        g = rng.normal(size=(12, 4)).astype(dtype)
+        e = expert_of(rng, 4, dtype)
+        got = self._project_and_backward(sag_project_batch, batch, e, x, g)
+        want = self._project_and_backward(sag_project_scatter_then_add,
+                                          batch, e, x, g)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes()
 
 
 class TestLayerForward:
@@ -434,48 +492,47 @@ class TestLayerForward:
         rng = np.random.default_rng(18)
         nodes = Tensor(rng.normal(size=(3, dim)))
         edge_index = np.array([[0, 1], [1, 0], [1, 2], [2, 1]])
-        ids = np.zeros(3, dtype=np.int64)
-        return nodes, edge_index, ids
+        return nodes, batch_graphs([graph_with(3, edge_index)])
 
     def test_weighted_vote(self):
         # gates [0.6, 0.4] on constant experts voting 1 and 2
-        nodes, edge_index, ids = self._one_graph_batch(2)
+        nodes, batch = self._one_graph_batch(2)
         r = zero_router(2, 2, m=2, k_s=2, k_t=2)
         r.w_mu2.data[:] = np.eye(2)
         t = Tensor(np.log(np.array([[0.6, 0.4]])))
         experts = [constant_expert(2, 1.0), constant_expert(2, 2.0)]
-        res = layer_forward(nodes, edge_index, ids, 1, t, experts, r, 1.0)
+        res = layer_forward(nodes, batch, t, experts, r, 1.0)
         np.testing.assert_allclose(res.output.data, [1.4], rtol=1e-12)
         np.testing.assert_allclose(res.route.gates.data, [[0.6, 0.4]], rtol=1e-12)
 
     def test_single_selection_passes_logit_through(self):
-        nodes, edge_index, ids = self._one_graph_batch(2)
+        nodes, batch = self._one_graph_batch(2)
         r = zero_router(2, 2, m=2, k_s=1, k_t=2)
         r.w_mu2.data[:] = np.eye(2)
         t = Tensor(np.array([[0.0, 1.0]]))  # expert 1 wins
         experts = [constant_expert(2, -3.0), constant_expert(2, 7.5)]
-        res = layer_forward(nodes, edge_index, ids, 1, t, experts, r, 1.0)
+        res = layer_forward(nodes, batch, t, experts, r, 1.0)
         assert res.output.data[0] == 7.5
         np.testing.assert_array_equal(res.route.selected, [[1]])
 
     def test_all_expert_logits_retained(self):
-        nodes, edge_index, ids = self._one_graph_batch(3)
+        nodes, batch = self._one_graph_batch(3)
         rng = np.random.default_rng(19)
         r = RouterParams.create(rng, 3, 2, num_experts=4, k_s=1, k_t=2)
         experts = [ExpertParams.create(rng, 3) for _ in range(4)]
-        res = layer_forward(nodes, edge_index, ids, 1,
-                            Tensor(rng.normal(size=(1, 2))), experts, r, 0.5)
+        res = layer_forward(nodes, batch, Tensor(rng.normal(size=(1, 2))),
+                            experts, r, 0.5)
         assert res.expert_logits.shape == (1, 4)
         assert np.all(np.isfinite(res.expert_logits.data))
 
     def test_unselected_expert_gets_no_output_gradient(self):
-        nodes, edge_index, ids = self._one_graph_batch(2)
+        nodes, batch = self._one_graph_batch(2)
         r = zero_router(2, 2, m=2, k_s=1, k_t=2)
         r.w_mu2.data[:] = np.eye(2)
         t = Tensor(np.array([[1.0, 0.0]]))  # expert 0 wins
         experts = [constant_expert(2, 1.0), constant_expert(2, 2.0)]
         with Tape() as tape:
-            res = layer_forward(nodes, edge_index, ids, 1, t, experts, r, 1.0)
+            res = layer_forward(nodes, batch, t, experts, r, 1.0)
             loss = ad.reduce_sum(res.output)
             grads = tape.backward(loss)
         assert grads[experts[0].b2][0] == 1.0

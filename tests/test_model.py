@@ -195,6 +195,15 @@ class TestModelLoss:
         for name, p in model.parameters().items():
             assert grads[p].dtype == np.float32, name
 
+    def test_float32_parameters_are_the_float64_draw_cast_once(self):
+        wide = Model.create(tiny_config(), seed=14)
+        narrow = Model.create(tiny_config(), seed=14, dtype=np.float32)
+        assert wide.dtype == np.float64 and narrow.dtype == np.float32
+        for (name, w), n in zip(wide.parameters().items(),
+                                narrow.parameters().values()):
+            assert n.dtype == np.float32, name
+            assert n.data.tobytes() == w.data.astype(np.float32).tobytes(), name
+
     def test_finite_differences_through_composed_model(self):
         rng = np.random.default_rng(12)
         model = Model.create(tiny_config(embed_dim=3, num_gnn_layers=1,
