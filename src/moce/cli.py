@@ -39,7 +39,7 @@ EXIT_VERIFY = 3
 
 DATA_ERRORS = (DatasetError, SmilesError, UnsupportedElement, EmptyClass,
                ConfigError, CheckpointError, TaskEmbeddingError,
-               MissingTaskEmbedding, FileNotFoundError, ValueError)
+               MissingTaskEmbedding, FileNotFoundError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,13 +99,24 @@ def _parse_fractions(text: str) -> tuple[float, float, float]:
         fracs = tuple(float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"fractions must be numbers, got {text!r}") from None
+    if min(fracs) < 0 or not np.isclose(sum(fracs), 1.0, atol=1e-9):
+        raise ConfigError(
+            f"fractions must be nonnegative and sum to 1, got {text!r}")
     return fracs
 
 
+def _checked_seed(seed: int) -> int:
+    """Seeds key NumPy generators, which take only non-negative integers."""
+    if seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
+    return seed
+
+
 def cmd_split(args) -> int:
-    records = load_dataset_csv(args.data)
     fractions = _parse_fractions(args.fractions)
-    assignment = stratified_scaffold_split(records, fractions, args.seed)
+    records = load_dataset_csv(args.data)
+    assignment = stratified_scaffold_split(records, fractions,
+                                           _checked_seed(args.seed))
     assignment.write_csv(args.out)
 
     counts: dict[tuple[str, int, str], int] = {}
@@ -126,6 +137,12 @@ def cmd_split(args) -> int:
 def _resolve_run_tasks(cfg: RunConfig, task_ids, embeddings_path=None):
     path = embeddings_path or cfg.task_embeddings
     embeddings = load_task_embeddings(path) if path else None
+    if embeddings:
+        size = next(iter(embeddings.values())).size
+        if size != cfg.task_dim:
+            raise TaskEmbeddingError(
+                f"{path}: embeddings have {size} values, but the model's "
+                f"task_dim is {cfg.task_dim}")
     return resolve_tasks(task_ids, embeddings,
                          allow_fallback=cfg.allow_fallback_embeddings,
                          fallback_dim=cfg.task_dim)
@@ -283,7 +300,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_all(seed=args.seed, rel_tol=args.tol)
+    results = run_all(seed=_checked_seed(args.seed), rel_tol=args.tol)
     print(format_results(results))
     return EXIT_OK if all_passed(results) else EXIT_VERIFY
 

@@ -64,6 +64,8 @@ class RunConfig(ModelConfig):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, "
                                   f"got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.stop_after < 0 or self.checkpoint_every < 0:
             raise ConfigError("stop_after and checkpoint_every must be >= 0")
         if not 0.0 <= self.min_lr_fraction <= 1.0:
@@ -143,8 +145,12 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text ({exc.reason})") from None
+    return parse_config(text)
 
 
 def default_config_text() -> str:

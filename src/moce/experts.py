@@ -64,30 +64,34 @@ def load_task_embeddings(path) -> dict[str, np.ndarray]:
     """Read tab-separated ``task_id<TAB>v1,v2,...`` rows; one per task."""
     table: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise TaskEmbeddingError(
-                    f"line {lineno}: expected task_id<TAB>values, got {len(parts)} fields")
-            task_id, values = parts
-            try:
-                vec = np.array([float(x) for x in values.split(",")])
-            except ValueError as exc:
-                raise TaskEmbeddingError(f"line {lineno}: {exc}") from None
-            if not np.all(np.isfinite(vec)):
-                raise TaskEmbeddingError(f"line {lineno}: non-finite embedding value")
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise TaskEmbeddingError(
-                    f"line {lineno}: embedding length {vec.size} != {dim} of earlier rows")
-            if task_id in table:
-                raise TaskEmbeddingError(f"line {lineno}: duplicate task id {task_id!r}")
-            table[task_id] = vec
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise TaskEmbeddingError(f"{path} is not UTF-8 text ({exc.reason})") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise TaskEmbeddingError(
+                f"line {lineno}: expected task_id<TAB>values, got {len(parts)} fields")
+        task_id, values = parts
+        try:
+            vec = np.array([float(x) for x in values.split(",")])
+        except ValueError as exc:
+            raise TaskEmbeddingError(f"line {lineno}: {exc}") from None
+        if not np.all(np.isfinite(vec)):
+            raise TaskEmbeddingError(f"line {lineno}: non-finite embedding value")
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise TaskEmbeddingError(
+                f"line {lineno}: embedding length {vec.size} != {dim} of earlier rows")
+        if task_id in table:
+            raise TaskEmbeddingError(f"line {lineno}: duplicate task id {task_id!r}")
+        table[task_id] = vec
     return table
 
 

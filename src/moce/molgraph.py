@@ -122,11 +122,15 @@ class MolecularGraph:
         return len(self.atoms)
 
 
+# ASCII only: str.isdigit() also accepts characters such as "¹" that int() rejects
+_DIGITS = "0123456789"
+
+
 def _parse_bracket(s: str, start: int):
     """Parse a bracket atom starting at '['; returns (info, next_index)."""
     i = start + 1
     n = len(s)
-    while i < n and s[i].isdigit():  # isotope, ignored
+    while i < n and s[i] in _DIGITS:  # isotope, ignored
         i += 1
     element = None
     aromatic = False
@@ -152,7 +156,7 @@ def _parse_bracket(s: str, start: int):
     if i < n and s[i] == "H":
         i += 1
         digits = ""
-        while i < n and s[i].isdigit():
+        while i < n and s[i] in _DIGITS:
             digits += s[i]
             i += 1
         hydrogens = int(digits) if digits else 1
@@ -165,7 +169,7 @@ def _parse_bracket(s: str, start: int):
             count += 1
             i += 1
         digits = ""
-        while i < n and s[i].isdigit():
+        while i < n and s[i] in _DIGITS:
             digits += s[i]
             i += 1
         charge = sign * (int(digits) if digits else count)
@@ -265,7 +269,7 @@ def parse_smiles(smiles: str) -> MolecularGraph:
             pending = _BOND_CHARS[ch]
             pending_offset = i
             i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             if prev is None:
                 raise UnmatchedRingClosure("ring closure before any atom", i)
             close_ring(int(ch), i)
@@ -273,7 +277,7 @@ def parse_smiles(smiles: str) -> MolecularGraph:
         elif ch == "%":
             if prev is None:
                 raise UnmatchedRingClosure("ring closure before any atom", i)
-            if i + 2 >= n or not (smiles[i + 1].isdigit() and smiles[i + 2].isdigit()):
+            if i + 2 >= n or not (smiles[i + 1] in _DIGITS and smiles[i + 2] in _DIGITS):
                 raise UnknownAtomToken("%% ring closure needs two digits", i)
             close_ring(int(smiles[i + 1 : i + 3]), i)
             i += 3
@@ -507,6 +511,19 @@ def scaffold_key(graph: FeaturizedGraph) -> ScaffoldKey:
     return hashlib.sha256(";".join(sorted(labels.values())).encode("utf-8")).hexdigest()
 
 
+def _csv_rows(path: str) -> list[list[str]]:
+    """Every row of a UTF-8 CSV file. A row the csv module rejects, or bytes
+    that are not UTF-8, raise DatasetError."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            return list(reader)
+        except csv.Error as exc:
+            raise DatasetError(str(exc), reader.line_num) from None
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
 @dataclass
 class DatasetRecord:
     """One labeled molecule for one task."""
@@ -545,23 +562,21 @@ class SplitAssignment:
     @classmethod
     def read_csv(cls, path: str) -> "SplitAssignment":
         out = cls()
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["record_index", "split"]:
-                raise DatasetError("expected header record_index,split", 1)
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 2 or row[1] not in ("train", "valid", "test"):
-                    raise DatasetError(f"bad split row {row!r}", lineno)
-                if not row[0].isdecimal():
-                    raise DatasetError("record_index must be a non-negative "
-                                       f"integer, got {row[0]!r}", lineno)
-                idx = int(row[0])
-                if idx in out.splits:
-                    raise DatasetError(f"duplicate record_index {idx}", lineno)
-                out.splits[idx] = row[1]
+        rows = _csv_rows(path)
+        if rows[:1] != [["record_index", "split"]]:
+            raise DatasetError("expected header record_index,split", 1)
+        for lineno, row in enumerate(rows[1:], start=2):
+            if not row:
+                continue
+            if len(row) != 2 or row[1] not in ("train", "valid", "test"):
+                raise DatasetError(f"bad split row {row!r}", lineno)
+            if not row[0].isdecimal():
+                raise DatasetError("record_index must be a non-negative "
+                                   f"integer, got {row[0]!r}", lineno)
+            idx = int(row[0])
+            if idx in out.splits:
+                raise DatasetError(f"duplicate record_index {idx}", lineno)
+            out.splits[idx] = row[1]
         return out
 
 
@@ -638,25 +653,23 @@ def load_dataset_csv(path: str) -> list[DatasetRecord]:
     the 1-based file row.
     """
     records: list[DatasetRecord] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["smiles", "label", "task_id"]:
-            raise DatasetError("expected header smiles,label,task_id", 1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise DatasetError(f"expected 3 columns, got {len(row)}", lineno)
-            smiles, label_text, task_id = (cell.strip() for cell in row)
-            if label_text not in ("0", "1"):
-                raise DatasetError(f"label must be 0 or 1, got {label_text!r}", lineno)
-            try:
-                graph = featurize(parse_smiles(smiles))
-            except (SmilesError, UnsupportedElement) as exc:
-                raise DatasetError(f"{smiles!r}: {exc}", lineno) from exc
-            records.append(DatasetRecord(smiles=smiles, graph=graph,
-                                         label=int(label_text), task_id=task_id))
+    rows = _csv_rows(path)
+    if not rows or [h.strip() for h in rows[0]] != ["smiles", "label", "task_id"]:
+        raise DatasetError("expected header smiles,label,task_id", 1)
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != 3:
+            raise DatasetError(f"expected 3 columns, got {len(row)}", lineno)
+        smiles, label_text, task_id = (cell.strip() for cell in row)
+        if label_text not in ("0", "1"):
+            raise DatasetError(f"label must be 0 or 1, got {label_text!r}", lineno)
+        try:
+            graph = featurize(parse_smiles(smiles))
+        except (SmilesError, UnsupportedElement) as exc:
+            raise DatasetError(f"{smiles!r}: {exc}", lineno) from exc
+        records.append(DatasetRecord(smiles=smiles, graph=graph,
+                                     label=int(label_text), task_id=task_id))
     return records
 
 

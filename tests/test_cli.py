@@ -132,6 +132,16 @@ class TestSplit:
                      "--fractions", "0.9,0.2,0.1"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("fractions", ["0.9,0.2,0.1", "1.2,-0.1,-0.1",
+                                           "nan,0.5,0.5"])
+    def test_fractions_are_checked_before_loading(self, tmp_path, capsys,
+                                                  fractions):
+        # the dataset does not exist: the fractions fail first
+        assert main(["split", "--data", str(tmp_path / "absent.csv"),
+                     "--out", str(tmp_path / "s.csv"),
+                     "--fractions", fractions]) == 2
+        assert "sum to 1" in one_line_error(capsys, "split")
+
 
 class TestTrain:
     def test_writes_checkpoint_and_metrics(self, workdir):
@@ -361,6 +371,121 @@ class TestPredict:
                      "--smiles", "CCO", "--task-id", "carbonyl",
                      "--task-embeddings", str(absent)]) == 2
         assert str(absent) in capsys.readouterr().err
+
+
+def one_line_error(capsys, command: str) -> str:
+    """The stderr of a data error: one line naming the command."""
+    err = capsys.readouterr().err
+    assert err.startswith(f"moce {command}: error: ")
+    assert err.count("\n") == 1, err
+    return err
+
+
+NOT_UTF8 = b"\xff\xfe bytes that are not UTF-8 \xc3\x28\n"
+# one field over the csv module's default limit of 131,072 characters
+HUGE_FIELD = '"' + "C" * 131_073 + '"'
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("header", ["smiles,label,task_id",
+                                        "record_index,split"])
+    def test_oversized_csv_field(self, workdir, tmp_path, capsys, header):
+        bad = tmp_path / "huge.csv"
+        bad.write_text(f"{header}\n{HUGE_FIELD},1,t\n")
+        if header.startswith("smiles"):
+            argv = ["split", "--data", str(bad), "--out", str(tmp_path / "s")]
+        else:
+            argv = ["eval", "--checkpoint", str(workdir["checkpoint"]),
+                    "--data", str(workdir["data"]), "--split", str(bad),
+                    "--out", str(tmp_path / "e.csv")]
+        assert main(argv) == 2
+        err = one_line_error(capsys, argv[0])
+        assert "row 2" in err and "field larger than field limit" in err
+
+    def test_dataset_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "data.csv"
+        bad.write_bytes(b"smiles,label,task_id\n" + NOT_UTF8)
+        assert main(["split", "--data", str(bad),
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        assert "not UTF-8" in one_line_error(capsys, "split")
+
+    def test_split_file_that_is_not_utf8(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "split.csv"
+        bad.write_bytes(b"record_index,split\n" + NOT_UTF8)
+        assert main(["eval", "--checkpoint", str(workdir["checkpoint"]),
+                     "--data", str(workdir["data"]), "--split", str(bad),
+                     "--out", str(tmp_path / "e.csv")]) == 2
+        assert "not UTF-8" in one_line_error(capsys, "eval")
+
+    def test_task_embeddings_that_are_not_utf8(self, workdir, tmp_path,
+                                               capsys):
+        bad = tmp_path / "tasks.tsv"
+        bad.write_bytes(NOT_UTF8)
+        assert main(["predict", "--checkpoint", str(workdir["checkpoint"]),
+                     "--smiles", "CCO", "--task-id", "carbonyl",
+                     "--task-embeddings", str(bad)]) == 2
+        assert "not UTF-8" in one_line_error(capsys, "predict")
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "run.cfg"
+        bad.write_bytes(b"epochs = 1\n" + NOT_UTF8)
+        assert main(["train", "--config", str(bad)]) == 2
+        assert "not UTF-8" in one_line_error(capsys, "train")
+
+
+class TestNegativeSeed:
+    """Seeds key NumPy generators, which reject negative integers."""
+
+    def test_split(self, workdir, tmp_path, capsys):
+        assert main(["split", "--data", str(workdir["data"]),
+                     "--out", str(tmp_path / "s.csv"), "--seed", "-1"]) == 2
+        assert "non-negative" in one_line_error(capsys, "split")
+
+    def test_gradcheck(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == 2
+        assert "non-negative" in one_line_error(capsys, "gradcheck")
+
+    def test_train_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\ndataset = data.csv\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "non-negative" in one_line_error(capsys, "train")
+
+
+class TestTaskEmbeddingLength:
+    """TINY_CFG has task_dim = 6; these rows have 4 values."""
+
+    @pytest.fixture
+    def short_rows(self, tmp_path):
+        path = tmp_path / "tasks.tsv"
+        path.write_text("carbonyl\t1,0,0,0\naromatic\t0,1,0,0\n")
+        return path
+
+    def check(self, capsys, command):
+        err = one_line_error(capsys, command)
+        assert "4 values" in err and "task_dim is 6" in err
+
+    def test_train(self, workdir, tmp_path, short_rows, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CFG.format(data=workdir["data"],
+                                       splits=workdir["splits"],
+                                       out=tmp_path / "out")
+                       + f"task_embeddings = {short_rows}\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        self.check(capsys, "train")
+
+    def test_eval(self, workdir, tmp_path, short_rows, capsys):
+        assert main(["eval", "--checkpoint", str(workdir["checkpoint"]),
+                     "--data", str(workdir["data"]),
+                     "--task-embeddings", str(short_rows),
+                     "--out", str(tmp_path / "e.csv")]) == 2
+        self.check(capsys, "eval")
+
+    def test_predict(self, workdir, short_rows, capsys):
+        assert main(["predict", "--checkpoint", str(workdir["checkpoint"]),
+                     "--smiles", "CCO", "--task-id", "carbonyl",
+                     "--task-embeddings", str(short_rows)]) == 2
+        self.check(capsys, "predict")
 
 
 class TestGradcheckCommand:
