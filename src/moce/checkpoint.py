@@ -12,9 +12,11 @@ flipped byte anywhere is detected at load time.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -58,18 +60,35 @@ class CheckpointData:
     opt_v: dict = field(default_factory=dict)
 
 
-def _write_bytes(buf: io.BytesIO, data: bytes) -> None:
-    buf.write(struct.pack("<I", len(data)))
-    buf.write(data)
+def _write(fh, config_text: str, params: dict, opt_m: dict, opt_v: dict,
+           seed: int, epoch: int, step: int, opt_step_count: int, lr: float,
+           weight_decay: float) -> None:
+    """Stream the framed format to the binary file object `fh`: each
+    array's float64 memory is written and hashed in place, never gathered
+    into one body, and the digest of everything written goes last."""
+    digest = hashlib.sha256()
 
+    def put(data) -> None:
+        digest.update(data)
+        fh.write(data)
 
-def _write_array(buf: io.BytesIO, arr: np.ndarray) -> None:
-    # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d
-    arr = np.asarray(arr, dtype="<f8")
-    buf.write(struct.pack("<B", arr.ndim))
-    for dim in arr.shape:
-        buf.write(struct.pack("<I", dim))
-    buf.write(arr.tobytes(order="C"))
+    config = config_text.encode("utf-8")
+    names = sorted(params)
+    put(MAGIC + struct.pack("<II", FORMAT_VERSION, len(config)) + config
+        + struct.pack("<qqqqdddddI", seed, epoch, step, opt_step_count, lr,
+                      weight_decay, ADAM_BETA1, ADAM_BETA2, ADAM_EPS,
+                      len(names)))
+    for name in names:
+        encoded = name.encode("utf-8")
+        put(struct.pack("<H", len(encoded)) + encoded)
+        param = params[name]
+        for arr in (param, opt_m.get(name, np.zeros_like(param)),
+                    opt_v.get(name, np.zeros_like(param))):
+            # copies only a float32 or non-C-ordered array; keeps 0-d as 0-d
+            arr = np.asarray(arr, dtype="<f8", order="C")
+            put(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+            put(memoryview(arr).cast("B"))
+    fh.write(digest.digest())
 
 
 def serialize(config_text: str, params: dict, opt_m: dict, opt_v: dict,
@@ -77,32 +96,17 @@ def serialize(config_text: str, params: dict, opt_m: dict, opt_v: dict,
               lr: float, weight_decay: float) -> bytes:
     """Encode training state into the framed binary format."""
     buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<I", FORMAT_VERSION))
-    _write_bytes(buf, config_text.encode("utf-8"))
-    buf.write(struct.pack("<qqq", seed, epoch, step))
-    buf.write(struct.pack("<q", opt_step_count))
-    buf.write(struct.pack("<ddddd", lr, weight_decay, ADAM_BETA1, ADAM_BETA2,
-                          ADAM_EPS))
-    names = sorted(params)
-    buf.write(struct.pack("<I", len(names)))
-    for name in names:
-        encoded = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(encoded)))
-        buf.write(encoded)
-        _write_array(buf, params[name])
-        _write_array(buf, opt_m.get(name, np.zeros_like(params[name])))
-        _write_array(buf, opt_v.get(name, np.zeros_like(params[name])))
-    body = buf.getvalue()
-    return body + hashlib.sha256(body).digest()
+    _write(buf, config_text, params, opt_m, opt_v, seed, epoch, step,
+           opt_step_count, lr, weight_decay)
+    return buf.getvalue()
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise CorruptCheckpoint("checkpoint is truncated")
         chunk = self.data[self.pos:self.pos + n]
@@ -114,26 +118,30 @@ class _Reader:
 
     def text(self, n: int) -> str:
         try:
-            return self.take(n).decode("utf-8")
+            return str(self.take(n), "utf-8")
         except UnicodeDecodeError:
             raise CorruptCheckpoint("text field is not valid UTF-8") from None
 
     def array(self) -> np.ndarray:
+        """The next array, as a view of the data (no copy)."""
         (ndim,) = self.unpack("<B")
-        shape = tuple(self.unpack("<I")[0] for _ in range(ndim))
+        shape = self.unpack(f"<{ndim}I")
         raw = self.take(math.prod(shape) * 8)
         try:
-            return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            return np.frombuffer(raw, dtype="<f8").reshape(shape)
         except ValueError:
             raise CorruptCheckpoint(f"array shape {shape} is too large") from None
 
 
-def deserialize(blob: bytes) -> CheckpointData:
-    """Decode a checkpoint blob, verifying signature, version, checksum."""
-    if len(blob) < len(MAGIC) + 4 + 32:
+def deserialize(blob) -> CheckpointData:
+    """Decode a checkpoint from any bytes-like object, verifying signature,
+    version and checksum. The arrays are views of `blob`, which they keep
+    alive; they are writable when `blob` is."""
+    view = memoryview(blob).cast("B")
+    if len(view) < len(MAGIC) + 4 + 32:
         raise CorruptCheckpoint("file too short to be a checkpoint")
-    body, digest = blob[:-32], blob[-32:]
-    if not body.startswith(MAGIC):
+    body, digest = view[:-32], view[-32:]
+    if body[:len(MAGIC)] != MAGIC:
         raise BadMagic("not a checkpoint file (bad signature)")
     if hashlib.sha256(body).digest() != digest:
         raise CorruptCheckpoint("checksum mismatch: the file is damaged")
@@ -170,43 +178,59 @@ def deserialize(blob: bytes) -> CheckpointData:
 
 def save_checkpoint(path, config_text: str, model, opt, seed: int,
                     epoch: int, step: int) -> None:
-    """Write model parameters and optimizer state to `path`."""
+    """Write model parameters and optimizer state to `path`. The file is
+    streamed to `<path>.tmp` and renamed over `path` once complete, so an
+    interrupted save leaves any earlier file at `path` as it was."""
     params = {name: p.data for name, p in model.parameters().items()}
-    blob = serialize(config_text, params, opt.m, opt.v, seed, epoch, step,
-                     opt.step_count, opt.lr, opt.weight_decay)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            _write(fh, config_text, params, opt.m, opt.v, seed, epoch, step,
+                   opt.step_count, opt.lr, opt.weight_decay)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> CheckpointData:
+    """Read `path` in one pass into a buffer sized from the file; the
+    returned arrays are views of that buffer."""
     with open(path, "rb") as fh:
-        return deserialize(fh.read())
+        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        size = fh.readinto(buf)
+    return deserialize(memoryview(buf)[:size])
+
+
+def _copy_into(live: dict, stored: dict, what: str) -> None:
+    """Check names and shapes of every stored array against the live ones,
+    then copy each into place, casting only to a float32 run's dtype."""
+    missing = sorted(set(live) - set(stored))
+    extra = sorted(set(stored) - set(live))
+    if missing or extra:
+        raise CheckpointError(
+            f"{what} names do not match the model "
+            f"(missing: {missing[:3]}, unexpected: {extra[:3]})")
+    for name, arr in live.items():
+        if stored[name].shape != arr.shape:
+            raise CheckpointError(
+                f"{name}: stored {what} shape {stored[name].shape} does not "
+                f"match model shape {arr.shape}")
+    for name, arr in live.items():
+        np.copyto(arr, stored[name], casting="same_kind")
 
 
 def restore_model(model, ckpt: CheckpointData) -> None:
     """Copy checkpoint buffers into an already-built model, by name."""
-    params = model.parameters()
-    missing = sorted(set(params) - set(ckpt.params))
-    extra = sorted(set(ckpt.params) - set(params))
-    if missing or extra:
-        raise CheckpointError(
-            f"parameter names do not match the model "
-            f"(missing: {missing[:3]}, unexpected: {extra[:3]})")
-    for name, tensor in params.items():
-        stored = ckpt.params[name]
-        if stored.shape != tensor.data.shape:
-            raise CheckpointError(
-                f"{name}: stored shape {stored.shape} does not match "
-                f"model shape {tensor.data.shape}")
-        tensor.data[...] = stored.astype(tensor.data.dtype)
+    _copy_into({name: t.data for name, t in model.parameters().items()},
+               ckpt.params, "parameter")
 
 
 def restore_optimizer(opt, ckpt: CheckpointData) -> None:
     """Copy saved moments and counters into a freshly created optimizer."""
+    _copy_into(opt.m, ckpt.opt_m, "first-moment")
+    _copy_into(opt.v, ckpt.opt_v, "second-moment")
     opt.step_count = ckpt.opt_step_count
     opt.lr = ckpt.lr
     opt.weight_decay = ckpt.weight_decay
-    for name, arr in opt.m.items():
-        arr[...] = ckpt.opt_m[name].astype(arr.dtype)
-    for name, arr in opt.v.items():
-        arr[...] = ckpt.opt_v[name].astype(arr.dtype)

@@ -570,7 +570,8 @@ class SplitAssignment:
                 continue
             if len(row) != 2 or row[1] not in ("train", "valid", "test"):
                 raise DatasetError(f"bad split row {row!r}", lineno)
-            if not row[0].isdecimal():
+            # ASCII only: str.isdecimal() also accepts digits such as "٣"
+            if not (row[0].isascii() and row[0].isdecimal()):
                 raise DatasetError("record_index must be a non-negative "
                                    f"integer, got {row[0]!r}", lineno)
             idx = int(row[0])

@@ -1,7 +1,10 @@
 """Checkpoint format: round trips, corruption detection, restoration."""
 
 import hashlib
+import os
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,11 +30,27 @@ def small_state():
     return params, m, v
 
 
-def tiny_model():
+def tiny_model(dtype=np.float64):
     config = ModelConfig(embed_dim=4, num_gnn_layers=1,
                          num_processing_layers=2, num_experts=3, k_s=2,
                          k_t=3, task_dim=5)
+    return Model.create(config, seed=11, dtype=dtype)
+
+
+def sized_model():
+    """A model whose checkpoint is about 9.8 MB (409,152 parameters)."""
+    config = ModelConfig(embed_dim=128, num_gnn_layers=2,
+                         num_processing_layers=2, num_experts=8, k_s=2,
+                         k_t=3, task_dim=5)
     return Model.create(config, seed=11)
+
+
+def stand_in(params, m, v):
+    """A model and optimizer holding the given arrays as they are."""
+    model = SimpleNamespace(parameters=lambda: {
+        name: SimpleNamespace(data=arr) for name, arr in params.items()})
+    opt = OptimizerState(lr=0.01, weight_decay=0.0, step_count=5, m=m, v=v)
+    return model, opt
 
 
 class TestRoundTrip:
@@ -92,6 +111,101 @@ class TestRoundTrip:
         for name in opt.m:
             assert np.array_equal(opt2.m[name], opt.m[name])
             assert np.array_equal(opt2.v[name], opt.v[name])
+
+
+class TestStreaming:
+    def test_save_and_load_allocate_at_most_about_one_file(self, tmp_path):
+        model = sized_model()
+        opt = OptimizerState.create(model.parameters())
+        path = tmp_path / "c.bin"
+        tracemalloc.start()
+        try:
+            save_checkpoint(path, "", model, opt, 0, 0, 0)
+            save_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            ckpt = load_checkpoint(path)
+            restore_model(model, ckpt)
+            restore_optimizer(opt, ckpt)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 9_000_000
+        # the body is never gathered on save; on load it is held once
+        assert save_peak < 0.1 * size
+        assert load_peak < 1.2 * size
+
+    @pytest.mark.parametrize("case", ["float32", "scalar", "transposed"])
+    def test_file_holds_exactly_the_serialized_bytes(self, tmp_path, case):
+        if case == "float32":
+            model = tiny_model(np.float32)
+            opt = OptimizerState.create(model.parameters(), lr=0.01,
+                                        weight_decay=0.0)
+            for arr in opt.v.values():
+                arr += np.float32(0.3)
+        else:
+            params, m, v = small_state()
+            if case == "transposed":
+                params["mat"] = params["mat"].T
+                m["mat"] = np.asfortranarray(m["mat"].T)
+                assert not params["mat"].flags.c_contiguous
+            model, opt = stand_in(params, m, v)
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, "k_s = 2\n", model, opt, 3, 4, 5)
+        params = {name: t.data for name, t in model.parameters().items()}
+        assert path.read_bytes() == serialize(
+            "k_s = 2\n", params, opt.m, opt.v, 3, 4, 5, opt.step_count,
+            opt.lr, opt.weight_decay)
+        ckpt = load_checkpoint(path)
+        for name, arr in params.items():
+            assert ckpt.params[name].shape == arr.shape
+            assert np.array_equal(ckpt.params[name], arr)
+
+    def test_any_bytes_like_input_decodes_alike(self):
+        params, m, v = small_state()
+        blob = serialize("seed = 1\n", params, m, v, 1, 2, 3, 3, 0.01, 0.0)
+        decoded = [deserialize(b) for b in
+                   (blob, bytearray(blob), memoryview(blob))]
+        for ckpt in decoded[1:]:
+            assert ckpt.config_text == decoded[0].config_text
+            assert (ckpt.seed, ckpt.epoch, ckpt.step, ckpt.lr) == (1, 2, 3,
+                                                                   0.01)
+            for table in ("params", "opt_m", "opt_v"):
+                for name, arr in getattr(decoded[0], table).items():
+                    assert np.array_equal(getattr(ckpt, table)[name], arr)
+
+    def test_file_truncated_on_disk(self, tmp_path):
+        model = tiny_model()
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, "", model,
+                        OptimizerState.create(model.parameters()), 0, 0, 0)
+        full = path.read_bytes()
+        for keep in (0, 10, len(full) // 2, len(full) - 1):
+            path.write_bytes(full)
+            os.truncate(path, keep)
+            with pytest.raises(CorruptCheckpoint):
+                load_checkpoint(path)
+
+    def test_interrupted_save_keeps_the_earlier_file(self, tmp_path):
+        model = sized_model()
+        opt = OptimizerState.create(model.parameters())
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, "", model, opt, 0, 1, 1)
+        earlier = path.read_bytes()
+        partial = []
+
+        class Interrupt:
+            """Stands for a moment array; stops the save when it is read."""
+            def __array__(self, dtype=None, copy=None):
+                partial.append(os.path.getsize(f"{path}.tmp"))
+                raise KeyboardInterrupt
+
+        opt.m[sorted(opt.m)[-1]] = Interrupt()
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(path, "", model, opt, 0, 2, 2)
+        assert partial and partial[0] > 0.9 * len(earlier)
+        assert path.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == ["c.bin"]
 
 
 class TestCorruption:
@@ -233,3 +347,23 @@ class TestRestoreValidation:
         ckpt.params["integrator.bias"] = np.zeros(99)
         with pytest.raises(CheckpointError, match="integrator.bias"):
             restore_model(model, ckpt)
+
+    def test_optimizer_moment_shape_mismatch_rejected(self):
+        # a valid file whose first moment is 0-d for a 3-vector parameter
+        blob = serialize("", {"w": np.ones(3)}, {"w": np.asarray(7.0)},
+                         {"w": np.ones(3)}, 0, 0, 0, 4, 0.01, 0.0)
+        opt = OptimizerState(m={"w": np.zeros(3)}, v={"w": np.zeros(3)})
+        with pytest.raises(CheckpointError, match="w: stored first-moment"):
+            restore_optimizer(opt, deserialize(blob))
+        assert opt.m["w"].tolist() == [0.0, 0.0, 0.0]
+        assert opt.step_count == 0
+
+    def test_optimizer_missing_moment_rejected(self):
+        model = tiny_model()
+        opt = OptimizerState.create(model.parameters())
+        params = {name: t.data for name, t in model.parameters().items()}
+        ckpt = deserialize(serialize("", params, opt.m, opt.v, 0, 0, 0, 0,
+                                     0.1, 0.0))
+        del ckpt.opt_v["integrator.bias"]
+        with pytest.raises(CheckpointError, match="integrator.bias"):
+            restore_optimizer(opt, ckpt)

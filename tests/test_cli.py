@@ -305,6 +305,17 @@ class TestEval:
                      "--out", str(tmp_path / "e.csv")]) == 2
         assert "record" in capsys.readouterr().err
 
+    def test_non_ascii_split_index_is_data_error(self, workdir, tmp_path,
+                                                 capsys):
+        # "\u0663" is ARABIC-INDIC DIGIT THREE, which int() reads as 3
+        splits = tmp_path / "splits.csv"
+        splits.write_text("record_index,split\n\u0663,test\n",
+                          encoding="utf-8")
+        assert main(["eval", "--checkpoint", str(workdir["checkpoint"]),
+                     "--data", str(workdir["data"]), "--split", str(splits),
+                     "--out", str(tmp_path / "e.csv")]) == 2
+        assert "record_index" in one_line_error(capsys, "eval")
+
     def test_corrupted_checkpoint_is_data_error(self, workdir, tmp_path,
                                                 capsys):
         damaged = tmp_path / "damaged.bin"

@@ -453,10 +453,11 @@ class TestDatasetCsv:
         ("0,train\nx,valid\n", 3),
         ("0,train\n-1,valid\n", 3),
         ("0,train\n1,valid\n0,test\n", 4),
-    ], ids=["not-an-integer", "negative", "duplicate"])
+        ("0,train\n\u0663,valid\n", 3),
+    ], ids=["not-an-integer", "negative", "duplicate", "non-ascii-digit"])
     def test_split_csv_bad_index_names_line(self, tmp_path, body, line):
         path = tmp_path / "split.csv"
-        path.write_text("record_index,split\n" + body)
+        path.write_text("record_index,split\n" + body, encoding="utf-8")
         with pytest.raises(DatasetError) as err:
             SplitAssignment.read_csv(str(path))
         assert err.value.row == line
