@@ -86,15 +86,22 @@ class EncoderConfig:
 @dataclass
 class BatchedGraph:
     """Several graphs stacked block-diagonally: graph g owns the contiguous
-    node rows ``offsets[g]:offsets[g + 1]``, and ``in_degree`` counts each
-    node's incoming directed edges."""
+    node rows ``offsets[g]:offsets[g + 1]``.
+
+    The expert views propagate over A + I: ``prop_src`` and ``prop_dst``
+    hold the directed edges followed by one self-loop per node, so a
+    node's own term adds last, and ``prop_dinv`` is the (N, 1) float64
+    column D̃^-1/2, each node's (in-degree + 1)^-1/2.
+    """
 
     node_features: np.ndarray
     edge_index: np.ndarray
     edge_features: np.ndarray
     graph_ids: np.ndarray
     offsets: np.ndarray
-    in_degree: np.ndarray
+    prop_src: np.ndarray
+    prop_dst: np.ndarray
+    prop_dinv: np.ndarray
     num_graphs: int
     num_nodes: int
 
@@ -116,15 +123,20 @@ def batch_graphs(graphs: list[FeaturizedGraph]) -> BatchedGraph:
         ids.append(np.full(g.num_nodes, gid, dtype=np.int64))
         offsets.append(offsets[-1] + g.num_nodes)
     edge_index = np.concatenate(edge_rows, axis=0)
+    num_nodes = offsets[-1]
+    loops = np.arange(num_nodes)
+    in_degree = np.bincount(edge_index[:, 1], minlength=num_nodes)
     return BatchedGraph(
         node_features=np.concatenate(node_rows, axis=0),
         edge_index=edge_index,
         edge_features=np.concatenate(efeat_rows, axis=0),
         graph_ids=np.concatenate(ids),
         offsets=np.array(offsets, dtype=np.int64),
-        in_degree=np.bincount(edge_index[:, 1], minlength=offsets[-1]),
+        prop_src=np.concatenate((edge_index[:, 0], loops)),
+        prop_dst=np.concatenate((edge_index[:, 1], loops)),
+        prop_dinv=(1.0 / np.sqrt(in_degree + 1.0))[:, None],
         num_graphs=len(graphs),
-        num_nodes=offsets[-1],
+        num_nodes=num_nodes,
     )
 
 

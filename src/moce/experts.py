@@ -227,8 +227,8 @@ def validate_k(k_s: int, k_t: int, num_experts: int) -> None:
 def topk_indices(values: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries per row, ties going to the lower
     index (stable sort on the negated values)."""
-    order = np.argsort(-values, axis=-1, kind="stable")
-    return order[..., :k]
+    # ndarray methods skip the np.* wrappers, whose overhead dominates at B=1.
+    return (-values).argsort(axis=-1, kind="stable")[..., :k]
 
 
 def gamma_mask(v: Tensor, k_t: int) -> Tensor:
@@ -273,7 +273,8 @@ def route_batch(x_hat: Tensor, tasks: Tensor, r: RouterParams,
     else:
         h = mu
 
-    order = np.argsort(-h.data, axis=1, kind="stable")
+    # one column past k_s holds the threshold of the selected entries
+    order = topk_indices(h.data, r.k_s + 1)
     selected = order[:, : r.k_s]
     keep = np.zeros(h.shape, dtype=bool)
     np.put_along_axis(keep, selected, True, axis=1)
@@ -301,9 +302,7 @@ def _sag_weights(scores: np.ndarray, offsets: np.ndarray,
     bounds = offsets.tolist()
     for lo, hi in zip(bounds, bounds[1:]):
         n_sel = int(math.ceil(pool_ratio * (hi - lo)))
-        # ndarray methods skip the np.* wrappers, whose overhead dominates at B=1.
-        order = (-scores[lo:hi]).argsort(kind="stable")[:n_sel]
-        weights[order + lo] = 1.0 / n_sel
+        weights[topk_indices(scores[lo:hi], n_sel) + lo] = 1.0 / n_sel
     return weights
 
 
@@ -319,14 +318,11 @@ def sag_project_batch(nodes: Tensor, batch: BatchedGraph, expert: ExpertParams,
     """
     if not 0.0 < pool_ratio <= 1.0:
         raise ValueError(f"pool_ratio must be in (0, 1], got {pool_ratio}")
-    # each node's self-loop follows the batch's edges, so its own term adds last
-    loops = np.arange(batch.num_nodes)
-    src = np.concatenate((batch.edge_index[:, 0], loops))
-    dst = np.concatenate((batch.edge_index[:, 1], loops))
-    dinv = Tensor((1.0 / np.sqrt(batch.in_degree + 1.0))[:, None].astype(nodes.dtype))
+    dinv = Tensor(batch.prop_dinv.astype(nodes.dtype, copy=False))
 
     u = ad.mul(ad.matmul(nodes, expert.theta_att), dinv)
-    au = ad.scatter_segment_sum(ad.gather_rows(u, src), dst, batch.num_nodes)
+    au = ad.scatter_segment_sum(ad.gather_rows(u, batch.prop_src),
+                                batch.prop_dst, batch.num_nodes)
     z_tilde = ad.tanh(ad.mul(au, dinv))
 
     weights = _sag_weights(z_tilde.data[:, 0], batch.offsets, pool_ratio)

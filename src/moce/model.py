@@ -10,6 +10,7 @@ by every block (bond features never change).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -186,40 +187,25 @@ def model_loss(model: Model, result: ForwardResult, labels, beta: float,
     importance, and load terms are averaged over processing blocks (each
     block has its own expert pool); the expert-specific term is a raw sum,
     so it stays a sum across blocks too. Terms switched off in ``toggles``
-    are exact zeros.
+    are exact zeros and are never computed.
     """
     y = np.asarray(labels, dtype=model.dtype)
     base = ad.reduce_mean(bce(result.logits, y))
-
-    def accumulate(pieces):
-        total = pieces[0]
-        for piece in pieces[1:]:
-            total = ad.add(total, piece)
-        return total
-
     zero = Tensor(0.0, dtype=y.dtype)
     scale = Tensor(1.0 / len(model.blocks), dtype=y.dtype)
-    if toggles.att:
-        att = ad.mul(accumulate([
-            attention_cosine_loss(thetas)
-            for thetas in model.attention_vectors()]), scale)
-    else:
-        att = zero
-    if toggles.exp:
-        exp = accumulate([
-            expert_specific_loss(res.expert_logits, y,
-                                 (res.route.gates.data > 0).astype(float))
-            for res in result.layers])
-    else:
-        exp = zero
-    if toggles.imp:
-        imp = ad.mul(accumulate([importance_loss(res.route.gates)
-                                 for res in result.layers]), scale)
-    else:
-        imp = zero
-    if toggles.lod:
-        lod = ad.mul(accumulate([load_loss(res.route.p_choose)
-                                 for res in result.layers]), scale)
-    else:
-        lod = zero
+
+    def term(on, loss, inputs, averaged=True):
+        if not on:
+            return zero
+        total = reduce(ad.add, [loss(x) for x in inputs])
+        return ad.mul(total, scale) if averaged else total
+
+    att = term(toggles.att, attention_cosine_loss, model.attention_vectors())
+    exp = term(toggles.exp, lambda res: expert_specific_loss(
+        res.expert_logits, y, (res.route.gates.data > 0).astype(float)),
+        result.layers, averaged=False)
+    imp = term(toggles.imp, lambda res: importance_loss(res.route.gates),
+               result.layers)
+    lod = term(toggles.lod, lambda res: load_loss(res.route.p_choose),
+               result.layers)
     return overall_loss(base, att, exp, imp, lod, beta)

@@ -69,7 +69,8 @@ class TestBatching:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_offsets_and_in_degrees(self, seed):
-        # bondless molecules give empty edge lists and zero in-degrees
+        # bondless molecules give empty edge lists and zero in-degrees, so
+        # their nodes propagate over the self-loop alone with D̃^-1/2 = 1
         pool = ["C", "[NH4+]", "CCO", "c1ccccc1", "CC(=O)N", "C1CC1", "O=C=O"]
         rng = np.random.default_rng(seed)
         smiles = ["C", "[NH4+]"] + list(rng.choice(pool, size=int(rng.integers(0, 10))))
@@ -78,9 +79,17 @@ class TestBatching:
         sizes = [g.num_nodes for g in graphs]
         np.testing.assert_array_equal(batch.offsets,
                                       np.concatenate(([0], np.cumsum(sizes))))
+        loops = np.arange(batch.num_nodes)
         np.testing.assert_array_equal(
-            batch.in_degree,
-            np.bincount(batch.edge_index[:, 1], minlength=batch.num_nodes))
+            batch.prop_src, np.concatenate((batch.edge_index[:, 0], loops)))
+        np.testing.assert_array_equal(
+            batch.prop_dst, np.concatenate((batch.edge_index[:, 1], loops)))
+        in_degree = np.bincount(batch.edge_index[:, 1], minlength=batch.num_nodes)
+        assert batch.prop_dinv.shape == (batch.num_nodes, 1)
+        assert batch.prop_dinv.dtype == np.float64
+        assert batch.prop_dinv[:, 0].tobytes() == (
+            1.0 / np.sqrt(in_degree + 1.0)).tobytes()
+        assert np.any(batch.prop_dinv == 1.0)
         for g, (lo, hi) in enumerate(zip(batch.offsets, batch.offsets[1:])):
             assert np.all(batch.graph_ids[lo:hi] == g)
 
