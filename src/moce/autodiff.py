@@ -484,10 +484,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeMismatch("concat of an empty sequence")
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    # Without a tape, skip building one slice closure per input: 60 inputs
-    # take ~17 us this way and ~80 us through _op.
-    if getattr(_state, "tape", None) is None:
-        return Tensor(out_data)
     offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
     pieces = []
     for lo, hi in zip(offsets[:-1], offsets[1:]):

@@ -3,8 +3,9 @@
 Subcommands: split, train, eval, predict, gradcheck, show-config.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification
 failure. Usage problems are reported by argparse; data problems (bad
-CSV rows, unreadable checkpoints, missing task embeddings) map known
-exceptions to exit code 2 with a one-line message on stderr.
+CSV rows, unreadable checkpoints, missing task embeddings, any OSError
+from opening or writing a file) map known exceptions to exit code 2 with
+a one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ EXIT_VERIFY = 3
 
 DATA_ERRORS = (DatasetError, SmilesError, UnsupportedElement, EmptyClass,
                ConfigError, CheckpointError, TaskEmbeddingError,
-               MissingTaskEmbedding, FileNotFoundError)
+               MissingTaskEmbedding, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,6 +201,10 @@ def cmd_train(args) -> int:
                               min_lr_fraction=cfg.min_lr_fraction)
     end_epoch = cfg.epochs if cfg.stop_after <= 0 else min(cfg.stop_after,
                                                            cfg.epochs)
+    if start_epoch > end_epoch:
+        # training nothing would rewrite the checkpoint at an earlier epoch
+        raise ConfigError(f"checkpoint {args.resume} is at epoch {start_epoch}, "
+                          f"past this run's last epoch {end_epoch}")
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     metrics_path = os.path.join(cfg.out_dir, "metrics.csv")

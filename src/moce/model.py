@@ -185,9 +185,10 @@ def model_loss(model: Model, result: ForwardResult, labels, beta: float,
 
     The base term is the mean BCE of the integrated logits. Attention,
     importance, and load terms are averaged over processing blocks (each
-    block has its own expert pool); the expert-specific term is a raw sum,
-    so it stays a sum across blocks too. Terms switched off in ``toggles``
-    are exact zeros and are never computed.
+    block has its own expert pool); the expert-specific term is a raw sum
+    over the pairs in each block's ``route.selected``, so it stays a sum
+    across blocks too. Terms switched off in ``toggles`` are exact zeros
+    and are never computed.
     """
     y = np.asarray(labels, dtype=model.dtype)
     base = ad.reduce_mean(bce(result.logits, y))
@@ -200,10 +201,14 @@ def model_loss(model: Model, result: ForwardResult, labels, beta: float,
         total = reduce(ad.add, [loss(x) for x in inputs])
         return ad.mul(total, scale) if averaged else total
 
+    def routed(route):
+        assigned = np.zeros(route.gates.shape, dtype=y.dtype)
+        np.put_along_axis(assigned, route.selected, 1.0, axis=1)
+        return assigned
+
     att = term(toggles.att, attention_cosine_loss, model.attention_vectors())
     exp = term(toggles.exp, lambda res: expert_specific_loss(
-        res.expert_logits, y, (res.route.gates.data > 0).astype(float)),
-        result.layers, averaged=False)
+        res.expert_logits, y, routed(res.route)), result.layers, averaged=False)
     imp = term(toggles.imp, lambda res: importance_loss(res.route.gates),
                result.layers)
     lod = term(toggles.lod, lambda res: load_loss(res.route.p_choose),

@@ -243,6 +243,31 @@ class TestTrain:
         for name in final.params:
             assert np.array_equal(resumed.params[name], final.params[name])
 
+    @pytest.mark.parametrize("edit", [
+        lambda text: text,
+        lambda text: text.replace("epochs = 2", "epochs = 4") + "stop_after = 2\n",
+    ], ids=["epochs", "stop_after"])
+    def test_resume_past_the_last_epoch_is_data_error(self, workdir, tmp_path,
+                                                      capsys, edit):
+        # a 4-epoch run's checkpoint resumed by a run that ends at epoch 2
+        text = TINY_CFG.format(data=workdir["data"], splits=workdir["splits"],
+                               out=tmp_path / "run")
+        four = tmp_path / "four.cfg"
+        four.write_text(text.replace("epochs = 2", "epochs = 4"))
+        assert main(["train", "--config", str(four)]) == 0
+        capsys.readouterr()
+        checkpoint = tmp_path / "run" / "checkpoint.bin"
+        metrics = tmp_path / "run" / "metrics.csv"
+        before = checkpoint.read_bytes(), metrics.read_bytes()
+
+        two = tmp_path / "two.cfg"
+        two.write_text(edit(text))
+        assert main(["train", "--config", str(two), "--resume",
+                     str(checkpoint)]) == 2
+        err = one_line_error(capsys, "train")
+        assert "at epoch 4, past this run's last epoch 2" in err
+        assert (checkpoint.read_bytes(), metrics.read_bytes()) == before
+
     def test_missing_dataset_key_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "no-data.cfg"
         cfg.write_text("epochs = 1\n")
@@ -442,6 +467,34 @@ class TestUnreadableFiles:
         bad.write_bytes(b"epochs = 1\n" + NOT_UTF8)
         assert main(["train", "--config", str(bad)]) == 2
         assert "not UTF-8" in one_line_error(capsys, "train")
+
+
+class TestPathOfTheWrongKind:
+    """A directory where a file is read or written, or a file where the run
+    directory goes, is a data error like a missing file."""
+
+    @pytest.mark.parametrize("case", ["eval --checkpoint", "train --config",
+                                      "split --data", "split --out",
+                                      "train out_dir"])
+    def test_is_data_error(self, workdir, tmp_path, capsys, case):
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_CFG.format(data=workdir["data"],
+                                       splits=workdir["splits"], out=taken))
+        data = str(workdir["data"])
+        argv = {
+            "eval --checkpoint": ["eval", "--checkpoint", str(tmp_path),
+                                  "--data", data,
+                                  "--out", str(tmp_path / "e.csv")],
+            "train --config": ["train", "--config", str(tmp_path)],
+            "split --data": ["split", "--data", str(tmp_path),
+                             "--out", str(tmp_path / "s.csv")],
+            "split --out": ["split", "--data", data, "--out", str(tmp_path)],
+            "train out_dir": ["train", "--config", str(cfg)],
+        }[case]
+        assert main(argv) == 2
+        one_line_error(capsys, argv[0])
 
 
 class TestNegativeSeed:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from moce import autodiff as ad
+from moce import experts as experts_module
 from moce.autodiff import Tape, Tensor
 from moce.encoder import EmptyGraph, batch_graphs, segment_mean_pool
 from moce.experts import (
@@ -27,6 +28,7 @@ from moce.experts import (
     topk_indices,
 )
 from moce.experts import _sag_weights
+from moce.model import Model, ModelConfig
 from moce.molgraph import FeaturizedGraph
 
 
@@ -486,6 +488,51 @@ class TestSagProject:
         for a, b in zip(got, want):
             assert a.dtype == b.dtype == dtype
             assert a.tobytes() == b.tobytes()
+
+
+class TestDenseLayout:
+    """The dense expert layer computes every (sample, expert) vote and
+    routes k_s of each sample's E; a change of layout updates these counts
+    here, openly."""
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        """Output shape of every call to the two per-expert functions."""
+        seen = {"sag_project_batch": [], "expert_mlp": []}
+        for name, calls in seen.items():
+            def counted(*args, _real=getattr(experts_module, name), _calls=calls):
+                out = _real(*args)
+                _calls.append(out.shape)
+                return out
+            monkeypatch.setattr(experts_module, name, counted)
+        return seen
+
+    @pytest.mark.parametrize("num_graphs", [1, 6])
+    def test_layer_forward_votes_on_every_pair(self, shapes, num_graphs):
+        rng = np.random.default_rng(40 + num_graphs)
+        batch = random_batch(rng, num_graphs)
+        dim, m, k_s = 4, 6, 2
+        nodes = Tensor(rng.normal(size=(batch.num_nodes, dim)))
+        tasks = Tensor(rng.normal(size=(num_graphs, 3)))
+        router = RouterParams.create(rng, dim, 3, num_experts=m, k_s=k_s, k_t=4)
+        pool = [ExpertParams.create(rng, dim) for _ in range(m)]
+        res = layer_forward(nodes, batch, tasks, pool, router, 0.5)
+        assert shapes["sag_project_batch"] == [(num_graphs, dim)] * m
+        assert shapes["expert_mlp"] == [(num_graphs, 1)] * m
+        assert res.expert_logits.size == num_graphs * m
+        assert res.route.selected.size == num_graphs * k_s
+
+    def test_model_forward_runs_every_expert_once_per_block(self, shapes):
+        cfg = ModelConfig(embed_dim=4, num_gnn_layers=1,
+                          num_processing_layers=2, num_experts=3, k_s=1,
+                          k_t=2, task_dim=5)
+        model = Model.create(cfg, seed=3)
+        batch = random_batch(np.random.default_rng(3), 4)
+        tasks = Tensor(np.random.default_rng(4).normal(size=(4, 5)))
+        out = model.forward(batch, tasks, noise_on=False)
+        assert shapes["sag_project_batch"] == [(4, 4)] * 6
+        assert shapes["expert_mlp"] == [(4, 1)] * 6
+        assert [res.route.selected.size for res in out.layers] == [4, 4]
 
 
 class TestLayerForward:

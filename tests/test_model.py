@@ -5,7 +5,7 @@ import pytest
 
 from moce.autodiff import Tape, Tensor, finite_diff_check
 from moce.encoder import batch_graphs
-from moce.losses import LossToggles
+from moce.losses import LossToggles, expert_specific_loss
 from moce.model import Model, ModelConfig, model_loss
 from moce.molgraph import featurize, parse_smiles
 
@@ -203,6 +203,27 @@ class TestModelLoss:
                                 narrow.parameters().values()):
             assert n.dtype == np.float32, name
             assert n.data.tobytes() == w.data.astype(np.float32).tobytes(), name
+
+    def test_expert_loss_counts_a_selected_gate_that_underflows(self):
+        # expert 1 is selected 150 below expert 0, and float32 exp(-150) is 0
+        model = Model.create(tiny_config(num_processing_layers=1, num_experts=5,
+                                         k_s=2, k_t=5), seed=16,
+                             dtype=np.float32)
+        router = model.blocks[0].router
+        router.w_mu1.data[:] = 0.0
+        router.w_mu2.data[:] = 0.0
+        router.w_mu2.data[0] = [0.0, -150.0, -300.0, -300.0, -300.0]
+        tasks = Tensor(np.eye(1, 5, dtype=np.float32))
+        out = model.forward(tiny_batch(("CCO",)), tasks, noise_on=False)
+        route = out.layers[0].route
+        np.testing.assert_array_equal(route.selected, [[0, 1]])
+        assert route.gates.data[0, 1] == 0.0
+        lb = model_loss(model, out, np.array([1.0]), beta=0.1,
+                        toggles=LossToggles(att=False, imp=False, lod=False))
+        want = expert_specific_loss(out.layers[0].expert_logits, [1.0],
+                                    np.array([[1.0, 1.0, 0.0, 0.0, 0.0]]))
+        assert lb.exp.dtype == np.float32
+        assert lb.exp.data.tobytes() == want.data.tobytes()
 
     def test_finite_differences_through_composed_model(self):
         rng = np.random.default_rng(12)
