@@ -29,8 +29,7 @@ def main() -> None:
                       num_experts=8, k_s=2, k_t=4, pool_ratio=0.5, task_dim=16)
     model = Model.create(cfg, seed=1)
     epochs, lr = 50, 0.01
-    settings = TrainSettings(batch_size=100, seed=1, lr=lr,
-                             weight_decay=0.001, beta=0.1,
+    settings = TrainSettings(batch_size=100, seed=1, lr=lr, beta=0.1,
                              toggles=LossToggles())
     opt = OptimizerState.create(model.parameters(), lr=lr, weight_decay=0.001)
     batches = -(-len(records) // settings.batch_size)

@@ -208,7 +208,7 @@ def cmd_train(args) -> int:
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
-    log = MetricsLog(metrics_path, append=bool(args.resume))
+    log = MetricsLog(metrics_path, first_epoch=start_epoch)
 
     for epoch in range(start_epoch, end_epoch):
         train_metrics, step = train_epoch(model, train_records, tasks,

@@ -84,7 +84,6 @@ class RunConfig(ModelConfig):
             batch_size=self.batch_size,
             seed=self.seed,
             lr=self.lr,
-            weight_decay=self.weight_decay,
             beta=self.beta,
             toggles=LossToggles(att=self.use_att_loss, exp=self.use_exp_loss,
                                 imp=self.use_imp_loss, lod=self.use_lod_loss),

@@ -150,7 +150,6 @@ class LossBreakdown:
     lod: Tensor
     col: Tensor
     overall: Tensor
-    beta: float
 
     def floats(self) -> dict[str, float]:
         return {
@@ -161,7 +160,6 @@ class LossBreakdown:
             "lod": float(self.lod.data),
             "col": float(self.col.data),
             "overall": float(self.overall.data),
-            "beta": self.beta,
         }
 
 
@@ -173,4 +171,4 @@ def overall_loss(base: Tensor, att: Tensor, exp: Tensor, imp: Tensor,
     col = ad.add(ad.add(att, exp), ad.add(imp, lod))
     overall = ad.add(base, ad.mul(col, Tensor(beta, dtype=col.dtype)))
     return LossBreakdown(base=base, att=att, exp=exp, imp=imp, lod=lod,
-                         col=col, overall=overall, beta=beta)
+                         col=col, overall=overall)

@@ -66,14 +66,16 @@ class BondOrder(IntEnum):
 
     @property
     def valence_units(self) -> int:
-        # an aromatic bond contributes one unit; the aromatic atom itself
-        # contributes one more (handled at the atom level)
-        return {1: 1, 2: 2, 3: 3, 4: 1}[int(self)]
+        return _VALENCE_UNITS[self]
 
     @property
     def feature_index(self) -> int:
         return int(self) - 1
 
+
+# indexed by BondOrder: an aromatic bond contributes one unit; the aromatic
+# atom itself contributes one more (handled at the atom level)
+_VALENCE_UNITS = (0, 1, 2, 3, 1)
 
 _SYMBOL_TO_ELEMENT = {
     "B": 5, "C": 6, "N": 7, "O": 8, "P": 15, "S": 16,
@@ -184,6 +186,11 @@ def parse_smiles(smiles: str) -> MolecularGraph:
     Atom order follows token order, so two parses of the same string yield
     identical graphs. Implicit hydrogens on plain organic-subset atoms come
     from fixed default valences; bracket atoms are taken as written.
+
+    Each atom's bond to the atom before it builds a spanning tree, and each
+    ring-closure digit adds one bond more. A bond is therefore on a ring
+    exactly when it is a closure bond or on the tree path between that
+    closure's two atoms, and each closure marks that path as it is made.
     """
     if not smiles:
         raise UnknownAtomToken("empty SMILES", 0)
@@ -191,6 +198,9 @@ def parse_smiles(smiles: str) -> MolecularGraph:
     atoms: list[Atom] = []
     atom_offsets: list[int] = []
     atom_bracket: list[bool] = []
+    depth: list[int] = []  # in the spanning tree; the first atom is its root
+    parent_bond: list[int] = []  # index into bonds; unread for the root
+    valence: list[int] = []  # bond valence units summed per atom
     bonds: list[Bond] = []
     bond_set: set[tuple[int, int]] = set()
 
@@ -211,6 +221,9 @@ def parse_smiles(smiles: str) -> MolecularGraph:
         ))
         atom_offsets.append(offset)
         atom_bracket.append(bracket)
+        valence.append(0)
+        depth.append(0 if prev is None else depth[prev] + 1)
+        parent_bond.append(len(bonds))
         if prev is not None:
             add_bond(prev, idx, pending, offset)
         pending = None
@@ -229,6 +242,21 @@ def parse_smiles(smiles: str) -> MolecularGraph:
             else:
                 order = BondOrder.SINGLE
         bonds.append(Bond(a, b, order))
+        for end in (a, b):
+            atoms[end].degree += 1
+            valence[end] += order.valence_units
+
+    def mark_ring(a, b):
+        # bonds[-1] is the closure bond a-b: with the tree path from a to b
+        # it forms one cycle
+        bonds[-1].in_ring = atoms[a].in_ring = atoms[b].in_ring = True
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            tree = bonds[parent_bond[a]]
+            tree.in_ring = True
+            a = tree.a
+            atoms[a].in_ring = True
 
     def close_ring(number, offset):
         nonlocal pending
@@ -240,6 +268,7 @@ def parse_smiles(smiles: str) -> MolecularGraph:
                 raise UnmatchedRingClosure(
                     f"conflicting bond orders for ring closure {number}", offset)
             add_bond(other, prev, order, offset)
+            mark_ring(other, prev)
         else:
             ring_open[number] = (prev, pending, offset)
         pending = None
@@ -306,23 +335,19 @@ def parse_smiles(smiles: str) -> MolecularGraph:
         number, (_, _, offset) = sorted(ring_open.items())[0]
         raise UnmatchedRingClosure(f"unclosed ring bond {number}", offset)
 
-    graph = MolecularGraph(atoms, bonds)
-    _mark_rings(graph)
-
     # an explicit aromatic bond between non-aromatic atoms is malformed; an
     # unspecified aromatic-aromatic bond outside any ring is demoted to single
-    for bond in graph.bonds:
+    # (both orders weigh one valence unit)
+    for bond in bonds:
         if bond.order == BondOrder.AROMATIC:
-            a, b = graph.atoms[bond.a], graph.atoms[bond.b]
-            if not (a.is_aromatic and b.is_aromatic):
+            if not (atoms[bond.a].is_aromatic and atoms[bond.b].is_aromatic):
                 raise ValenceError(
                     "aromatic bond with non-aromatic endpoint",
                     atom_offsets[bond.a])
             if not bond.in_ring:
                 bond.order = BondOrder.SINGLE
 
-    valence = _set_degrees(graph.atoms, graph.bonds)
-    for idx, atom in enumerate(graph.atoms):
+    for idx, atom in enumerate(atoms):
         used = valence[idx]
         if atom.is_aromatic:
             used += 1
@@ -334,72 +359,7 @@ def parse_smiles(smiles: str) -> MolecularGraph:
                     f"valence {used} exceeds maximum for element {atom.element}",
                     atom_offsets[idx])
             atom.explicit_hydrogens = max(0, _DEFAULT_VALENCE[atom.element] - used)
-    return graph
-
-
-def _set_degrees(atoms: list[Atom], bonds: list[Bond]) -> list[int]:
-    """Set each atom's degree from ``bonds`` in one pass; returns the bond
-    valence units summed per atom."""
-    degree = [0] * len(atoms)
-    valence = [0] * len(atoms)
-    for bond in bonds:
-        units = bond.order.valence_units
-        for end in (bond.a, bond.b):
-            degree[end] += 1
-            valence[end] += units
-    for atom, count in zip(atoms, degree):
-        atom.degree = count
-    return valence
-
-
-def _mark_rings(graph: MolecularGraph) -> None:
-    """Set in_ring on bonds (non-bridges) and atoms (touching a ring bond)."""
-    n = graph.num_atoms
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for bi, bond in enumerate(graph.bonds):
-        adj[bond.a].append((bond.b, bi))
-        adj[bond.b].append((bond.a, bi))
-
-    disc = [-1] * n
-    low = [0] * n
-    is_bridge = [False] * len(graph.bonds)
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        # iterative DFS; each stack frame is (vertex, parent edge, child iter)
-        stack = [(root, -1, iter(adj[root]))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, parent_edge, children = stack[-1]
-            advanced = False
-            for w, edge in children:
-                if edge == parent_edge:
-                    continue
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, edge, iter(adj[w])))
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] > disc[u]:
-                        is_bridge[parent_edge] = True
-
-    for bi, bond in enumerate(graph.bonds):
-        bond.in_ring = not is_bridge[bi]
-    for atom in graph.atoms:
-        atom.in_ring = False
-    for bond in graph.bonds:
-        if bond.in_ring:
-            graph.atoms[bond.a].in_ring = True
-            graph.atoms[bond.b].in_ring = True
+    return MolecularGraph(atoms, bonds)
 
 
 # featurization vocabularies: 12 named elements plus an "other" bucket
@@ -468,7 +428,7 @@ def scaffold_key(graph: FeaturizedGraph) -> ScaffoldKey:
     degree <= 1: ring systems and the linkers between them; acyclic
     molecules reduce to the empty scaffold, which maps to a fixed sentinel
     key. Scaffold atom labels start from the atomic number and are refined
-    for num_atoms rounds over the multiset of (bond order, neighbor label)
+    once per scaffold atom over the multiset of (bond order, neighbor label)
     pairs, then hashed order-independently. Atoms in the "other" element
     bucket, which ``parse_smiles`` never produces, all share the label
     "other".

@@ -222,6 +222,8 @@ class TrainSettings:
     batch_size: int = 512
     seed: int = 0
     lr: float = 0.01
+    # unread: adamw_step applies OptimizerState.weight_decay. Its last
+    # writer is perfbench/workloads.py; delete it with that argument.
     weight_decay: float = 0.01
     beta: float = 0.1
     toggles: LossToggles = LossToggles()
@@ -292,15 +294,22 @@ class MetricsLog:
     """Comma-separated metrics file, one row per (epoch, task, split).
 
     The ``auc`` field is empty when undefined (single-class task). The
-    ``task_id`` "__mean__" row carries the cross-task mean.
+    ``task_id`` "__mean__" row carries the cross-task mean. Opening the log
+    keeps an existing file's rows of epochs before ``first_epoch`` and drops
+    the rest, so a run resumed at that epoch writes each row once.
     """
 
-    def __init__(self, path, append: bool = False):
+    def __init__(self, path, first_epoch: int = 0):
         self.path = path
-        if append and os.path.exists(path):
-            return
+        kept = []
+        if first_epoch > 0 and os.path.exists(path):
+            with open(path, newline="") as fh:
+                kept = [row for row in list(csv.reader(fh))[1:]
+                        if row and row[0].isdecimal() and int(row[0]) < first_epoch]
         with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerow(METRICS_HEADER)
+            writer = csv.writer(fh)
+            writer.writerow(METRICS_HEADER)
+            writer.writerows(kept)
 
     def append(self, metrics: EpochMetrics) -> None:
         losses = metrics.loss_means

@@ -106,9 +106,8 @@ def run_training(records, tasks, cfg: ModelConfig, seed: int, epochs: int,
     """Train a fresh model for the full epoch budget; ``per_epoch`` gets
     (model, settings, epoch) after every epoch."""
     model = Model.create(cfg, seed=seed)
-    settings = TrainSettings(batch_size=batch_size, seed=seed,
-                             lr=lr, weight_decay=weight_decay, beta=beta,
-                             toggles=toggles)
+    settings = TrainSettings(batch_size=batch_size, seed=seed, lr=lr,
+                             beta=beta, toggles=toggles)
     opt = OptimizerState.create(model.parameters(), lr=lr,
                                 weight_decay=weight_decay)
     batches = -(-len(records) // batch_size)
@@ -293,8 +292,7 @@ def test_05_synthetic_overfit():
                       num_experts=8, k_s=2, k_t=4, pool_ratio=0.5, task_dim=16)
     model = Model.create(cfg, seed=1)
     epochs = 200
-    settings = TrainSettings(batch_size=100, seed=1, lr=0.01,
-                             weight_decay=0.001, beta=0.1,
+    settings = TrainSettings(batch_size=100, seed=1, lr=0.01, beta=0.1,
                              toggles=LossToggles())
     opt = OptimizerState.create(model.parameters(), lr=0.01, weight_decay=0.001)
     schedule = ScheduleConfig(total_steps=epochs * 2)
@@ -441,8 +439,7 @@ def test_09_unseen_task_routing():
     model = run_training(train_recs, tasks, cfg, seed=0, epochs=40, lr=0.02,
                          weight_decay=0.001, beta=0.1, toggles=LossToggles(),
                          batch_size=60)
-    settings = TrainSettings(batch_size=60, seed=0, lr=0.02,
-                             weight_decay=0.001, beta=0.1,
+    settings = TrainSettings(batch_size=60, seed=0, lr=0.02, beta=0.1,
                              toggles=LossToggles())
     metrics = evaluate(model, eval_recs, tasks, settings, split="test")
     auc = metrics.per_task_auc["B"]

@@ -243,6 +243,37 @@ class TestTrain:
         for name in final.params:
             assert np.array_equal(resumed.params[name], final.params[name])
 
+    def test_resumed_metrics_match_unbroken_run(self, workdir, tmp_path,
+                                                capsys):
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text(TINY_CFG.format(data=workdir["data"],
+                                       splits=workdir["splits"],
+                                       out=tmp_path / "run")
+                       .replace("epochs = 2", "epochs = 3")
+                       + "checkpoint_every = 1\n")
+        assert main(["train", "--config", str(cfg)]) == 0
+        metrics = tmp_path / "run" / "metrics.csv"
+        unbroken = metrics.read_bytes()
+        checkpoint = tmp_path / "epoch1.bin"
+        shutil.copy(tmp_path / "run" / "checkpoint-epoch1.bin", checkpoint)
+
+        # in place: the rows of epochs 1 and 2 are written once, not twice
+        assert main(["train", "--config", str(cfg), "--resume",
+                     str(checkpoint)]) == 0
+        assert metrics.read_bytes() == unbroken
+
+        # a fresh out_dir gets the header and the resumed epochs only
+        fresh = tmp_path / "fresh.cfg"
+        fresh.write_text(cfg.read_text().replace(str(tmp_path / "run"),
+                                                 str(tmp_path / "fresh")))
+        assert main(["train", "--config", str(fresh), "--resume",
+                     str(checkpoint)]) == 0
+        capsys.readouterr()
+        header, *rows = unbroken.splitlines(keepends=True)
+        assert rows and all(r[:2] in (b"0,", b"1,", b"2,") for r in rows)
+        assert (tmp_path / "fresh" / "metrics.csv").read_bytes() == b"".join(
+            [header] + [r for r in rows if not r.startswith(b"0,")])
+
     @pytest.mark.parametrize("edit", [
         lambda text: text,
         lambda text: text.replace("epochs = 2", "epochs = 4") + "stop_after = 2\n",

@@ -123,6 +123,5 @@ class TestDerivedViews:
         assert ts.batch_size == 64
         assert ts.seed == 3
         assert ts.lr == 0.002
-        assert ts.weight_decay == 0.05
         assert ts.beta == 0.2
         assert ts.toggles == LossToggles(imp=False)

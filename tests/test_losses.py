@@ -326,7 +326,7 @@ class TestOverall:
         lb = overall_loss(*self._parts(rng), 0.1)
         out = lb.floats()
         assert set(out) == {"base", "att", "exp", "imp", "lod", "col",
-                            "overall", "beta"}
+                            "overall"}
 
     def test_backward_reaches_inputs(self):
         base = Tensor(np.asarray(0.5), requires_grad=True)

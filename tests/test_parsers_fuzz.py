@@ -3,6 +3,8 @@
 Each must return a value or raise the package's own error type, never a
 stray IndexError, KeyError, csv.Error, UnicodeDecodeError or bare
 ValueError: the CLI maps exactly the package's errors to exit code 2.
+SMILES that a strategy writes valid by construction also check the parser's
+ring flags and degrees against a brute-force reference.
 """
 
 import hashlib
@@ -49,6 +51,122 @@ def test_parse_smiles_returns_or_raises_smiles_error(smiles):
         parse_smiles(smiles)
     except SmilesError:
         pass
+
+
+ORGANIC_MAX_VALENCE = [("C", 4), ("N", 3), ("O", 2), ("S", 6), ("P", 5),
+                       ("B", 3), ("F", 1), ("Cl", 1), ("Br", 1)]
+BRACKET_ATOMS = ["[C]", "[N+]", "[O-]", "[CH2]", "[13C]"]  # no valence ceiling
+AROMATIC_ATOMS = ["c", "n", "o", "s", "[nH]"]
+BOND_UNITS = {"": 1, "-": 1, "=": 2, "#": 3, ":": 1}
+
+
+def _ring_label(number):
+    return str(number) if number < 10 else f"%{number}"
+
+
+@st.composite
+def valid_smiles(draw):
+    """A SMILES written from a random spanning tree plus random extra bonds.
+
+    The tree gives chains and branches; each extra bond becomes a ring
+    closure, so fused, spiro and bridged rings all arise. Ring numbers come
+    from the free ones, often the lowest (so numbers are reused) and often
+    above 9 (written %nn). Elements and bond orders respect each atom's
+    valence ceiling; aromatic and bracket atoms have none.
+    """
+    n = draw(st.integers(1, 14))
+    parent = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    children = [[] for _ in range(n)]
+    for child, par in enumerate(parent, start=1):
+        children[par].append(child)
+    edges = {frozenset(e) for e in enumerate(parent, start=1)}
+    closures = []
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=6)):
+        if u != v and frozenset((u, v)) not in edges:
+            edges.add(frozenset((u, v)))
+            closures.append((u, v))
+
+    aromatic = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    symbol, units = {}, [0] * n
+    for a, b in sorted(tuple(sorted(e)) for e in edges):
+        choices = ["", "-", "=", "#"] + ([":"] if aromatic[a] and aromatic[b] else [])
+        sym = symbol[frozenset((a, b))] = draw(st.sampled_from(choices))
+        units[a] += BOND_UNITS[sym]
+        units[b] += BOND_UNITS[sym]
+    token = [draw(st.sampled_from(
+        AROMATIC_ATOMS if aromatic[i] else
+        [s for s, cap in ORGANIC_MAX_VALENCE if cap >= units[i]] + BRACKET_ATOMS))
+        for i in range(n)]
+
+    order, stack = [], [0]  # the writer's preorder
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        stack.extend(reversed(children[i]))
+    position = {atom: k for k, atom in enumerate(order)}
+    opens = [[] for _ in range(n)]
+    closes = [[] for _ in range(n)]
+    for u, v in closures:
+        first, second = sorted((u, v), key=position.get)
+        opens[first].append((first, second))
+        closes[second].append((first, second))
+    ring_text = [""] * n
+    number, side = {}, {}
+    for i in order:  # closes before opens, so an atom may reuse a number
+        for edge in closes[i]:
+            sym = symbol[frozenset(edge)] if side[edge] != "open" else ""
+            ring_text[i] += sym + _ring_label(number.pop(edge))
+        for edge in opens[i]:
+            free = [k for k in range(1, 100) if k not in number.values()]
+            number[edge] = draw(st.sampled_from(free[:1]) | st.sampled_from(free))
+            side[edge] = draw(st.sampled_from(["open", "close", "both"]))
+            sym = symbol[frozenset(edge)] if side[edge] != "close" else ""
+            ring_text[i] += sym + _ring_label(number[edge])
+
+    def write(i):
+        text = token[i] + ring_text[i]
+        for k, child in enumerate(children[i]):
+            part = symbol[frozenset((i, child))] + write(child)
+            text += part if k == len(children[i]) - 1 else f"({part})"
+        return text
+
+    return write(0)
+
+
+def _connected_without(num_atoms, ends, skip):
+    """Whether bond ``skip``'s two atoms stay connected when it is removed."""
+    adjacency = [[] for _ in range(num_atoms)]
+    for k, (a, b) in enumerate(ends):
+        if k != skip:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+    start, goal = ends[skip]
+    seen, frontier = {start}, [start]
+    while frontier:
+        for w in adjacency[frontier.pop()]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return goal in seen
+
+
+@settings(deadline=None, max_examples=300)
+@given(valid_smiles())
+@example("c1ccc2ccccc2c1")  # fused
+@example("C1CCC2(CC1)CCCC2")  # spiro
+@example("C1CC2CCC1C2")  # bridged
+@example("c1ccc(cc1)-c1ccccc1")  # ring number reused; the linker is a bridge
+@example("C1CC1C1CC1")
+def test_ring_flags_and_degrees_match_a_brute_force_reference(smiles):
+    graph = parse_smiles(smiles)
+    ends = [(bond.a, bond.b) for bond in graph.bonds]
+    for k, bond in enumerate(graph.bonds):
+        assert bond.in_ring == _connected_without(graph.num_atoms, ends, k), (k, bond)
+    for i, atom in enumerate(graph.atoms):
+        own = [bond for bond in graph.bonds if i in (bond.a, bond.b)]
+        assert atom.degree == len(own), (i, atom)
+        assert atom.in_ring == any(bond.in_ring for bond in own), (i, atom)
 
 
 @settings(deadline=None, max_examples=100)

@@ -196,8 +196,7 @@ def tiny_setup(seed=0, records=40):
 class TestTrainingLoop:
     def test_epoch_advances_steps_and_reports(self):
         model, data, tasks, settings = tiny_setup()
-        opt = OptimizerState.create(model.parameters(), lr=settings.lr,
-                                    weight_decay=settings.weight_decay)
+        opt = OptimizerState.create(model.parameters(), lr=settings.lr)
         sched = ScheduleConfig(total_steps=4)
         metrics, step = train_epoch(model, data, tasks, settings, opt, sched,
                                     epoch=0, start_step=0)
@@ -213,8 +212,7 @@ class TestTrainingLoop:
         runs = []
         for _ in range(2):
             model, data, tasks, settings = tiny_setup(seed=3)
-            opt = OptimizerState.create(model.parameters(), lr=settings.lr,
-                                        weight_decay=settings.weight_decay)
+            opt = OptimizerState.create(model.parameters(), lr=settings.lr)
             sched = ScheduleConfig(total_steps=4)
             step = 0
             for epoch in range(2):
@@ -230,8 +228,7 @@ class TestTrainingLoop:
     def test_training_changes_parameters(self):
         model, data, tasks, settings = tiny_setup(seed=4)
         before = {n: p.data.copy() for n, p in model.parameters().items()}
-        opt = OptimizerState.create(model.parameters(), lr=settings.lr,
-                                    weight_decay=settings.weight_decay)
+        opt = OptimizerState.create(model.parameters(), lr=settings.lr)
         train_epoch(model, data, tasks, settings, opt,
                     ScheduleConfig(total_steps=2), 0, 0)
         changed = [n for n, p in model.parameters().items()
@@ -242,8 +239,7 @@ class TestTrainingLoop:
     def test_non_finite_batches_are_skipped_and_counted(self):
         model, data, tasks, settings = tiny_setup(seed=5)
         model.integrator.bias.data[0] = np.inf
-        opt = OptimizerState.create(model.parameters(), lr=settings.lr,
-                                    weight_decay=settings.weight_decay)
+        opt = OptimizerState.create(model.parameters(), lr=settings.lr)
         metrics, step = train_epoch(model, data, tasks, settings, opt,
                                     ScheduleConfig(total_steps=2), 0, 0)
         assert step == 2
@@ -300,8 +296,7 @@ class TestMetricsLog:
             per_task_auc={"A": 0.75, "B": None},
             mean_auc=0.75,
             loss_means={"base": 0.5, "att": 0.25, "exp": 1.5, "imp": 0.1,
-                        "lod": 0.2, "col": 2.05, "overall": 0.705,
-                        "beta": 0.1},
+                        "lod": 0.2, "col": 2.05, "overall": 0.705},
             max_gate_share=0.6,
         )
         log.append(metrics)
