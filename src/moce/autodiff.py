@@ -133,6 +133,12 @@ class Tape:
         """Gradients of the scalar ``loss`` with respect to every
         requires_grad leaf reachable from it, as a map keyed by leaf. A leaf
         the loss does not reach has no entry.
+
+        Nodes are visited in reverse tape order, and the gradients reaching
+        one tensor add up in that order, in place into buffers the tape
+        made (see ``_accumulate``); an array a vector-Jacobian product
+        returned is never written. Each returned gradient is a dense array
+        of its own.
         """
         if loss.data.size != 1:
             raise NotScalar(f"loss must be scalar, got shape {loss.data.shape}")
@@ -140,31 +146,78 @@ class Tape:
             raise NotScalar("loss is not an output of this tape")
 
         start = loss.node.pos
-        node_grads: dict[int, np.ndarray] = {
-            id(loss.node): np.ones_like(loss.data)
-        }
+        node_grads: dict[Node, np.ndarray] = {loss.node: np.ones_like(loss.data)}
         leaf_grads: dict[Tensor, np.ndarray] = {}
+        owned: set = set()
 
         for pos in range(start, -1, -1):
             node = self.nodes[pos]
-            gout = node_grads.pop(id(node), None)
+            gout = node_grads.pop(node, None)
             if gout is None:
                 continue
             for tensor, gin in zip(node.inputs, node.vjp(gout)):
                 if gin is None:
                     continue
                 if self._owns(tensor.node):
-                    key = id(tensor.node)
-                    if key in node_grads:
-                        node_grads[key] = node_grads[key] + gin
-                    else:
-                        node_grads[key] = gin
+                    _accumulate(node_grads, owned, tensor.node, gin)
                 elif tensor.requires_grad:
-                    if tensor in leaf_grads:
-                        leaf_grads[tensor] = leaf_grads[tensor] + gin
-                    else:
-                        leaf_grads[tensor] = gin.copy()
+                    _accumulate(leaf_grads, owned, tensor, gin)
+        for tensor, grad in leaf_grads.items():
+            if tensor not in owned:
+                leaf_grads[tensor] = grad.copy()
         return leaf_grads
+
+
+class RowSparse:
+    """A gradient that is zero outside ``rows``: ``values[i]`` is row
+    ``rows[i]`` (unique) of the dense array of ``shape``. A vector-Jacobian
+    product may return one; ``Tape.backward`` adds it in and never hands it
+    out."""
+
+    __slots__ = ("shape", "rows", "values")
+
+    def __init__(self, shape: tuple, rows: np.ndarray, values: np.ndarray):
+        self.shape = shape
+        self.rows = rows
+        self.values = values
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.values.dtype)
+        out[self.rows] = self.values
+        return out
+
+
+def _accumulate(grads: dict, owned: set, key, gin) -> None:
+    """Add the gradient ``gin`` into ``grads[key]``.
+
+    A first arrival is stored as it is: it may alias an array the tape does
+    not own (``add`` hands one gradient to both inputs, ``reshape`` returns
+    a view). A row-sparse one is densified into a fresh buffer. A later
+    arrival adds in place into a buffer the tape owns when the sum keeps
+    its dtype, and otherwise into a fresh, owned copy. Each element gets the
+    additions of the out-of-place sums, in the same order, except that a
+    row-sparse gradient adds no +0.0 to its zero rows, so a -0.0 held there
+    stays -0.0.
+    """
+    held = grads.get(key)
+    if held is None:
+        if isinstance(gin, RowSparse):
+            gin = gin.dense()
+            owned.add(key)
+        grads[key] = gin
+        return
+    if isinstance(gin, RowSparse):
+        dtype = np.result_type(held, gin.values)
+        if key not in owned or dtype != held.dtype:
+            held = grads[key] = held.astype(dtype)
+            owned.add(key)
+        held[gin.rows] += gin.values
+    elif key in owned and np.result_type(held, gin) == held.dtype:
+        np.add(held, gin, out=held)
+    else:
+        grads[key] = held + gin
+        if isinstance(grads[key], np.ndarray):  # 0-d operands sum to a scalar
+            owned.add(key)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -420,9 +473,8 @@ def pool_rows(x: Tensor, scores: Tensor, weights, segment_ids,
     out_data = _index_add((num_segments, x.data.shape[1]), kept.dtype, seg, kept)
 
     def dx(g):
-        out = np.zeros_like(x.data)
-        out[rows] = np.asarray(g)[seg] * scale
-        return out
+        return RowSparse(x.data.shape, rows, (np.asarray(g)[seg] * scale)
+                         .astype(x.data.dtype, copy=False))
 
     def dscores(g):
         out = np.zeros_like(scores.data)
@@ -493,6 +545,15 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _op(out_data, tuple(tensors), *pieces)
 
 
+def check_rel_tol(rel_tol: float) -> float:
+    """``rel_tol`` if it is a finite positive number, else ValueError: a
+    check ``rel > rel_tol`` against NaN is never true and passes anything."""
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(
+            f"tolerance must be a finite positive number, got {rel_tol!r}")
+    return rel_tol
+
+
 @dataclass
 class FdReport:
     """Result of a finite-difference gradient verification run."""
@@ -526,8 +587,10 @@ def finite_diff_check(
     coordinates per input is checked, drawn from ``rng`` without
     replacement, tensor by tensor in input order. The relative error metric
     is |g_ad - g_fd| / (|g_ad| + |g_fd| + 1e-12). Inputs should be float64
-    for the stated tolerances to be meaningful.
+    for the stated tolerances to be meaningful. ``rel_tol`` must be a finite
+    positive number.
     """
+    check_rel_tol(rel_tol)
     with Tape() as tape:
         loss = f(*inputs)
         grads = tape.backward(loss)

@@ -135,8 +135,10 @@ class _Reader:
 
 def deserialize(blob) -> CheckpointData:
     """Decode a checkpoint from any bytes-like object, verifying signature,
-    version and checksum. The arrays are views of `blob`, which they keep
-    alive; they are writable when `blob` is."""
+    version and checksum, and that the counters are non-negative and the
+    learning rate and weight decay finite and non-negative. The arrays are
+    views of `blob`, which they keep alive; they are writable when `blob`
+    is."""
     view = memoryview(blob).cast("B")
     if len(view) < len(MAGIC) + 4 + 32:
         raise CorruptCheckpoint("file too short to be a checkpoint")
@@ -161,6 +163,14 @@ def deserialize(blob) -> CheckpointData:
         raise CorruptCheckpoint(
             f"Adam decay rates and epsilon {tuple(adam)} differ from the fixed "
             f"{(ADAM_BETA1, ADAM_BETA2, ADAM_EPS)}")
+    for name, value in (("seed", seed), ("epoch", epoch), ("step", step),
+                        ("opt_step_count", opt_step_count)):
+        if value < 0:
+            raise CorruptCheckpoint(f"{name} is negative ({value})")
+    for name, value in (("lr", lr), ("weight_decay", weight_decay)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise CorruptCheckpoint(
+                f"{name} must be finite and non-negative, got {value}")
     (num_params,) = reader.unpack("<I")
     ckpt = CheckpointData(config_text=config_text, seed=seed, epoch=epoch,
                           step=step, opt_step_count=opt_step_count, lr=lr,

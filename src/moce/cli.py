@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, check_rel_tol
 from .checkpoint import (CheckpointError, load_checkpoint, restore_model,
                          restore_optimizer, save_checkpoint)
 from .config import ConfigError, RunConfig, default_config_text, load_config, parse_config
@@ -38,9 +38,14 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_VERIFY = 3
 
+
+class NonFiniteLogit(ValueError):
+    """The model scored a molecule NaN or infinite."""
+
+
 DATA_ERRORS = (DatasetError, SmilesError, UnsupportedElement, EmptyClass,
                ConfigError, CheckpointError, TaskEmbeddingError,
-               MissingTaskEmbedding, OSError)
+               MissingTaskEmbedding, NonFiniteLogit, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,10 +91,18 @@ def _build_parser() -> _Parser:
     p_grad = sub.add_parser("gradcheck",
                             help="verify gradients by finite differences")
     p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument("--tol", type=float, default=1e-4)
+    p_grad.add_argument("--tol", type=_tolerance, default=1e-4,
+                        help="finite positive relative error bound")
 
     sub.add_parser("show-config", help="print every config key at its default")
     return parser
+
+
+def _tolerance(text: str) -> float:
+    try:
+        return check_rel_tol(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_fractions(text: str) -> tuple[float, float, float]:
@@ -288,6 +301,9 @@ def cmd_predict(args) -> int:
 
     result = model.forward(batch, t, noise_on=False)
     logit = float(result.logits.data[0])
+    if not math.isfinite(logit):
+        raise NonFiniteLogit(f"the model's logit is {logit}; the checkpoint "
+                             "holds non-finite parameters or overflows")
     prob = 1.0 / (1.0 + math.exp(-logit)) if logit > -500 else 0.0
 
     print(f"smiles: {args.smiles}")

@@ -297,12 +297,30 @@ def _sag_weights(scores: np.ndarray, offsets: np.ndarray,
                  pool_ratio: float) -> np.ndarray:
     """Constant per-node weights: 1/n_selected on each graph's top
     ceil(kappa * n) rows by score (ties to the lower row), 0 off. Graph g
-    owns rows offsets[g]:offsets[g + 1]."""
+    owns rows offsets[g]:offsets[g + 1].
+
+    One graph takes ``topk_indices`` directly. A batch writes the negated
+    scores into a (B, n_max) grid padded with NaN and sorts every row at
+    once, stably: NaN sorts last, so row g's first n_g columns are graph
+    g's own ``topk_indices`` order, NaN scores included, and the first
+    ceil(kappa * n_g) of them are its selection.
+    """
     weights = np.zeros_like(scores)
-    bounds = offsets.tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        n_sel = int(math.ceil(pool_ratio * (hi - lo)))
-        weights[topk_indices(scores[lo:hi], n_sel) + lo] = 1.0 / n_sel
+    if len(offsets) == 2:
+        n_sel = int(math.ceil(pool_ratio * scores.size))
+        weights[topk_indices(scores, n_sel)] = 1.0 / n_sel
+        return weights
+    starts = offsets[:-1]
+    sizes = np.diff(offsets)
+    width = int(sizes.max())
+    cells = np.arange(scores.size) + np.repeat(
+        np.arange(sizes.size) * width - starts, sizes)
+    grid = np.full(sizes.size * width, np.nan, dtype=scores.dtype)
+    grid[cells] = -scores
+    order = grid.reshape(-1, width).argsort(axis=1, kind="stable")
+    n_sel = np.ceil(pool_ratio * sizes).astype(np.intp)
+    keep = np.arange(width) < n_sel[:, None]
+    weights[(order + starts[:, None])[keep]] = np.repeat(1.0 / n_sel, n_sel)
     return weights
 
 

@@ -462,6 +462,236 @@ class TestTapeSemantics:
         assert np.array_equal(ga1, ga2) and np.array_equal(gb1, gb2)
 
 
+def _reference_backward(tape, loss):
+    """The accumulation ``Tape.backward`` must match: every gradient made
+    dense, each arrival summed out of place in reverse tape order."""
+    def dense(g):
+        return g.dense() if isinstance(g, ad.RowSparse) else g
+
+    node_grads = {id(loss.node): np.ones_like(loss.data)}
+    leaf_grads = {}
+    for node in reversed(tape.nodes[:loss.node.pos + 1]):
+        gout = node_grads.pop(id(node), None)
+        if gout is None:
+            continue
+        for tensor, gin in zip(node.inputs, node.vjp(gout)):
+            if gin is None:
+                continue
+            gin = dense(gin)
+            if tape._owns(tensor.node):
+                key = id(tensor.node)
+                node_grads[key] = (node_grads[key] + gin if key in node_grads
+                                   else gin)
+            elif tensor.requires_grad:
+                leaf_grads[tensor] = (leaf_grads[tensor] + gin
+                                      if tensor in leaf_grads else gin.copy())
+    return leaf_grads
+
+
+def _watch_vjps(tape):
+    """Wrap every node's vector-Jacobian product to keep each array it
+    returns together with a copy taken on return."""
+    returned = []
+
+    def watched(vjp):
+        def run(g):
+            out = vjp(g)
+            for gin in out:
+                for arr in ((gin.values,) if isinstance(gin, ad.RowSparse)
+                            else (gin,)):
+                    if isinstance(arr, np.ndarray):
+                        returned.append((arr, arr.copy()))
+            return out
+        return run
+
+    for node in tape.nodes:
+        node.vjp = watched(node.vjp)
+    return returned
+
+
+def _both_backwards(build, leaves):
+    """Leaf gradients of ``build()`` from the reference and from
+    ``Tape.backward`` (run second, on the same tape), and whether backward
+    left every array a vector-Jacobian product returned as it was."""
+    with Tape() as tape:
+        loss = build()
+        want = _reference_backward(tape, loss)
+        returned = _watch_vjps(tape)
+        inputs = [t.data.copy() for t in leaves]
+        got = tape.backward(loss)
+    untouched = (all(a.tobytes() == b.tobytes() for a, b in returned)
+                 and all(t.data.tobytes() == c.tobytes()
+                         for t, c in zip(leaves, inputs)))
+    return got, want, untouched
+
+
+class TestFanIn:
+    """Gradients reaching one tensor from several consumers add in reverse
+    tape order, in place once the tape owns the buffer, with the bits of
+    the out-of-place sums."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_many_consumers_of_a_node_and_a_leaf(self, dtype):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(size=(5, 3)).astype(dtype), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 3)).astype(dtype), requires_grad=True)
+        c = Tensor(rng.normal(size=(5, 3)).astype(dtype))
+
+        def build():
+            h = ad.tanh(x)
+            terms = [ad.mul(h, c), ad.matmul(h, w), ad.relu(h),
+                     ad.mul(h, h), ad.sub(x, h), ad.matmul(x, w)]
+            total = terms[0]
+            for t in terms[1:]:
+                total = ad.add(total, t)
+            return ad.reduce_sum(total)
+
+        got, want, untouched = _both_backwards(build, [x, w])
+        assert untouched
+        for leaf in (x, w):
+            assert got[leaf].dtype == dtype
+            assert got[leaf].tobytes() == want[leaf].tobytes()
+
+    def test_add_of_a_tensor_to_itself(self):
+        x = Tensor(np.array([0.5, -1.5, 2.0]), requires_grad=True)
+
+        def build():
+            h = ad.tanh(x)
+            twice = ad.add(h, h)          # one g, handed to h twice
+            thrice = ad.add(twice, h)
+            return ad.reduce_sum(ad.add(ad.add(thrice, x), x))
+
+        got, want, untouched = _both_backwards(build, [x])
+        assert untouched
+        assert got[x].tobytes() == want[x].tobytes()
+        np.testing.assert_allclose(got[x], 3 * (1 - np.tanh(x.data) ** 2) + 2)
+
+    def test_reshape_view_is_never_written(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
+        c = Tensor(rng.normal(size=(3, 4)))
+
+        def build():
+            h = ad.tanh(x)
+            # reshape's gradient is a view of the gradient of r; it is h's
+            # first arrival, and the later ones must not add into it
+            r = ad.reshape(ad.mul(h, Tensor(2.0)), (3, 4))
+            s = ad.add(ad.mul(r, c), ad.reshape(h, (3, 4)))
+            return ad.reduce_sum(ad.add(ad.reduce_sum(s), ad.reduce_sum(
+                ad.mul(h, h))))
+
+        got, want, untouched = _both_backwards(build, [x])
+        assert untouched
+        assert got[x].tobytes() == want[x].tobytes()
+
+    def test_leaves_sharing_one_gradient_get_arrays_of_their_own(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            grads = tape.backward(ad.reduce_sum(ad.add(a, b)))
+        assert grads[a] is not grads[b]
+        assert not np.shares_memory(grads[a], grads[b])
+        grads[a] += 1.0
+        np.testing.assert_array_equal(grads[b], np.ones(3))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_row_sparse_arrivals_add_only_their_rows(self, dtype):
+        """pool_rows hands back only its kept rows of x; summed with dense
+        arrivals before and after it, x's gradient equals the dense sum."""
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(6, 2)).astype(dtype), requires_grad=True)
+        s = Tensor(rng.normal(size=(6, 1)).astype(dtype), requires_grad=True)
+        ids = np.array([0, 0, 1, 1, 1, 2])
+
+        def build():
+            h = ad.tanh(x)
+            first = ad.pool_rows(h, s, np.array([1, 0, 0.5, 0.5, 0, 1], dtype),
+                                 ids, 3)
+            second = ad.pool_rows(h, s, np.array([0, 1, 0, 0.5, 0.5, 0], dtype),
+                                  ids, 3)
+            dense = ad.reduce_sum(ad.mul(h, h))
+            return ad.add(ad.reduce_sum(ad.add(first, second)), dense)
+
+        got, want, untouched = _both_backwards(build, [x, s])
+        assert untouched
+        for leaf in (x, s):
+            assert got[leaf].dtype == dtype
+            assert np.array_equal(got[leaf], want[leaf])
+
+    def test_row_sparse_onto_a_shared_gradient(self):
+        """h's first arrival is the one array ``add`` hands to h and k
+        both; pool_rows' rows then go into a copy, not into k's gradient."""
+        x = Tensor(np.linspace(-1.0, 1.0, 8).reshape(4, 2), requires_grad=True)
+        s = Tensor(np.full((4, 1), 0.5))
+
+        def build():
+            h = ad.tanh(x)
+            pooled = ad.pool_rows(h, s, np.array([1.0, 0.0, 0.5, 0.5]),
+                                  np.array([0, 0, 1, 1]), 2)
+            k = ad.mul(x, x)
+            return ad.add(ad.reduce_sum(pooled), ad.reduce_sum(ad.add(h, k)))
+
+        got, want, untouched = _both_backwards(build, [x])
+        assert untouched
+        assert got[x].tobytes() == want[x].tobytes()
+
+    def test_row_sparse_first_arrival_at_a_leaf_is_dense(self):
+        x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        with Tape() as tape:
+            out = ad.pool_rows(x, Tensor(np.ones((3, 1))),
+                               np.array([0.5, 0.0, 0.5]), np.zeros(3, int), 1)
+            grads = tape.backward(ad.reduce_sum(out))
+        assert type(grads[x]) is np.ndarray
+        np.testing.assert_array_equal(grads[x], [[0.5, 0.5], [0, 0], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_small_model_gradients_and_adamw_step(self, dtype):
+        """A two-block model on a batch of four molecules: every leaf
+        gradient equals the reference accumulation, and one AdamW step from
+        either gives the same parameter and moment bytes."""
+        from moce.encoder import batch_graphs
+        from moce.model import Model, ModelConfig, model_loss
+        from moce.molgraph import featurize, parse_smiles
+        from moce.train import OptimizerState, adamw_step
+
+        cfg = ModelConfig(embed_dim=6, num_gnn_layers=2,
+                          num_processing_layers=2, num_experts=4, k_s=2,
+                          k_t=3, pool_ratio=0.5, task_dim=5)
+        batch = batch_graphs([featurize(parse_smiles(s)) for s in
+                              ("CCO", "c1ccccc1O", "C", "CC(=O)NC1CC1")])
+        rng = np.random.default_rng(21)
+        tasks = Tensor(rng.normal(size=(4, 5)).astype(dtype))
+        labels = np.array([1.0, 0.0, 1.0, 0.0])
+
+        def state():
+            model = Model.create(cfg, seed=21, dtype=dtype)
+            return model, OptimizerState.create(model.parameters(), lr=0.01)
+
+        model, _ = state()
+        params = model.parameters()
+
+        def build():
+            rngs = [np.random.default_rng(70 + b) for b in range(2)]
+            out = model.forward(batch, tasks, noise_on=True, rngs=rngs)
+            return model_loss(model, out, labels, beta=0.5).overall
+
+        got, want, untouched = _both_backwards(build, list(params.values()))
+        assert untouched
+        assert got.keys() == want.keys() == set(params.values())
+        for name, p in params.items():
+            assert got[p].dtype == dtype, name
+            assert np.array_equal(got[p], want[p]), name
+
+        after = []
+        for grads in (got, want):
+            fresh, opt = state()
+            live = fresh.parameters()
+            adamw_step(live, {n: grads[params[n]] for n in params}, opt)
+            after.append([arr.tobytes() for n in sorted(live)
+                          for arr in (live[n].data, opt.m[n], opt.v[n])])
+        assert after[0] == after[1]
+
+
 def _fd_single(op, x_data, **kwargs):
     x = Tensor(np.asarray(x_data, dtype=np.float64), requires_grad=True)
     return finite_diff_check(
@@ -617,6 +847,13 @@ class TestFiniteDiffHarness:
         assert report.passed
         assert report.coordinates_checked == 2
         assert report.max_rel_error < 1e-6
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_meaningless_tolerance_rejected(self, tol):
+        x = Tensor(np.array([0.3, -0.2]), requires_grad=True)
+        with pytest.raises(ValueError, match="finite positive"):
+            finite_diff_check(lambda t: ad.reduce_sum(ad.tanh(t)), [x],
+                              rel_tol=tol)
 
     def test_detects_a_wrong_derivative(self, monkeypatch):
         """A deliberately corrupted softplus derivative must fail the check."""

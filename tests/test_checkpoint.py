@@ -251,13 +251,16 @@ class TestCorruption:
 
 
 def sealed_body(config=b"", name=b"w", header=struct.pack("<BI", 1, 2),
-                data=bytes(16), adam=(0.9, 0.999, 1e-8)) -> bytes:
+                data=bytes(16), adam=(0.9, 0.999, 1e-8), counters=(0, 0, 0, 0),
+                rates=(0.01, 0.0)) -> bytes:
     """A checkpoint with one parameter, built field by field and given a
-    valid checksum, so only the named field can be at fault."""
+    valid checksum, so only the named field can be at fault. ``counters``
+    are seed, epoch, step and opt_step_count; ``rates`` lr and
+    weight_decay."""
     body = MAGIC + struct.pack("<I", FORMAT_VERSION)
     body += struct.pack("<I", len(config)) + config
-    body += struct.pack("<qqqq", 0, 0, 0, 0)
-    body += struct.pack("<ddddd", 0.01, 0.0, *adam)
+    body += struct.pack("<qqqq", *counters)
+    body += struct.pack("<ddddd", *rates, *adam)
     body += struct.pack("<IH", 1, len(name)) + name + (header + data) * 3
     return body + hashlib.sha256(body).digest()
 
@@ -293,6 +296,33 @@ class TestChecksumValidBodies:
     def test_adam_slots_other_than_the_fixed_constants(self, adam):
         with pytest.raises(CorruptCheckpoint, match="Adam"):
             deserialize(sealed_body(adam=adam))
+
+    @pytest.mark.parametrize("field", range(4),
+                             ids=["seed", "epoch", "step", "opt_step_count"])
+    def test_negative_counter(self, field):
+        counters = [0, 0, 0, 0]
+        counters[field] = -5 if field == 3 else -1
+        name = ("seed", "epoch", "step", "opt_step_count")[field]
+        with pytest.raises(CorruptCheckpoint, match=name):
+            deserialize(sealed_body(counters=tuple(counters)))
+
+    @pytest.mark.parametrize("rates", [(float("nan"), 0.0),
+                                       (float("inf"), 0.0), (-0.01, 0.0),
+                                       (0.01, float("nan")),
+                                       (0.01, float("-inf")), (0.01, -1.0)],
+                             ids=["lr-nan", "lr-inf", "lr-negative",
+                                  "weight_decay-nan", "weight_decay-inf",
+                                  "weight_decay-negative"])
+    def test_impossible_rate(self, rates):
+        name = "lr" if rates[1] == 0.0 else "weight_decay"
+        with pytest.raises(CorruptCheckpoint, match=name):
+            deserialize(sealed_body(rates=rates))
+
+    def test_largest_counters_and_zero_rates_load(self):
+        big = 2**63 - 1
+        ckpt = deserialize(sealed_body(counters=(big, big, big, big),
+                                       rates=(0.0, 0.0)))
+        assert (ckpt.seed, ckpt.opt_step_count, ckpt.lr) == (big, big, 0.0)
 
     def test_zero_size_array_loads(self):
         header = struct.pack("<B2I", 2, 0, 3)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from moce import molgraph
-from moce.checkpoint import load_checkpoint, restore_model
+from moce.checkpoint import load_checkpoint, restore_model, serialize
 from moce.cli import main
 from moce.config import parse_config
 from moce.encoder import batch_graphs
@@ -299,6 +299,28 @@ class TestTrain:
         assert "at epoch 4, past this run's last epoch 2" in err
         assert (checkpoint.read_bytes(), metrics.read_bytes()) == before
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("epoch", -1), ("step", -1), ("opt_step_count", -5),
+        ("lr", float("nan")), ("weight_decay", -0.01)])
+    def test_resume_from_impossible_counters_is_data_error(
+            self, workdir, tmp_path, capsys, field, value):
+        # a checksum-valid file whose one counter or rate cannot be right
+        ckpt = load_checkpoint(workdir["checkpoint"])
+        fields = {name: getattr(ckpt, name) for name in (
+            "seed", "epoch", "step", "opt_step_count", "lr", "weight_decay")}
+        fields[field] = value
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(serialize(ckpt.config_text, ckpt.params, ckpt.opt_m,
+                                  ckpt.opt_v, **fields))
+        cfg = tmp_path / "resume.cfg"
+        cfg.write_text(TINY_CFG.format(data=workdir["data"],
+                                       splits=workdir["splits"],
+                                       out=tmp_path / "run"))
+        assert main(["train", "--config", str(cfg), "--resume",
+                     str(bad)]) == 2
+        assert field in one_line_error(capsys, "train")
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
     def test_missing_dataset_key_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "no-data.cfg"
         cfg.write_text("epochs = 1\n")
@@ -425,6 +447,20 @@ class TestPredict:
         t = Tensor(tasks["aromatic"].embedding.reshape(1, -1))
         logit = float(model.forward(batch, t, noise_on=False).logits.data[0])
         assert prob == pytest.approx(1.0 / (1.0 + math.exp(-logit)), abs=1e-6)
+
+    def test_non_finite_logit_is_data_error(self, workdir, tmp_path, capsys):
+        ckpt = load_checkpoint(workdir["checkpoint"])
+        nan_params = {name: np.full_like(arr, np.nan)
+                      for name, arr in ckpt.params.items()}
+        broken = tmp_path / "nan.bin"
+        broken.write_bytes(serialize(
+            ckpt.config_text, nan_params, ckpt.opt_m, ckpt.opt_v, ckpt.seed,
+            ckpt.epoch, ckpt.step, ckpt.opt_step_count, ckpt.lr,
+            ckpt.weight_decay))
+        assert main(["predict", "--checkpoint", str(broken), "--smiles", "CCO",
+                     "--task-id", "carbonyl"]) == 2
+        assert "nan" in one_line_error(capsys, "predict")
+        assert "probability" not in capsys.readouterr().out
 
     def test_bad_smiles_is_data_error(self, workdir, capsys):
         assert main(["predict", "--checkpoint", str(workdir["checkpoint"]),
@@ -587,6 +623,13 @@ class TestGradcheckCommand:
     def test_passes_with_exit_zero(self, capsys):
         assert main(["gradcheck"]) == 0
         assert "all" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_meaningless_tolerance_is_usage_error(self, tol, capsys):
+        assert main(["gradcheck", "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert "finite positive" in captured.err
+        assert "passed" not in captured.out
 
     def test_impossible_tolerance_exits_three(self, capsys):
         assert main(["gradcheck", "--tol", "1e-18"]) == 3

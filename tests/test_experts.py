@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moce import autodiff as ad
 from moce import experts as experts_module
@@ -94,6 +96,48 @@ def sag_weights_per_graph(scores, graph_ids, num_graphs, pool_ratio):
         order = np.argsort(-scores[member_idx], kind="stable")[:n_sel]
         weights[member_idx[order]] = 1.0 / n_sel
     return weights
+
+
+@st.composite
+def sag_weight_cases(draw):
+    """(scores, offsets, pool_ratio) of one dtype: one graph or several,
+    one-node graphs, scores with ties, signed zeros and NaN."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=10))
+    score = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, math.nan]) | st.floats(
+        -2.0, 2.0, width=32)
+    scores = np.array(draw(st.lists(score, min_size=sum(sizes),
+                                    max_size=sum(sizes))), dtype=dtype)
+    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    return scores, offsets, draw(st.sampled_from([0.01, 0.5, 1.0]))
+
+
+def sag_case(sizes, scores, ratio, dtype=np.float64):
+    return (np.array(scores, dtype=dtype),
+            np.concatenate(([0], np.cumsum(sizes))).astype(np.int64), ratio)
+
+
+class TestSagWeightsGrid:
+    """``_sag_weights`` sorts every graph of a batch in one NaN-padded grid;
+    its bytes are those of the per-graph loop, kept here as the reference."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(sag_weight_cases())
+    @example(sag_case([1], [math.nan], 0.01))
+    @example(sag_case([3], [0.5, math.nan, 0.5], 0.5, np.float32))
+    @example(sag_case([1, 1, 1], [-0.0, 0.0, math.nan], 1.0))
+    @example(sag_case([4, 1, 2], [0.5, 0.5, math.nan, 0.5, 1.0, -0.0, 0.0],
+                      0.5, np.float32))
+    @example(sag_case([2, 5], [math.nan, math.nan, 1.0, math.nan, 1.0, 1.0,
+                               -1.0], 0.5))
+    def test_matches_per_graph_loop(self, case):
+        scores, offsets, ratio = case
+        sizes = np.diff(offsets)
+        graph_ids = np.repeat(np.arange(sizes.size), sizes)
+        got = _sag_weights(scores, offsets, ratio)
+        want = sag_weights_per_graph(scores, graph_ids, sizes.size, ratio)
+        assert got.dtype == scores.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGammaMask:

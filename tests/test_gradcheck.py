@@ -32,6 +32,12 @@ class TestSuite:
         report = _run_check(_check_encoder(rng), rng)
         assert report.max_rel_error <= 1e-4
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_meaningless_tolerance_rejected(self, tol):
+        # rel > nan is never true, so a NaN tolerance would pass anything
+        with pytest.raises(ValueError, match="finite positive"):
+            run_all(seed=0, rel_tol=tol)
+
     def test_impossible_tolerance_fails(self):
         results = run_all(seed=0, rel_tol=1e-18)
         assert not all_passed(results)
