@@ -10,6 +10,11 @@ harness rely on.
 
 Gradients never flow through integer index arrays (gather/scatter
 indices); those are constants of the forward pass.
+
+A fused primitive (``dense``, ``gin_messages``, ``sag_scores``) records one
+node for a chain of generic ops. It runs the chain's numpy operations in
+the same order and makes the same checks, so its value and gradients are
+the chain's bit for bit.
 """
 
 from __future__ import annotations
@@ -233,33 +238,43 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _op(out_data, inputs: tuple, *grad_fns) -> Tensor:
-    """Wrap ``out_data`` as the result of one primitive applied to ``inputs``.
-
-    ``grad_fns[i]`` maps the output gradient to the gradient of
-    ``inputs[i]``; the result is summed back over broadcast axes. The
-    primitive is recorded only on an active tape and only when some input
-    needs a gradient, and then each ``grad_fns[i]`` runs only for inputs
-    that need one.
-    """
+def _joint_op(out_data, inputs: tuple, vjp: Callable) -> Tensor:
+    """Wrap ``out_data`` as the result of one primitive applied to
+    ``inputs``, recorded only on an active tape and only when some input
+    needs a gradient. ``vjp`` maps the output gradient to one gradient (or
+    None) per input; the tape drops those of inputs that need none."""
     out = Tensor(out_data)
     tape = getattr(_state, "tape", None)
     if tape is not None and any(t.requires_grad for t in inputs):
-        def vjp(g):
-            return tuple(_unbroadcast(fn(g), t.data.shape) if t.requires_grad
-                         else None for t, fn in zip(inputs, grad_fns))
         tape._record(out, inputs, vjp)
     return out
 
 
+def _op(out_data, inputs: tuple, *grad_fns) -> Tensor:
+    """A primitive whose ``grad_fns[i]`` maps the output gradient to the
+    gradient of ``inputs[i]``, summed back over broadcast axes; it runs
+    only for inputs that need a gradient."""
+    def vjp(g):
+        return tuple(_unbroadcast(fn(g), t.data.shape) if t.requires_grad
+                     else None for t, fn in zip(inputs, grad_fns))
+    return _joint_op(out_data, inputs, vjp)
+
+
 def _broadcast(ufunc, a: Tensor, b: Tensor) -> np.ndarray:
     """``ufunc(a, b)``, with numpy's broadcast error raised as ShapeMismatch."""
+    return _into(ufunc, a.data, b.data, fresh=False)
+
+
+def _into(ufunc, a: np.ndarray, b: np.ndarray, fresh: bool = True):
+    """``ufunc(a, b)``, into a ``fresh`` a (the same bits) when the result
+    keeps a's dtype; numpy's broadcast error raised as ShapeMismatch."""
     try:
-        return ufunc(a.data, b.data)
+        if fresh and np.result_type(a, b) == a.dtype:
+            return ufunc(a, b, out=a)
+        return ufunc(a, b)
     except ValueError:
         raise ShapeMismatch(
-            f"cannot broadcast shapes {a.data.shape} and {b.data.shape}"
-        ) from None
+            f"cannot broadcast shapes {a.shape} and {b.shape}") from None
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -340,6 +355,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise ShapeMismatch(f"matmul shapes {A.shape} and {B.shape}")
     return _op(A @ B, (a, b), lambda g: g @ B.T, lambda g: A.T @ g)
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """``x @ w + b``, then a relu if asked: the fused chain
+    ``relu(add(matmul(x, w), b))``. The sum forms in the product's buffer,
+    so ``b`` must broadcast to the product."""
+    A, W = x.data, w.data
+    if A.ndim != 2 or W.ndim != 2 or A.shape[1] != W.shape[0]:
+        raise ShapeMismatch(f"matmul shapes {A.shape} and {W.shape}")
+    out = _into(np.add, A @ W, b.data)
+    mask = out > 0 if relu else None
+    if relu:
+        np.copyto(out, 0.0, where=~mask)  # relu in place, +0.0 as np.where
+
+    def vjp(g):
+        g = g if mask is None else g * mask
+        return g @ W.T, A.T @ g, _unbroadcast(g, b.data.shape)
+
+    return _joint_op(out, (x, w, b), vjp)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -426,6 +460,18 @@ def _index_add(shape, dtype, ids, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_index(ids: np.ndarray, bound: int, what: str) -> None:
+    if ids.size and (ids.min() < 0 or ids.max() >= bound):
+        raise IndexOutOfRange(f"{what} outside [0, {bound})")
+
+
+def _check_segments(ids: np.ndarray, values: np.ndarray, num_segments: int):
+    if ids.ndim != 1 or ids.shape[0] != values.shape[0]:
+        raise ShapeMismatch(
+            f"segment ids shape {ids.shape} does not match rows {values.shape}")
+    _check_index(ids, num_segments, "segment id")
+
+
 def scatter_segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     """out[s] = sum of values rows whose segment id is s.
 
@@ -433,15 +479,55 @@ def scatter_segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tenso
     ``values``; gradients gather straight back through it.
     """
     ids = np.asarray(segment_ids)
-    if ids.ndim != 1 or ids.shape[0] != values.data.shape[0]:
-        raise ShapeMismatch(
-            f"segment ids shape {ids.shape} does not match rows {values.data.shape}"
-        )
-    if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
-        raise IndexOutOfRange("segment id outside [0, num_segments)")
+    _check_segments(ids, values.data, num_segments)
     out_data = _index_add((num_segments,) + values.data.shape[1:],
                           values.data.dtype, ids, values.data)
     return _op(out_data, (values,), lambda g: np.asarray(g)[ids])
+
+
+def gin_messages(nodes: Tensor, edges: Tensor, src, dst) -> Tensor:
+    """GIN's aggregated messages: out[v] sums relu(nodes[src[i]] + edges[i])
+    over the edges i with dst[i] = v. The fused chain
+    ``scatter_segment_sum(relu(add(gather_rows(nodes, src), edges)), dst,
+    len(nodes))``; the messages form in the gathered buffer, and only their
+    relu mask is kept."""
+    src, dst = np.asarray(src), np.asarray(dst)
+    n = nodes.data.shape[0]
+    _check_index(src, n, "row index")
+    msg = _into(np.add, nodes.data[src], edges.data)
+    mask = msg > 0
+    np.copyto(msg, 0.0, where=~mask)
+    _check_segments(dst, msg, n)
+    out_data = _index_add((n,) + msg.shape[1:], msg.dtype, dst, msg)
+
+    def vjp(g):
+        gm = g[dst] * mask
+        return (_index_add(nodes.data.shape, nodes.data.dtype, src, gm),
+                _unbroadcast(gm, edges.data.shape))
+
+    return _joint_op(out_data, (nodes, edges), vjp)
+
+
+def sag_scores(u: Tensor, dinv: np.ndarray, src, dst) -> Tensor:
+    """SAG attention scores tanh(dinv * P(dinv * u)), where P adds row
+    src[i] into row dst[i] for each i: the fused chain
+    ``tanh(mul(scatter_segment_sum(gather_rows(mul(u, dinv), src), dst,
+    len(u)), dinv))``."""
+    d, src, dst = np.asarray(dinv), np.asarray(src), np.asarray(dst)
+    n = u.data.shape[0]
+    scaled = _into(np.multiply, u.data, d, fresh=False)
+    _check_index(src, scaled.shape[0], "row index")
+    picked = scaled[src]
+    _check_segments(dst, picked, n)
+    summed = _index_add((n,) + picked.shape[1:], picked.dtype, dst, picked)
+    y = np.tanh(summed * d)
+
+    def vjp(g):
+        g = _unbroadcast(g * (1.0 - y * y) * d, summed.shape)
+        g = _index_add(scaled.shape, scaled.dtype, src, g[dst])
+        return (_unbroadcast(g * d, u.data.shape),)
+
+    return _joint_op(y, (u,), vjp)
 
 
 def pool_rows(x: Tensor, scores: Tensor, weights, segment_ids,
@@ -464,33 +550,29 @@ def pool_rows(x: Tensor, scores: Tensor, weights, segment_ids,
         raise ShapeMismatch(
             f"pool_rows needs x (n, d), scores (n, 1), weights and ids (n,); "
             f"got {x.data.shape}, {scores.data.shape}, {w.shape}, {ids.shape}")
-    if n and (ids.min() < 0 or ids.max() >= num_segments):
-        raise IndexOutOfRange("segment id outside [0, num_segments)")
+    _check_index(ids, num_segments, "segment id")
     rows = w.nonzero()[0]
     seg = ids[rows]
     scale = (scores.data[rows, 0] * w[rows])[:, None]
     kept = x.data[rows] * scale
     out_data = _index_add((num_segments, x.data.shape[1]), kept.dtype, seg, kept)
 
-    def dx(g):
-        return RowSparse(x.data.shape, rows, (np.asarray(g)[seg] * scale)
-                         .astype(x.data.dtype, copy=False))
-
-    def dscores(g):
-        out = np.zeros_like(scores.data)
+    def vjp(g):
+        g_rows = np.asarray(g)[seg]
+        dscores = np.zeros_like(scores.data)
         # the row sums of mul's gradient, the same way (one column: no sum)
-        picked = np.asarray(g)[seg] * x.data[rows]
-        out[rows] = _unbroadcast(picked, (rows.size, 1)) * w[rows, None]
-        return out
+        picked = g_rows * x.data[rows]
+        dscores[rows] = _unbroadcast(picked, (rows.size, 1)) * w[rows, None]
+        dx = _into(np.multiply, g_rows, scale).astype(x.data.dtype, copy=False)
+        return RowSparse(x.data.shape, rows, dx), dscores
 
-    return _op(out_data, (x, scores), dx, dscores)
+    return _joint_op(out_data, (x, scores), vjp)
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
     """Select rows of ``x`` by a constant index vector (embedding lookup)."""
     idx = np.asarray(indices)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
-        raise IndexOutOfRange("row index outside [0, rows)")
+    _check_index(idx, x.data.shape[0], "row index")
     return _op(x.data[idx], (x,),
                lambda g: _index_add(x.data.shape, x.data.dtype, idx,
                                     np.asarray(g)))
@@ -503,8 +585,7 @@ def gather_cols(x: Tensor, indices) -> Tensor:
         raise ShapeMismatch(
             f"gather_cols needs matching 2-D shapes, got {x.data.shape} and {idx.shape}"
         )
-    if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[1]):
-        raise IndexOutOfRange("column index outside [0, cols)")
+    _check_index(idx, x.data.shape[1], "column index")
     n, m = x.data.shape
     rows = np.arange(n)[:, None]
 

@@ -165,12 +165,11 @@ def gin_forward(layer: GinLayer, nodes: Tensor, edges: Tensor,
     with the rows of ``edges``; both directions of every bond must be
     present for symmetric message passing.
     """
-    messages = ad.relu(ad.add(ad.gather_rows(nodes, edge_index[:, 0]), edges))
-    agg = ad.scatter_segment_sum(messages, edge_index[:, 1], nodes.shape[0])
+    agg = ad.gin_messages(nodes, edges, edge_index[:, 0], edge_index[:, 1])
     scaled = ad.mul(nodes, ad.add(layer.epsilon, Tensor(np.ones((), dtype=nodes.dtype))))
     h = ad.add(scaled, agg)
-    hidden = ad.relu(ad.add(ad.matmul(h, layer.w1), layer.b1))
-    return ad.add(ad.matmul(hidden, layer.w2), layer.b2)
+    hidden = ad.dense(h, layer.w1, layer.b1, relu=True)
+    return ad.dense(hidden, layer.w2, layer.b2)
 
 
 def encode_from(nodes: Tensor, edges: Tensor, edge_index: np.ndarray,

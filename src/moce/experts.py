@@ -336,21 +336,17 @@ def sag_project_batch(nodes: Tensor, batch: BatchedGraph, expert: ExpertParams,
     """
     if not 0.0 < pool_ratio <= 1.0:
         raise ValueError(f"pool_ratio must be in (0, 1], got {pool_ratio}")
-    dinv = Tensor(batch.prop_dinv.astype(nodes.dtype, copy=False))
-
-    u = ad.mul(ad.matmul(nodes, expert.theta_att), dinv)
-    au = ad.scatter_segment_sum(ad.gather_rows(u, batch.prop_src),
-                                batch.prop_dst, batch.num_nodes)
-    z_tilde = ad.tanh(ad.mul(au, dinv))
-
+    z_tilde = ad.sag_scores(ad.matmul(nodes, expert.theta_att),
+                            batch.prop_dinv.astype(nodes.dtype, copy=False),
+                            batch.prop_src, batch.prop_dst)
     weights = _sag_weights(z_tilde.data[:, 0], batch.offsets, pool_ratio)
     return ad.pool_rows(nodes, z_tilde, weights, batch.graph_ids, batch.num_graphs)
 
 
 def expert_mlp(expert: ExpertParams, pooled: Tensor) -> Tensor:
     """Per-expert vote: relu-hidden d->d->1 perceptron on pooled features."""
-    hidden = ad.relu(ad.add(ad.matmul(pooled, expert.w1), expert.b1))
-    return ad.add(ad.matmul(hidden, expert.w2), expert.b2)
+    hidden = ad.dense(pooled, expert.w1, expert.b1, relu=True)
+    return ad.dense(hidden, expert.w2, expert.b2)
 
 
 @dataclass
@@ -389,5 +385,5 @@ def integrate_outputs(per_layer_logits: Tensor, tasks: Tensor,
     """Blend a (batch, layers) logit matrix with task-conditioned softmax
     weights from the (batch, task_dim) tasks. Returns (final logits,
     weights)."""
-    weights = ad.softmax(ad.add(ad.matmul(tasks, p.map_w), p.bias), axis=1)
+    weights = ad.softmax(ad.dense(tasks, p.map_w, p.bias), axis=1)
     return ad.reduce_sum(ad.mul(weights, per_layer_logits), axis=1), weights

@@ -142,6 +142,31 @@ def _check_pool_rows(rng) -> tuple:
             [x, scores])
 
 
+def _check_gin_messages(rng) -> tuple:
+    nodes, edges = _param(rng, (4, 3)), _param(rng, (5, 3))
+    src, dst = np.array([0, 1, 2, 3, 3]), np.array([1, 0, 1, 2, 1])
+    pre = nodes.data[src] + edges.data  # keep each message 0.2 off the kink
+    edges.data += np.where(np.abs(pre) < 0.2, np.copysign(0.2, pre), 0.0)
+    return (lambda u, e: _sq_sum(ad.gin_messages(u, e, src, dst))), [nodes, edges]
+
+
+def _check_sag_scores(rng) -> tuple:
+    # edges 0-1 and 1-2 both ways, then the self-loops
+    src = np.array([0, 1, 1, 2, 0, 1, 2, 3])
+    dst = np.array([1, 0, 2, 1, 0, 1, 2, 3])
+    dinv = 1.0 / np.sqrt(np.bincount(dst)[:, None])
+    return ((lambda t: _sq_sum(ad.sag_scores(t, dinv, src, dst))),
+            [_param(rng, (4, 1))])
+
+
+def _check_dense(rng) -> tuple:
+    def f(x, w, b):
+        return ad.add(_sq_sum(ad.dense(x, w, b, relu=True)),
+                      _sq_sum(ad.dense(x, w, b)))
+
+    return f, [_param(rng, (3, 4)), _param(rng, (4, 2)), _param(rng, (2,))]
+
+
 def _check_bce(rng) -> tuple:
     z = _param(rng, (6,), low=-2.0, high=2.0)
     y = (rng.uniform(size=6) < 0.5).astype(np.float64)
@@ -292,6 +317,9 @@ def run_all(seed: int = 0, rel_tol: float = DEFAULT_TOL) -> list[CheckResult]:
         ("reductions", _check_reductions),
         ("structure-ops", _check_structure),
         ("pool-rows", _check_pool_rows),
+        ("gin-messages", _check_gin_messages),
+        ("sag-scores", _check_sag_scores),
+        ("dense", _check_dense),
         ("bce", _check_bce),
         ("attention-loss", _check_attention_loss),
         ("expert-loss", _check_expert_loss),

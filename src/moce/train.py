@@ -71,7 +71,9 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     """One bias-corrected Adam update with decoupled weight decay.
 
     Every gradient is checked before anything mutates, so a non-finite
-    batch leaves parameters and moments untouched.
+    batch leaves parameters and moments untouched. The update runs in
+    place with the operations of ``p -= lr * ((m / bc1) / (sqrt(v / bc2) +
+    eps) + weight_decay * p)``; each gradient has its parameter's dtype.
     """
     for name in params:
         g = grads[name]
@@ -83,16 +85,30 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
+    largest = max((p.data.size for p in params.values()), default=0)
+    scratch = {}  # per dtype, two buffers of the largest parameter's size
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        if p.data.dtype not in scratch:
+            scratch[p.data.dtype] = np.empty((2, largest), p.data.dtype)
+        a, b = (buf[:p.data.size].reshape(p.data.shape)
+                for buf in scratch[p.data.dtype])
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * np.square(g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        p.data -= lr * (update + state.weight_decay * p.data)
+        np.square(g, out=b)
+        v += np.multiply(b, 1.0 - ADAM_BETA2, out=b)
+        np.divide(m, bc1, out=a)
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b                                    # the update
+        np.multiply(p.data, state.weight_decay, out=b)
+        b += a
+        b *= lr
+        p.data -= b
 
 
 @dataclass
@@ -115,8 +131,9 @@ def cosine_lr(step: int, schedule: ScheduleConfig, base_lr: float) -> float:
         raise ValueError(
             f"step {step} outside [0, {schedule.total_steps}]")
     lo = base_lr * schedule.min_lr_fraction
-    return lo + 0.5 * (base_lr - lo) * (
-        1.0 + np.cos(np.pi * step / schedule.total_steps))
+    # a Python float: an np.float64 would lift a float32 update to float64
+    return float(lo + 0.5 * (base_lr - lo) * (
+        1.0 + np.cos(np.pi * step / schedule.total_steps)))
 
 
 def auc_roc(scores, labels) -> float | None:
@@ -256,10 +273,9 @@ def train_epoch(model: Model, records: list[DatasetRecord],
             breakdown = model_loss(model, result, labels, settings.beta,
                                    settings.toggles)
             leaf_grads = tape.backward(breakdown.overall)
-        grads = {
-            name: leaf_grads.get(p, np.zeros_like(p.data))
-            for name, p in params.items()
-        }
+        # zeros only for the parameters the loss did not reach
+        grads = {name: leaf_grads[p] if p in leaf_grads
+                 else np.zeros_like(p.data) for name, p in params.items()}
         lr_now = cosine_lr(min(step, schedule.total_steps), schedule,
                            settings.lr)
         step += 1

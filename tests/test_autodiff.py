@@ -385,6 +385,169 @@ class TestPoolRows:
                 ad.pool_rows(x, s, w, bad, 2)
 
 
+def _gin_chain(nodes, edges, src, dst):
+    """The composition ``gin_messages`` replaces."""
+    messages = ad.relu(ad.add(ad.gather_rows(nodes, src), edges))
+    return ad.scatter_segment_sum(messages, dst, nodes.shape[0])
+
+
+def _sag_chain(u, dinv, src, dst):
+    """The composition ``sag_scores`` replaces."""
+    d = Tensor(dinv)
+    spread = ad.gather_rows(ad.mul(u, d), src)
+    return ad.tanh(ad.mul(ad.scatter_segment_sum(spread, dst, u.shape[0]), d))
+
+
+def _dense_chain(x, w, b, relu=False):
+    """The composition ``dense`` replaces."""
+    out = ad.add(ad.matmul(x, w), b)
+    return ad.relu(out) if relu else out
+
+
+def _value_and_grads(op, arrays, g, constant=()):
+    """op(*tensors) and the gradient of each input for output gradient g;
+    the inputs at the positions in ``constant`` need none (None)."""
+    leaves = [Tensor(a.copy(), requires_grad=i not in constant)
+              for i, a in enumerate(arrays)]
+    with Tape() as tape:
+        out = op(*leaves)
+        grads = tape.backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+    return [out.data] + [grads.get(t) for t in leaves]
+
+
+def _assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        if b is None:
+            assert a is None
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape
+        bits = np.dtype(f"u{a.dtype.itemsize}")
+        assert np.array_equal(a.view(bits), b.view(bits))
+
+
+def _edge_values(dtype):
+    # zeros of both signs and repeats, so that sums cancel to exact zeros
+    return st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0]).map(dtype)
+
+
+@st.composite
+def _gin_cases(draw):
+    """(nodes, edges, src, dst, g): repeated and unsorted destinations,
+    possibly no edges; some messages cancel to an exact zero."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    k = draw(st.integers(0, 12))
+    src = draw(hnp.arrays(np.int64, k, elements=st.integers(0, n - 1)))
+    dst = draw(hnp.arrays(np.int64, k, elements=st.integers(0, n - 1)))
+    nodes = draw(hnp.arrays(dtype, (n, d), elements=_edge_values(dtype)))
+    edges = draw(hnp.arrays(dtype, (k, d), elements=_floats(dtype)))
+    cancel = draw(hnp.arrays(bool, (k, d)))
+    edges[cancel] = -nodes[src][cancel]
+    g = draw(hnp.arrays(dtype, (n, d), elements=_floats(dtype)))
+    return nodes, edges, src, dst, g
+
+
+@st.composite
+def _sag_cases(draw):
+    """(u, dinv, src, dst, g): the propagation layout with self-loops
+    last, as ``batch_graphs`` makes it, or arbitrary index pairs."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    n, k = draw(st.integers(1, 6)), draw(st.integers(0, 10))
+    src = draw(hnp.arrays(np.int64, k, elements=st.integers(0, n - 1)))
+    dst = draw(hnp.arrays(np.int64, k, elements=st.integers(0, n - 1)))
+    if draw(st.booleans()):
+        src = np.concatenate((src, np.arange(n)))
+        dst = np.concatenate((dst, np.arange(n)))
+    degree = np.bincount(dst, minlength=n)
+    dinv = (1.0 / np.sqrt(degree + 1.0))[:, None].astype(dtype)
+    u = draw(hnp.arrays(dtype, (n, 1), elements=_floats(dtype)))
+    g = draw(hnp.arrays(dtype, (n, 1), elements=_floats(dtype)))
+    return u, dinv, src, dst, g
+
+
+@st.composite
+def _dense_cases(draw):
+    """(x, w, b, g): one row or several; zero rows and zero biases give
+    exact-zero pre-activations."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    rows, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+    x = draw(hnp.arrays(dtype, (rows, k), elements=_edge_values(dtype)))
+    w = draw(hnp.arrays(dtype, (k, m), elements=_floats(dtype)))
+    b = draw(hnp.arrays(dtype, (m,), elements=_edge_values(dtype)))
+    g = draw(hnp.arrays(dtype, (rows, m), elements=_floats(dtype)))
+    return x, w, b, g
+
+
+def _masked_negative_case(dtype):
+    """Two messages cancel to 0 and one is negative, with negative upstream
+    gradients there: the chain's mask makes them -0.0."""
+    nodes = np.array([[1.0, -2.0], [0.5, 3.0]], dtype)
+    edges = np.array([[-1.0, 1.0], [-0.5, -3.0], [0.25, -4.0]], dtype)
+    return (nodes, edges, np.array([0, 1, 0]), np.array([1, 1, 1]),
+            np.array([[-1.0, -2.0], [-3.0, -0.5]], dtype))
+
+
+class TestFusedPrimitives:
+    """``gin_messages``, ``sag_scores`` and ``dense`` give the value and
+    every gradient of the chain each replaces, bit for bit."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(_gin_cases(), st.sampled_from([(), (0,), (1,)]))
+    @example(_masked_negative_case(np.float64), ())
+    @example(_masked_negative_case(np.float32), ())
+    def test_gin_messages_match_chain(self, case, constant):
+        *arrays, src, dst, g = case
+        got, want = (_value_and_grads(lambda a, b: op(a, b, src, dst),
+                                      arrays, g, constant)
+                     for op in (ad.gin_messages, _gin_chain))
+        _assert_same_bits(got, want)
+
+    @settings(deadline=None, max_examples=150)
+    @given(_sag_cases())
+    def test_sag_scores_match_chain(self, case):
+        u, dinv, src, dst, g = case
+        got, want = (_value_and_grads(lambda t: op(t, dinv, src, dst), [u], g)
+                     for op in (ad.sag_scores, _sag_chain))
+        _assert_same_bits(got, want)
+
+    @settings(deadline=None, max_examples=150)
+    @given(_dense_cases(), st.booleans(), st.sampled_from([(), (0,), (1, 2)]))
+    def test_dense_matches_chain(self, case, relu, constant):
+        *arrays, g = case
+        got, want = (_value_and_grads(lambda *ts: op(*ts, relu=relu),
+                                      arrays, g, constant)
+                     for op in (ad.dense, _dense_chain))
+        _assert_same_bits(got, want)
+
+    def test_errors_match_chain(self):
+        nodes, edges = Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2)))
+        u, dinv = Tensor(np.ones((3, 1))), np.ones((3, 1))
+        ok = np.array([0, 1])
+        bad_index = (np.array([0, 3]), np.array([-1, 0]))
+        for fused, chain, args in ((ad.gin_messages, _gin_chain, (nodes, edges)),
+                                   (ad.sag_scores, _sag_chain, (u, dinv))):
+            for bad in bad_index:
+                for idx in ((bad, ok), (ok, bad)):
+                    for op in (fused, chain):
+                        with pytest.raises(IndexOutOfRange):
+                            op(*args, *idx)
+            for op in (fused, chain):
+                with pytest.raises(ShapeMismatch):
+                    op(*args, ok, np.array([0, 1, 1]))
+        for op in (ad.gin_messages, _gin_chain):
+            with pytest.raises(ShapeMismatch):
+                op(nodes, Tensor(np.ones((2, 3))), ok, ok)
+        for op in (ad.sag_scores, _sag_chain):
+            with pytest.raises(ShapeMismatch):
+                op(u, np.ones((2, 1)), ok, ok)
+        x, w, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(4))
+        for op in (ad.dense, _dense_chain):
+            for args in ((x, Tensor(np.ones((2, 4))), b), (x, w, Tensor(np.ones(3))),
+                         (Tensor(np.ones(3)), w, b)):
+                with pytest.raises(ShapeMismatch):
+                    op(*args)
+
+
 class TestTapeSemantics:
     def test_fanout_accumulates(self):
         """x used twice receives the sum of both branch gradients."""

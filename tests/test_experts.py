@@ -22,6 +22,7 @@ from moce.experts import (
     fnv1a_64,
     gamma_mask,
     integrate_outputs,
+    expert_mlp,
     layer_forward,
     load_task_embeddings,
     resolve_tasks,
@@ -31,7 +32,7 @@ from moce.experts import (
 )
 from moce.experts import _sag_weights
 from moce.model import Model, ModelConfig
-from moce.molgraph import FeaturizedGraph
+from moce.molgraph import FeaturizedGraph, featurize, parse_smiles
 
 
 def zero_router(e_f: int, e_t: int, m: int, k_s: int, k_t: int) -> RouterParams:
@@ -534,6 +535,56 @@ class TestSagProject:
             assert a.tobytes() == b.tobytes()
 
 
+def sag_project_chain(nodes, batch, expert, pool_ratio):
+    """``sag_project_batch`` with its scores as the chain of generic ops
+    that ``ad.sag_scores`` replaces."""
+    dinv = Tensor(batch.prop_dinv.astype(nodes.dtype))
+    u = ad.mul(ad.matmul(nodes, expert.theta_att), dinv)
+    au = ad.scatter_segment_sum(ad.gather_rows(u, batch.prop_src),
+                                batch.prop_dst, batch.num_nodes)
+    z_tilde = ad.tanh(ad.mul(au, dinv))
+    weights = _sag_weights(z_tilde.data[:, 0], batch.offsets, pool_ratio)
+    return ad.pool_rows(nodes, z_tilde, weights, batch.graph_ids,
+                        batch.num_graphs)
+
+
+def expert_mlp_chain(expert, pooled):
+    """``expert_mlp`` as the chain of generic ops that ``ad.dense``
+    replaces."""
+    hidden = ad.relu(ad.add(ad.matmul(pooled, expert.w1), expert.b1))
+    return ad.add(ad.matmul(hidden, expert.w2), expert.b2)
+
+
+class TestExpertMatchesChain:
+    """An expert's view and vote through the fused primitives and through
+    the op chains give the same logits and gradients bit for bit."""
+
+    @staticmethod
+    def _run(project, mlp, batch, dtype):
+        rng = np.random.default_rng(51)
+        expert = expert_of(rng, 4, dtype)
+        nodes = Tensor(rng.normal(size=(batch.num_nodes, 4)).astype(dtype),
+                       requires_grad=True)
+        g = Tensor(rng.normal(size=(batch.num_graphs, 1)).astype(dtype))
+        with Tape() as tape:
+            logits = mlp(expert, project(nodes, batch, expert, 0.5))
+            grads = tape.backward(ad.reduce_sum(ad.mul(logits, g)))
+        leaves = [nodes, *expert.parameters().values()]
+        return [logits.data] + [grads[t] for t in leaves]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("smiles", [("C", "[NH4+]", "O"), ("CC(N)C=O",),
+                                        None])
+    def test_bits(self, smiles, dtype):
+        batch = (random_batch(np.random.default_rng(52), 7) if smiles is None
+                 else batch_graphs([featurize(parse_smiles(s)) for s in smiles]))
+        got = self._run(sag_project_batch, expert_mlp, batch, dtype)
+        want = self._run(sag_project_chain, expert_mlp_chain, batch, dtype)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes()
+
+
 class TestDenseLayout:
     """The dense expert layer computes every (sample, expert) vote and
     routes k_s of each sample's E; a change of layout updates these counts
@@ -663,6 +714,33 @@ class TestIntegrateOutputs:
         assert r.shape == (5,)
         assert np.all(w.data >= 0)
         np.testing.assert_allclose(w.data.sum(axis=1), np.ones(5), rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_chain_bits(self, dtype):
+        """``integrate_outputs`` gives the weights, logits and gradients of
+        its matmul-then-add chain bit for bit."""
+        def chain(per_layer, tasks, p):
+            scores = ad.add(ad.matmul(tasks, p.map_w), p.bias)
+            weights = ad.softmax(scores, axis=1)
+            return ad.reduce_sum(ad.mul(weights, per_layer), axis=1), weights
+
+        def run(integrate):
+            rng = np.random.default_rng(24)
+            p = IntegratorParams.create(rng, task_dim=3, num_layers=2)
+            for t in p.parameters().values():
+                t.data = t.data.astype(dtype)
+            tasks = Tensor(rng.normal(size=(4, 3)).astype(dtype))
+            per_layer = Tensor(rng.normal(size=(4, 2)).astype(dtype),
+                               requires_grad=True)
+            with Tape() as tape:
+                logits, weights = integrate(per_layer, tasks, p)
+                grads = tape.backward(ad.reduce_sum(logits))
+            return [logits.data, weights.data, grads[p.map_w], grads[p.bias],
+                    grads[per_layer]]
+
+        for a, b in zip(run(integrate_outputs), run(chain), strict=True):
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes()
 
     def test_vector_tasks_rejected(self):
         p = IntegratorParams.create(np.random.default_rng(23), task_dim=3,

@@ -284,3 +284,23 @@ class TestBondlessBatch:
         report = finite_diff_check(loss_fn, list(model.parameters().values()),
                                    per_tensor=3, rng=rng)
         assert report.passed, str(report)
+
+
+class TestTapeSize:
+    """Nodes that one forward pass and loss record at a tiny shape. Each
+    GIN layer records 6 (fused messages, the 1 + eps add and its product,
+    the sum with the messages, two dense layers) and each expert 5
+    (projection matmul, fused scores, pooling, two dense layers); an
+    un-fused chain shows up here as a changed count."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_nodes_per_step(self, dtype):
+        cfg = tiny_config(num_gnn_layers=1, num_experts=4, k_s=2, k_t=3)
+        model = Model.create(cfg, seed=0, dtype=dtype)
+        rng = np.random.default_rng(0)
+        tasks = Tensor(task_matrix(rng, 2).data.astype(dtype))
+        rngs = [np.random.default_rng(b) for b in range(2)]
+        with Tape() as tape:
+            out = model.forward(tiny_batch(), tasks, noise_on=True, rngs=rngs)
+            model_loss(model, out, np.array([1.0, 0.0]), beta=0.1)
+        assert len(tape.nodes) == 189

@@ -12,6 +12,9 @@ from moce.experts import resolve_tasks
 from moce.model import Model, ModelConfig, model_loss
 from moce.synthetic import synthesize_dataset
 from moce.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     EpochMetrics,
     MetricsLog,
     NonFiniteGradient,
@@ -88,10 +91,68 @@ class TestAdamW:
         np.testing.assert_array_equal(params["w"].data, [1.0])
 
 
+def adamw_reference(params, grads, state, lr):
+    """The out-of-place AdamW update that ``adamw_step`` runs in place."""
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
+    for name, p in params.items():
+        g, m, v = grads[name], state.m[name], state.v[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        p.data -= lr * (update + state.weight_decay * p.data)
+
+
+class TestAdamWInPlace:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_reference_bits(self, dtype):
+        rng = np.random.default_rng(5)
+        shapes = {"eps": (), "w": (7, 5), "b": (5,), "col": (5, 1)}
+        values = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
+        params, ref = param_dict(values), param_dict(values)
+        state = OptimizerState.create(params, lr=0.01, weight_decay=0.01)
+        ref_state = OptimizerState.create(ref, lr=0.01, weight_decay=0.01)
+        sched = ScheduleConfig(total_steps=6)
+        for step in range(6):
+            grads = {k: rng.normal(size=s).astype(dtype)
+                     for k, s in shapes.items()}
+            lr = cosine_lr(step, sched, 0.01)
+            adamw_step(params, grads, state, lr=lr)
+            adamw_reference(ref, grads, ref_state, lr)
+        for k in shapes:
+            for got, want in ((params[k].data, ref[k].data),
+                              (state.m[k], ref_state.m[k]),
+                              (state.v[k], ref_state.v[k])):
+                assert got.dtype == want.dtype == dtype
+                assert got.tobytes() == want.tobytes()
+
+    def test_float32_update_has_no_float64_step(self):
+        """With the schedule's rate, a float32 step rounds once per float32
+        operation, as the all-float32 reference does."""
+        rng = np.random.default_rng(6)
+        values = {"w": rng.normal(size=(40, 40)).astype(np.float32)}
+        params, ref = param_dict(values), param_dict(values)
+        state = OptimizerState.create(params, lr=0.01, weight_decay=0.01)
+        ref_state = OptimizerState.create(ref, lr=0.01, weight_decay=0.01)
+        grads = {"w": rng.normal(size=(40, 40)).astype(np.float32)}
+        lr = cosine_lr(3, ScheduleConfig(total_steps=10), 0.01)
+        adamw_step(params, grads, state, lr=lr)
+        adamw_reference(ref, grads, ref_state, np.float32(lr))
+        assert params["w"].data.tobytes() == ref["w"].data.tobytes()
+
+
 class TestCosineSchedule:
     def test_step_zero_is_base(self):
         sched = ScheduleConfig(total_steps=100)
         assert cosine_lr(0, sched, 0.01) == 0.01
+
+    def test_rate_is_a_python_float(self):
+        sched = ScheduleConfig(total_steps=7, min_lr_fraction=0.1)
+        assert all(type(cosine_lr(s, sched, 0.01)) is float for s in range(8))
 
     def test_final_step_is_minimum(self):
         assert cosine_lr(100, ScheduleConfig(total_steps=100), 0.01) == 0.0
