@@ -14,7 +14,10 @@ indices); those are constants of the forward pass.
 A fused primitive (``dense``, ``gin_messages``, ``sag_scores``) records one
 node for a chain of generic ops. It runs the chain's numpy operations in
 the same order and makes the same checks, so its value and gradients are
-the chain's bit for bit.
+the chain's bit for bit. The one exception is a row-sparse gradient
+(``sag_scores``' and ``pool_rows``' x-gradients): it skips the rows whose
+gradient is exactly zero, which come out +0.0 where the chain's could be
+-0.0.
 """
 
 from __future__ import annotations
@@ -201,8 +204,8 @@ def _accumulate(grads: dict, owned: set, key, gin) -> None:
     arrival adds in place into a buffer the tape owns when the sum keeps
     its dtype, and otherwise into a fresh, owned copy. Each element gets the
     additions of the out-of-place sums, in the same order, except that a
-    row-sparse gradient adds no +0.0 to its zero rows, so a -0.0 held there
-    stays -0.0.
+    row-sparse gradient adds nothing to its zero rows, so a -0.0 held there
+    stays -0.0 where the dense sum could have added +0.0.
     """
     held = grads.get(key)
     if held is None:
@@ -508,14 +511,22 @@ def gin_messages(nodes: Tensor, edges: Tensor, src, dst) -> Tensor:
     return _joint_op(out_data, (nodes, edges), vjp)
 
 
-def sag_scores(u: Tensor, dinv: np.ndarray, src, dst) -> Tensor:
-    """SAG attention scores tanh(dinv * P(dinv * u)), where P adds row
-    src[i] into row dst[i] for each i: the fused chain
-    ``tanh(mul(scatter_segment_sum(gather_rows(mul(u, dinv), src), dst,
-    len(u)), dinv))``."""
+def sag_scores(x: Tensor, theta: Tensor, dinv: np.ndarray, src, dst) -> Tensor:
+    """SAG attention scores tanh(dinv * P(dinv * (x @ theta))) of a (d, 1)
+    projection theta, where P adds row src[i] into row dst[i] for each i:
+    the fused chain ``tanh(mul(scatter_segment_sum(gather_rows(mul(
+    matmul(x, theta), dinv), src), dst, len(x)), dinv))``. x's gradient is
+    row-sparse, over the rows whose projected-score gradient g_u is
+    non-zero: each entry of ``g_u @ theta.T`` is one product, so those rows
+    are the chain's bit for bit."""
+    X, T = x.data, theta.data
+    if X.ndim != 2 or T.shape != (X.shape[1], 1):
+        raise ShapeMismatch(f"sag_scores needs x (n, d) and theta (d, 1), "
+                            f"got {X.shape} and {T.shape}")
     d, src, dst = np.asarray(dinv), np.asarray(src), np.asarray(dst)
-    n = u.data.shape[0]
-    scaled = _into(np.multiply, u.data, d, fresh=False)
+    u = X @ T
+    n = u.shape[0]
+    scaled = _into(np.multiply, u, d, fresh=False)
     _check_index(src, scaled.shape[0], "row index")
     picked = scaled[src]
     _check_segments(dst, picked, n)
@@ -525,9 +536,11 @@ def sag_scores(u: Tensor, dinv: np.ndarray, src, dst) -> Tensor:
     def vjp(g):
         g = _unbroadcast(g * (1.0 - y * y) * d, summed.shape)
         g = _index_add(scaled.shape, scaled.dtype, src, g[dst])
-        return (_unbroadcast(g * d, u.data.shape),)
+        gu = _unbroadcast(g * d, u.shape)
+        rows = np.flatnonzero(gu[:, 0])
+        return RowSparse(X.shape, rows, gu[rows] @ T.T), X.T @ gu
 
-    return _joint_op(y, (u,), vjp)
+    return _joint_op(y, (x, theta), vjp)
 
 
 def pool_rows(x: Tensor, scores: Tensor, weights, segment_ids,
@@ -540,7 +553,10 @@ def pool_rows(x: Tensor, scores: Tensor, weights, segment_ids,
     gradients are zero. The kept rows add in row order from zero, so the
     result is bit for bit ``scatter_segment_sum(mul(x, mul(scores, w)))``:
     the dropped terms were x * 0 = +-0, which leave a sum started at +0
-    unchanged.
+    unchanged. The gradients are that composition's too, except that only
+    the kept rows of live segments (an output-gradient row not all zero)
+    are read: the kept rows of the other segments get +0.0, where the
+    composition gave +-0.0.
     """
     w = np.asarray(weights)
     ids = np.asarray(segment_ids)
@@ -558,13 +574,18 @@ def pool_rows(x: Tensor, scores: Tensor, weights, segment_ids,
     out_data = _index_add((num_segments, x.data.shape[1]), kept.dtype, seg, kept)
 
     def vjp(g):
-        g_rows = np.asarray(g)[seg]
+        g = np.asarray(g)
+        live = g.any(axis=1)[seg]
+        live_rows = rows[live]
+        g_rows = g[seg[live]]
         dscores = np.zeros_like(scores.data)
         # the row sums of mul's gradient, the same way (one column: no sum)
-        picked = g_rows * x.data[rows]
-        dscores[rows] = _unbroadcast(picked, (rows.size, 1)) * w[rows, None]
-        dx = _into(np.multiply, g_rows, scale).astype(x.data.dtype, copy=False)
-        return RowSparse(x.data.shape, rows, dx), dscores
+        picked = g_rows * x.data[live_rows]
+        dscores[live_rows] = (_unbroadcast(picked, (live_rows.size, 1))
+                              * w[live_rows, None])
+        dx = _into(np.multiply, g_rows, scale[live]).astype(x.data.dtype,
+                                                            copy=False)
+        return RowSparse(x.data.shape, live_rows, dx), dscores
 
     return _joint_op(out_data, (x, scores), vjp)
 

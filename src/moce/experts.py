@@ -336,7 +336,7 @@ def sag_project_batch(nodes: Tensor, batch: BatchedGraph, expert: ExpertParams,
     """
     if not 0.0 < pool_ratio <= 1.0:
         raise ValueError(f"pool_ratio must be in (0, 1], got {pool_ratio}")
-    z_tilde = ad.sag_scores(ad.matmul(nodes, expert.theta_att),
+    z_tilde = ad.sag_scores(nodes, expert.theta_att,
                             batch.prop_dinv.astype(nodes.dtype, copy=False),
                             batch.prop_src, batch.prop_dst)
     weights = _sag_weights(z_tilde.data[:, 0], batch.offsets, pool_ratio)

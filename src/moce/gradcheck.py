@@ -133,12 +133,15 @@ def _check_structure(rng) -> tuple:
 
 
 def _check_pool_rows(rng) -> tuple:
-    x = _param(rng, (6, 3))
-    scores = _param(rng, (6, 1))
-    # segment 2 keeps no row; rows 1 and 4 are dropped
-    weights = np.array([0.5, 0.0, 1.0, 0.5, 0.0, 1.0])
-    ids = np.array([1, 3, 0, 1, 2, 3])
-    return ((lambda u, s: _sq_sum(ad.pool_rows(u, s, weights, ids, 4))),
+    x = _param(rng, (8, 3))
+    scores = _param(rng, (8, 1))
+    # segment 2 keeps no row; rows 1 and 4 are dropped; segment 4 keeps
+    # rows 6 and 7, but the loss does not read it
+    weights = np.array([0.5, 0.0, 1.0, 0.5, 0.0, 1.0, 0.5, 0.5])
+    ids = np.array([1, 3, 0, 1, 2, 3, 4, 4])
+    read = np.arange(4)
+    return ((lambda u, s: _sq_sum(ad.gather_rows(
+                ad.pool_rows(u, s, weights, ids, 5), read))),
             [x, scores])
 
 
@@ -155,8 +158,8 @@ def _check_sag_scores(rng) -> tuple:
     src = np.array([0, 1, 1, 2, 0, 1, 2, 3])
     dst = np.array([1, 0, 2, 1, 0, 1, 2, 3])
     dinv = 1.0 / np.sqrt(np.bincount(dst)[:, None])
-    return ((lambda t: _sq_sum(ad.sag_scores(t, dinv, src, dst))),
-            [_param(rng, (4, 1))])
+    return ((lambda x, t: _sq_sum(ad.sag_scores(x, t, dinv, src, dst))),
+            [_param(rng, (4, 3)), _param(rng, (3, 1))])
 
 
 def _check_dense(rng) -> tuple:

@@ -311,10 +311,16 @@ def _pool_value_and_grads(pool, x, scores, g):
     return out.data, grads[xt], grads[st_]
 
 
+def _all_plus_zero(a: np.ndarray) -> bool:
+    """Every entry of ``a`` is +0.0: no sign bit and no other bit set."""
+    return not a.view(f"u{a.dtype.itemsize}").any()
+
+
 @st.composite
 def _pool_cases(draw):
     """(x, scores, weights, ids, num_segments, g) of one dtype: ids unsorted,
-    weights zero or 1/k as ``_sag_weights`` makes them, signed zeros."""
+    weights zero or 1/k as ``_sag_weights`` makes them, signed zeros, and
+    output-gradient rows that are all zero, as for an unrouted sample."""
     dtype = draw(st.sampled_from([np.float64, np.float32]))
     n = draw(st.integers(0, 12))
     d = draw(st.integers(1, 5))
@@ -327,6 +333,7 @@ def _pool_cases(draw):
     x = draw(hnp.arrays(dtype, (n, d), elements=_floats(dtype)))
     scores = draw(hnp.arrays(dtype, (n, 1), elements=_floats(dtype)))
     g = draw(hnp.arrays(dtype, (segments, d), elements=_floats(dtype)))
+    g[draw(hnp.arrays(bool, segments))] = draw(st.sampled_from([0.0, -0.0]))
     return x, scores, weights, ids, segments, g
 
 
@@ -339,14 +346,28 @@ def _signed_zero_case(dtype):
     return x, scores, weights, np.array([2, 1, 0, 2]), 3, g
 
 
+def _dead_segment_case(dtype):
+    """Segment 0's output gradient is -0.0, so the reference's gradients
+    of its kept row are -0.0 too; segment 1 is live, though its gradient
+    row sums to zero."""
+    x = np.array([[2.0, 3.0], [1.0, -1.0], [4.0, 0.5]], dtype)
+    scores = np.array([[0.5], [-2.0], [1.0]], dtype)
+    weights = np.array([1.0, 0.5, 0.5], dtype)
+    g = np.array([[-0.0, -0.0], [2.5, -2.5]], dtype)
+    return x, scores, weights, np.array([0, 1, 1]), 2, g
+
+
 class TestPoolRows:
-    """``pool_rows`` is bit for bit the three-op reference on rows of
-    non-zero weight and reads nothing else."""
+    """``pool_rows`` is bit for bit the three-op reference on the kept rows
+    of live segments and reads nothing else; the kept rows of a segment
+    whose output gradient is all zero get +0.0 gradients."""
 
     @settings(deadline=None, max_examples=200)
     @given(_pool_cases())
     @example(_signed_zero_case(np.float64))
     @example(_signed_zero_case(np.float32))
+    @example(_dead_segment_case(np.float64))
+    @example(_dead_segment_case(np.float32))
     def test_matches_reference_composition(self, case):
         x, scores, weights, ids, segments, g = case
         out, dx, ds = _pool_value_and_grads(
@@ -357,9 +378,33 @@ class TestPoolRows:
         assert out.dtype == dx.dtype == ds.dtype == x.dtype
         assert out.tobytes() == ref.tobytes()
         keep = weights != 0
-        assert dx[keep].tobytes() == ref_dx[keep].tobytes()
-        assert ds[keep].tobytes() == ref_ds[keep].tobytes()
+        live = keep & g.any(axis=1)[ids]
+        assert dx[live].tobytes() == ref_dx[live].tobytes()
+        assert ds[live].tobytes() == ref_ds[live].tobytes()
+        # the one contract change: the reference's +-0.0 there is +0.0 here
+        assert _all_plus_zero(dx[keep & ~live])
+        assert _all_plus_zero(ds[keep & ~live])
         assert not dx[~keep].any() and not ds[~keep].any()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_row_sparse_gradient_holds_only_live_rows(self, dtype):
+        """Rows 0 and 5 are kept in live segments; rows 2 and 3 are kept in
+        segment 1, whose output gradient is zero, and rows 1 and 4 are
+        dropped. Neither x's row-sparse gradient nor the scores' gradient
+        holds anything but rows 0 and 5."""
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(6, 2)).astype(dtype), requires_grad=True)
+        s = Tensor(rng.normal(size=(6, 1)).astype(dtype), requires_grad=True)
+        weights = np.array([1, 0, 0.5, 0.5, 0, 1], dtype)
+        g = np.array([[1.5, -2.0], [0.0, -0.0], [0.25, 3.0]], dtype)
+        with Tape():
+            out = ad.pool_rows(x, s, weights, np.array([0, 0, 1, 1, 1, 2]), 3)
+        dx, ds = out.node.vjp(g)
+        assert isinstance(dx, ad.RowSparse)
+        np.testing.assert_array_equal(dx.rows, [0, 5])
+        assert dx.values.dtype == dtype and dx.values.shape == (2, 2)
+        assert ds.dtype == dtype
+        assert np.flatnonzero(ds).tolist() == [0, 5]
 
     def test_non_finite_dropped_rows_are_never_read(self):
         x = np.array([[1.0, 2.0], [np.inf, -np.inf], [np.nan, 1.0], [3.0, 4.0]])
@@ -391,11 +436,16 @@ def _gin_chain(nodes, edges, src, dst):
     return ad.scatter_segment_sum(messages, dst, nodes.shape[0])
 
 
-def _sag_chain(u, dinv, src, dst):
-    """The composition ``sag_scores`` replaces."""
+def _propagate_chain(u, dinv, src, dst):
+    """The propagation and tanh of projected scores u."""
     d = Tensor(dinv)
     spread = ad.gather_rows(ad.mul(u, d), src)
     return ad.tanh(ad.mul(ad.scatter_segment_sum(spread, dst, u.shape[0]), d))
+
+
+def _sag_chain(x, theta, dinv, src, dst):
+    """The composition ``sag_scores`` replaces."""
+    return _propagate_chain(ad.matmul(x, theta), dinv, src, dst)
 
 
 def _dense_chain(x, w, b, relu=False):
@@ -449,10 +499,13 @@ def _gin_cases(draw):
 
 @st.composite
 def _sag_cases(draw):
-    """(u, dinv, src, dst, g): the propagation layout with self-loops
-    last, as ``batch_graphs`` makes it, or arbitrary index pairs."""
+    """(x, theta, dinv, src, dst, g): the propagation layout with self-loops
+    last, as ``batch_graphs`` makes it, or arbitrary index pairs. Some
+    upstream gradient rows are zero, as an unrouted sample's are, and a
+    large theta saturates scores past |pre-tanh| > 20, where tanh' is 0."""
     dtype = draw(st.sampled_from([np.float64, np.float32]))
     n, k = draw(st.integers(1, 6)), draw(st.integers(0, 10))
+    dim = draw(st.integers(1, 4))
     src = draw(hnp.arrays(np.int64, k, elements=st.integers(0, n - 1)))
     dst = draw(hnp.arrays(np.int64, k, elements=st.integers(0, n - 1)))
     if draw(st.booleans()):
@@ -460,9 +513,28 @@ def _sag_cases(draw):
         dst = np.concatenate((dst, np.arange(n)))
     degree = np.bincount(dst, minlength=n)
     dinv = (1.0 / np.sqrt(degree + 1.0))[:, None].astype(dtype)
-    u = draw(hnp.arrays(dtype, (n, 1), elements=_floats(dtype)))
+    x = draw(hnp.arrays(dtype, (n, dim), elements=_edge_values(dtype)))
+    theta = draw(hnp.arrays(dtype, (dim, 1), elements=st.one_of(
+        st.floats(-2, 2, width=np.finfo(dtype).bits),
+        st.sampled_from([40.0, -60.0]).map(dtype))))
     g = draw(hnp.arrays(dtype, (n, 1), elements=_floats(dtype)))
-    return u, dinv, src, dst, g
+    g[draw(hnp.arrays(bool, n))] = draw(st.sampled_from([0.0, -0.0]))
+    return x, theta, dinv, src, dst, g
+
+
+def _saturated_case(dtype):
+    """Two path graphs 0-1-2 and 3-4, self-loops last, as ``batch_graphs``
+    lays them out. The pre-tanh scores of nodes 1 and 2 pass 20, so their
+    tanh is exactly 1. The upstream gradient is non-zero on nodes 0 and 2
+    only, so g_u is zero on the rows of nodes 2, 3 and 4."""
+    src = np.array([0, 1, 1, 2, 3, 4, 0, 1, 2, 3, 4])
+    dst = np.array([1, 0, 2, 1, 4, 3, 0, 1, 2, 3, 4])
+    dinv = (1.0 / np.sqrt(np.bincount(dst)))[:, None].astype(dtype)
+    x = np.array([[0.1, 0.0], [0.2, -0.1], [90.0, 0.0], [0.0, 1.0],
+                  [0.5, 0.5]], dtype)
+    theta = np.array([[1.0], [-0.5]], dtype)
+    g = np.array([[-2.0], [0.0], [3.0], [-0.0], [0.0]], dtype)
+    return x, theta, dinv, src, dst, g
 
 
 @st.composite
@@ -502,13 +574,41 @@ class TestFusedPrimitives:
                      for op in (ad.gin_messages, _gin_chain))
         _assert_same_bits(got, want)
 
-    @settings(deadline=None, max_examples=150)
+    @settings(deadline=None, max_examples=200)
     @given(_sag_cases())
+    @example(_saturated_case(np.float64))
+    @example(_saturated_case(np.float32))
     def test_sag_scores_match_chain(self, case):
-        u, dinv, src, dst, g = case
-        got, want = (_value_and_grads(lambda t: op(t, dinv, src, dst), [u], g)
-                     for op in (ad.sag_scores, _sag_chain))
-        _assert_same_bits(got, want)
+        *arrays, dinv, src, dst, g = case
+        (value, dx, dtheta), (want, want_dx, want_dtheta) = (
+            _value_and_grads(lambda a, t: op(a, t, dinv, src, dst), arrays, g)
+            for op in (ad.sag_scores, _sag_chain))
+        _, g_u = _value_and_grads(
+            lambda u: _propagate_chain(u, dinv, src, dst),
+            [arrays[0] @ arrays[1]], g)
+        live = g_u[:, 0] != 0
+        _assert_same_bits([value, dtheta, dx[live]],
+                          [want, want_dtheta, want_dx[live]])
+        # the one contract change: the chain's +-0.0 there is +0.0 here
+        assert dx.dtype == want_dx.dtype and _all_plus_zero(dx[~live])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sag_scores_x_gradient_holds_only_live_rows(self, dtype):
+        """In ``_saturated_case`` g_u is non-zero on nodes 0 and 1 only:
+        node 2's score is saturated, node 1 gets node 0's gradient, and
+        nodes 3 and 4 get none. The row-sparse x-gradient holds exactly those rows, each
+        the row of the dense outer product."""
+        x, theta, dinv, src, dst, g = _saturated_case(dtype)
+        xt, tt = Tensor(x, requires_grad=True), Tensor(theta, requires_grad=True)
+        with Tape():
+            out = ad.sag_scores(xt, tt, dinv, src, dst)
+        dx, dtheta = out.node.vjp(g)
+        _, g_u = _value_and_grads(
+            lambda u: _propagate_chain(u, dinv, src, dst), [x @ theta], g)
+        assert isinstance(dx, ad.RowSparse)
+        np.testing.assert_array_equal(dx.rows, [0, 1])
+        np.testing.assert_array_equal(np.flatnonzero(g_u), [0, 1])
+        _assert_same_bits([dx.values, dtheta], [(g_u @ theta.T)[:2], x.T @ g_u])
 
     @settings(deadline=None, max_examples=150)
     @given(_dense_cases(), st.booleans(), st.sampled_from([(), (0,), (1, 2)]))
@@ -521,11 +621,11 @@ class TestFusedPrimitives:
 
     def test_errors_match_chain(self):
         nodes, edges = Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2)))
-        u, dinv = Tensor(np.ones((3, 1))), np.ones((3, 1))
+        x, theta, dinv = Tensor(np.ones((3, 2))), Tensor(np.ones((2, 1))), np.ones((3, 1))
         ok = np.array([0, 1])
         bad_index = (np.array([0, 3]), np.array([-1, 0]))
         for fused, chain, args in ((ad.gin_messages, _gin_chain, (nodes, edges)),
-                                   (ad.sag_scores, _sag_chain, (u, dinv))):
+                                   (ad.sag_scores, _sag_chain, (x, theta, dinv))):
             for bad in bad_index:
                 for idx in ((bad, ok), (ok, bad)):
                     for op in (fused, chain):
@@ -538,8 +638,10 @@ class TestFusedPrimitives:
             with pytest.raises(ShapeMismatch):
                 op(nodes, Tensor(np.ones((2, 3))), ok, ok)
         for op in (ad.sag_scores, _sag_chain):
-            with pytest.raises(ShapeMismatch):
-                op(u, np.ones((2, 1)), ok, ok)
+            for args in ((x, theta, np.ones((2, 1))), (x, Tensor(np.ones((3, 1))), dinv),
+                         (Tensor(np.ones(3)), theta, dinv)):
+                with pytest.raises(ShapeMismatch):
+                    op(*args, ok, ok)
         x, w, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones(4))
         for op in (ad.dense, _dense_chain):
             for args in ((x, Tensor(np.ones((2, 4))), b), (x, w, Tensor(np.ones(3))),

@@ -560,29 +560,50 @@ class TestExpertMatchesChain:
     the op chains give the same logits and gradients bit for bit."""
 
     @staticmethod
-    def _run(project, mlp, batch, dtype):
+    def _run(project, mlp, batch, dtype, unrouted):
         rng = np.random.default_rng(51)
         expert = expert_of(rng, 4, dtype)
         nodes = Tensor(rng.normal(size=(batch.num_nodes, 4)).astype(dtype),
                        requires_grad=True)
-        g = Tensor(rng.normal(size=(batch.num_graphs, 1)).astype(dtype))
+        g = rng.normal(size=(batch.num_graphs, 1)).astype(dtype)
+        if unrouted:
+            g[::2] = 0.0
         with Tape() as tape:
             logits = mlp(expert, project(nodes, batch, expert, 0.5))
-            grads = tape.backward(ad.reduce_sum(ad.mul(logits, g)))
+            grads = tape.backward(ad.reduce_sum(ad.mul(logits, Tensor(g))))
         leaves = [nodes, *expert.parameters().values()]
         return [logits.data] + [grads[t] for t in leaves]
+
+    def _both(self, smiles, dtype, unrouted):
+        batch = (random_batch(np.random.default_rng(52), 7) if smiles is None
+                 else batch_graphs([featurize(parse_smiles(s)) for s in smiles]))
+        return (self._run(sag_project_batch, expert_mlp, batch, dtype, unrouted),
+                self._run(sag_project_chain, expert_mlp_chain, batch, dtype,
+                          unrouted))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("smiles", [("C", "[NH4+]", "O"), ("CC(N)C=O",),
                                         None])
     def test_bits(self, smiles, dtype):
-        batch = (random_batch(np.random.default_rng(52), 7) if smiles is None
-                 else batch_graphs([featurize(parse_smiles(s)) for s in smiles]))
-        got = self._run(sag_project_batch, expert_mlp, batch, dtype)
-        want = self._run(sag_project_chain, expert_mlp_chain, batch, dtype)
+        got, want = self._both(smiles, dtype, unrouted=False)
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype == dtype
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("smiles", [("C", "[NH4+]", "O"), ("CC(N)C=O",),
+                                        None])
+    def test_unrouted_samples(self, smiles, dtype):
+        """The upstream gradient is zero on every other sample, as on the
+        pairs a router leaves out (all of them at B = 1), so the backward
+        skips their rows. The logits are the chain's bit for bit, and each
+        leaf gradient equals the chain's up to the sign of a zero."""
+        (logits, *grads), (want, *want_grads) = self._both(smiles, dtype,
+                                                           unrouted=True)
+        assert logits.tobytes() == want.tobytes()
+        for a, b in zip(grads, want_grads, strict=True):
+            assert a.dtype == b.dtype == dtype
+            assert np.array_equal(a, b)
 
 
 class TestDenseLayout:
