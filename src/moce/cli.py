@@ -27,9 +27,9 @@ from .experts import (MissingTaskEmbedding, TaskEmbeddingError,
                       load_task_embeddings, resolve_tasks)
 from .gradcheck import all_passed, format_results, run_all
 from .model import Model
-from .molgraph import (DatasetError, EmptyClass, SmilesError, SplitAssignment,
-                       UnsupportedElement, featurize, load_dataset_csv,
-                       parse_smiles, stratified_scaffold_split)
+from .molgraph import (SPLIT_NAMES, DatasetError, EmptyClass, SmilesError,
+                       SplitAssignment, UnsupportedElement, featurize,
+                       load_dataset_csv, parse_smiles, stratified_scaffold_split)
 from .train import (MetricsLog, OptimizerState, ScheduleConfig, TrainSettings,
                     evaluate, train_epoch)
 
@@ -77,8 +77,7 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--split", default=None, help="split CSV from `moce split`")
-    p_eval.add_argument("--split-name", default="test",
-                        choices=("train", "valid", "test"))
+    p_eval.add_argument("--split-name", default="test", choices=SPLIT_NAMES)
     p_eval.add_argument("--out", default="eval-metrics.csv")
     p_eval.add_argument("--task-embeddings", default=None)
 
@@ -143,7 +142,7 @@ def cmd_split(args) -> int:
         for label in (0, 1):
             row = "  ".join(
                 f"{name}={counts.get((task_id, label, name), 0)}"
-                for name in ("train", "valid", "test"))
+                for name in SPLIT_NAMES)
             print(f"task {task_id} label {label}: {row}")
     return EXIT_OK
 

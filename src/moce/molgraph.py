@@ -1,8 +1,10 @@
 """SMILES parsing, molecular graphs, featurization, and scaffold splits.
 
-The parser covers the organic subset (B, C, N, O, P, S, F, Cl, Br, I and
-the aromatic forms b, c, n, o, p, s), bracket atoms with charge and explicit
-hydrogen counts, ring closures 1-9 and %nn, branches, and the bond symbols
+The atom grammar is written once. ``_ATOM_SYMBOLS`` maps the organic subset
+(B, C, N, O, P, S, F, Cl, Br, I and the aromatic b, c, n, o, p, s) to element
+and aromaticity, for bare and bracket atoms alike, and ``_BRACKET`` matches a
+whole bracket atom ``[isotope]symbol[chirality][H count][charge]``. The
+parser also takes ring closures 1-9 and %nn, branches, and the bond symbols
 - = # :. Stereo markers (/ \\ @) and isotopes are accepted and ignored.
 Every parse error carries the byte offset of the offending token.
 """
@@ -11,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
+import re
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -77,11 +81,14 @@ class BondOrder(IntEnum):
 # atom itself contributes one more (handled at the atom level)
 _VALENCE_UNITS = (0, 1, 2, 3, 1)
 
-_SYMBOL_TO_ELEMENT = {
-    "B": 5, "C": 6, "N": 7, "O": 8, "P": 15, "S": 16,
-    "F": 9, "Cl": 17, "Br": 35, "I": 53,
+# symbol -> (element, aromatic), for bare and bracket atoms alike
+_ATOM_SYMBOLS = {
+    "B": (5, False), "C": (6, False), "N": (7, False), "O": (8, False),
+    "P": (15, False), "S": (16, False), "F": (9, False), "Cl": (17, False),
+    "Br": (35, False), "I": (53, False),
+    "b": (5, True), "c": (6, True), "n": (7, True), "o": (8, True),
+    "p": (15, True), "s": (16, True),
 }
-_AROMATIC_SYMBOLS = {"b": 5, "c": 6, "n": 7, "o": 8, "p": 15, "s": 16}
 
 _DEFAULT_VALENCE = {5: 3, 6: 4, 7: 3, 8: 2, 15: 3, 16: 2, 9: 1, 17: 1, 35: 1, 53: 1}
 _MAX_VALENCE = {5: 3, 6: 4, 7: 3, 8: 2, 15: 5, 16: 6, 9: 1, 17: 1, 35: 1, 53: 1}
@@ -128,56 +135,29 @@ class MolecularGraph:
 _DIGITS = "0123456789"
 
 
+# Every part after the isotope is optional, so a match always succeeds and
+# its groups tell which part is missing. [0-9], not \d: \d also matches
+# non-ASCII digits. Two-letter symbols come first in the alternation.
+_BRACKET = re.compile(
+    r"\[[0-9]*(?:(%s)@*(?:H([0-9]*))?(?:(\++|-+)([0-9]*))?(\])?)?"
+    % "|".join(sorted(_ATOM_SYMBOLS, key=len, reverse=True)))
+_RING = re.compile("%[0-9][0-9]")
+
+
 def _parse_bracket(s: str, start: int):
     """Parse a bracket atom starting at '['; returns (info, next_index)."""
-    i = start + 1
-    n = len(s)
-    while i < n and s[i] in _DIGITS:  # isotope, ignored
-        i += 1
-    element = None
-    aromatic = False
-    for two in ("Cl", "Br"):
-        if s.startswith(two, i):
-            element = _SYMBOL_TO_ELEMENT[two]
-            i += 2
-            break
-    if element is None and i < n:
-        ch = s[i]
-        if ch in _SYMBOL_TO_ELEMENT:
-            element = _SYMBOL_TO_ELEMENT[ch]
-            i += 1
-        elif ch in _AROMATIC_SYMBOLS:
-            element = _AROMATIC_SYMBOLS[ch]
-            aromatic = True
-            i += 1
-    if element is None:
-        raise UnknownAtomToken("unsupported element in bracket atom", i if i < n else start)
-    while i < n and s[i] == "@":  # chirality, ignored
-        i += 1
-    hydrogens = 0
-    if i < n and s[i] == "H":
-        i += 1
-        digits = ""
-        while i < n and s[i] in _DIGITS:
-            digits += s[i]
-            i += 1
-        hydrogens = int(digits) if digits else 1
-    charge = 0
-    if i < n and s[i] in "+-":
-        sign = 1 if s[i] == "+" else -1
-        symbol = s[i]
-        count = 0
-        while i < n and s[i] == symbol:
-            count += 1
-            i += 1
-        digits = ""
-        while i < n and s[i] in _DIGITS:
-            digits += s[i]
-            i += 1
-        charge = sign * (int(digits) if digits else count)
-    if i >= n or s[i] != "]":
+    m = _BRACKET.match(s, start)
+    symbol, h_count, sign, charge_digits, close = m.groups()
+    if symbol is None:
+        raise UnknownAtomToken("unsupported element in bracket atom",
+                               m.end() if m.end() < len(s) else start)
+    if close is None:
         raise UnknownAtomToken("unterminated bracket atom", start)
-    return (element, aromatic, charge, hydrogens), i + 1
+    element, aromatic = _ATOM_SYMBOLS[symbol]
+    charge = 0 if sign is None else (
+        (1 if sign[0] == "+" else -1) * int(charge_digits or len(sign)))
+    hydrogens = 0 if h_count is None else int(h_count or 1)
+    return (element, aromatic, charge, hydrogens), m.end()
 
 
 def parse_smiles(smiles: str) -> MolecularGraph:
@@ -306,24 +286,20 @@ def parse_smiles(smiles: str) -> MolecularGraph:
         elif ch == "%":
             if prev is None:
                 raise UnmatchedRingClosure("ring closure before any atom", i)
-            if i + 2 >= n or not (smiles[i + 1] in _DIGITS and smiles[i + 2] in _DIGITS):
-                raise UnknownAtomToken("%% ring closure needs two digits", i)
+            if not _RING.match(smiles, i):
+                raise UnknownAtomToken("% ring closure needs two digits", i)
             close_ring(int(smiles[i + 1 : i + 3]), i)
             i += 3
         elif ch == "[":
             (element, aromatic, charge, hydrogens), j = _parse_bracket(smiles, i)
             add_atom(element, aromatic, charge, hydrogens, True, i)
             i = j
-        elif smiles.startswith("Cl", i) or smiles.startswith("Br", i):
-            symbol = smiles[i : i + 2]
-            add_atom(_SYMBOL_TO_ELEMENT[symbol], False, 0, 0, False, i)
-            i += 2
-        elif ch in _SYMBOL_TO_ELEMENT:
-            add_atom(_SYMBOL_TO_ELEMENT[ch], False, 0, 0, False, i)
-            i += 1
-        elif ch in _AROMATIC_SYMBOLS:
-            add_atom(_AROMATIC_SYMBOLS[ch], True, 0, 0, False, i)
-            i += 1
+        elif ch in _ATOM_SYMBOLS:
+            if smiles.startswith(("Cl", "Br"), i):
+                ch = smiles[i : i + 2]
+            element, aromatic = _ATOM_SYMBOLS[ch]
+            add_atom(element, aromatic, 0, 0, False, i)
+            i += len(ch)
         else:
             raise UnknownAtomToken(f"unknown token {ch!r}", i)
 
@@ -494,6 +470,9 @@ class DatasetRecord:
     task_id: str
 
 
+SPLIT_NAMES = ("train", "valid", "test")
+
+
 @dataclass
 class SplitAssignment:
     """Record index to split name ('train'/'valid'/'test')."""
@@ -528,7 +507,7 @@ class SplitAssignment:
         for lineno, row in enumerate(rows[1:], start=2):
             if not row:
                 continue
-            if len(row) != 2 or row[1] not in ("train", "valid", "test"):
+            if len(row) != 2 or row[1] not in SPLIT_NAMES:
                 raise DatasetError(f"bad split row {row!r}", lineno)
             # ASCII only: str.isdecimal() also accepts digits such as "٣"
             if not (row[0].isascii() and row[0].isdecimal()):
@@ -539,9 +518,6 @@ class SplitAssignment:
                 raise DatasetError(f"duplicate record_index {idx}", lineno)
             out.splits[idx] = row[1]
         return out
-
-
-SPLIT_NAMES = ("train", "valid", "test")
 
 
 def stratified_scaffold_split(
@@ -563,17 +539,13 @@ def stratified_scaffold_split(
     if not np.isclose(total, 1.0, atol=1e-9) or min(fractions) < 0:
         raise ValueError(f"fractions must be nonnegative and sum to 1, got {fractions}")
 
-    by_task: dict[str, set[int]] = {}
-    for rec in records:
-        by_task.setdefault(rec.task_id, set()).add(rec.label)
-    for task_id, labels in sorted(by_task.items()):
-        for lab in (0, 1):
-            if lab not in labels:
-                raise EmptyClass(f"task {task_id!r} has no records with label {lab}")
-
     classes: dict[tuple[str, int], list[int]] = {}
     for idx, rec in enumerate(records):
         classes.setdefault((rec.task_id, rec.label), []).append(idx)
+    for task_id in sorted({task_id for task_id, _ in classes}):
+        for lab in (0, 1):
+            if (task_id, lab) not in classes:
+                raise EmptyClass(f"task {task_id!r} has no records with label {lab}")
 
     rng = np.random.default_rng(seed)
     assignment = SplitAssignment()
@@ -585,16 +557,9 @@ def stratified_scaffold_split(
         ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
 
         shuffled: list[tuple[str, list[int]]] = []
-        i = 0
-        while i < len(ordered):
-            j = i
-            size = len(ordered[i][1])
-            while j < len(ordered) and len(ordered[j][1]) == size:
-                j += 1
-            run = ordered[i:j]
-            for p in rng.permutation(j - i):
-                shuffled.append(run[p])
-            i = j
+        for _, run in itertools.groupby(ordered, key=lambda kv: len(kv[1])):
+            run = list(run)
+            shuffled.extend(run[p] for p in rng.permutation(len(run)))
 
         targets = [frac * len(members) for frac in fractions]
         counts = [0, 0, 0]

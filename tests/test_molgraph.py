@@ -12,6 +12,7 @@ from moce.molgraph import (
     DatasetRecord,
     EmptyClass,
     MolecularGraph,
+    SmilesError,
     UnbalancedParenthesis,
     UnknownAtomToken,
     UnmatchedRingClosure,
@@ -190,8 +191,9 @@ class TestParserErrors:
         assert err.value.offset == 1
 
     def test_unsupported_bracket_element(self):
-        with pytest.raises(UnknownAtomToken):
-            parse_smiles("C[Si](C)C")
+        with pytest.raises(UnknownAtomToken) as err:
+            parse_smiles("C[Xe](C)C")
+        assert err.value.offset == 2
 
     def test_valence_error_with_offset(self):
         with pytest.raises(ValenceError) as err:
@@ -218,6 +220,44 @@ class TestParserErrors:
     def test_carbon_dioxide_is_fine(self):
         g = parse_smiles("O=C=O")
         assert g.atoms[1].explicit_hydrogens == 0
+
+    # one row per raise site: (SMILES, error type, message, offset)
+    @pytest.mark.parametrize("smiles, error, message, offset", [
+        ("", UnknownAtomToken, "empty SMILES", 0),
+        ("C11", UnmatchedRingClosure, "ring bond to the same atom", 2),
+        ("C1C1", UnmatchedRingClosure, "duplicate bond", 3),
+        ("C=1CCCCC-1", UnmatchedRingClosure,
+         "conflicting bond orders for ring closure 1", 9),
+        ("(C)C", UnbalancedParenthesis, "branch opened before any atom", 0),
+        ("CC)C", UnbalancedParenthesis, "unmatched closing parenthesis", 2),
+        ("C(C=)C", UnknownAtomToken,
+         "dangling bond before closing parenthesis", 3),
+        ("C=#C", UnknownAtomToken, "two consecutive bond symbols", 2),
+        ("=C", UnknownAtomToken, "bond symbol before any atom", 0),
+        ("1CC1", UnmatchedRingClosure, "ring closure before any atom", 0),
+        ("%12CC%12", UnmatchedRingClosure, "ring closure before any atom", 0),
+        ("C%1", UnknownAtomToken, "% ring closure needs two digits", 1),
+        ("C%1C", UnknownAtomToken, "% ring closure needs two digits", 1),
+        ("CXC", UnknownAtomToken, "unknown token 'X'", 1),
+        ("CC=", UnknownAtomToken, "dangling bond at end of input", 2),
+        ("CC(C(C)", UnbalancedParenthesis, "unclosed branch", 2),
+        ("C2CC1CC", UnmatchedRingClosure, "unclosed ring bond 1", 4),
+        ("CC:C", ValenceError, "aromatic bond with non-aromatic endpoint", 1),
+        ("FF=C", ValenceError, "valence 3 exceeds maximum for element 9", 1),
+        ("C[Si]", UnknownAtomToken, "unterminated bracket atom", 1),
+        ("C[Xe]", UnknownAtomToken, "unsupported element in bracket atom", 2),
+        ("[13Xe]", UnknownAtomToken, "unsupported element in bracket atom", 3),
+        ("C[", UnknownAtomToken, "unsupported element in bracket atom", 1),
+        ("[13", UnknownAtomToken, "unsupported element in bracket atom", 0),
+        ("C[Cl", UnknownAtomToken, "unterminated bracket atom", 1),
+        ("[CH2+", UnknownAtomToken, "unterminated bracket atom", 0),
+    ])
+    def test_error_type_message_and_offset(self, smiles, error, message, offset):
+        with pytest.raises(SmilesError) as err:
+            parse_smiles(smiles)
+        assert type(err.value) is error
+        assert str(err.value) == f"{message} (offset {offset})"
+        assert err.value.offset == offset
 
 
 class TestFeaturize:

@@ -53,6 +53,67 @@ def test_parse_smiles_returns_or_raises_smiles_error(smiles):
         pass
 
 
+DIGITS = "0123456789"
+# symbol -> (element, aromatic) for every symbol a bracket atom accepts
+BRACKET_SYMBOLS = {"B": (5, False), "C": (6, False), "N": (7, False),
+                   "O": (8, False), "P": (15, False), "S": (16, False),
+                   "F": (9, False), "Cl": (17, False), "Br": (35, False),
+                   "I": (53, False), "b": (5, True), "c": (6, True),
+                   "n": (7, True), "o": (8, True), "p": (15, True),
+                   "s": (16, True)}
+NOT_SYMBOLS = ["", "H", "Xe", "Si", "Cs", "l", "*", "@", "\u00b9", "\u0663"]
+
+
+@st.composite
+def bracket_atoms(draw):
+    """A bracket atom written from its parts: isotope, symbol, chirality, H
+    count, charge and closing bracket. Returns the text and, when it is well
+    formed, the (element, aromatic, charge, H count) its parts state."""
+    isotope = draw(st.text(DIGITS, max_size=3))
+    symbol = draw(st.sampled_from(sorted(BRACKET_SYMBOLS) + NOT_SYMBOLS))
+    chirality = "@" * draw(st.integers(0, 2))
+    h_digits = draw(st.none() | st.text(DIGITS, max_size=2))
+    charge = draw(st.none() | st.tuples(st.sampled_from("+-"), st.integers(1, 3),
+                                        st.text(DIGITS, max_size=2)))
+    close = draw(st.booleans())
+    text = "[" + isotope + symbol + chirality
+    hydrogens = 0
+    if h_digits is not None:
+        text += "H" + h_digits
+        hydrogens = int(h_digits) if h_digits else 1
+    formal_charge = 0
+    if charge is not None:
+        sign, run, digits = charge
+        text += sign * run + digits
+        formal_charge = (1 if sign == "+" else -1) * (int(digits) if digits else run)
+    if not close or symbol not in BRACKET_SYMBOLS:
+        return text + ("]" if close else ""), None
+    return text + "]", (*BRACKET_SYMBOLS[symbol], formal_charge, hydrogens)
+
+
+@settings(deadline=None, max_examples=300)
+@given(bracket_atoms())
+@example(("[13C@@H2+3]", (6, False, 3, 2)))
+@example(("[nH]", (7, True, 0, 1)))
+@example(("[C+H]", None))  # H after the charge
+@example(("[C++-]", None))  # mixed sign run
+@example(("[Cl", None))
+def test_bracket_atom_from_parts(case):
+    text, expected = case
+    if expected is not None:
+        (atom,) = parse_smiles(text).atoms
+        assert (atom.element, atom.is_aromatic, atom.formal_charge,
+                atom.explicit_hydrogens) == expected
+        return
+    try:
+        parse_smiles(text)
+    except SmilesError as exc:
+        after_isotope = len(text) - len(text[1:].lstrip(DIGITS))
+        assert exc.offset in (0, after_isotope)
+    else:
+        raise AssertionError(f"{text!r} parsed")
+
+
 ORGANIC_MAX_VALENCE = [("C", 4), ("N", 3), ("O", 2), ("S", 6), ("P", 5),
                        ("B", 3), ("F", 1), ("Cl", 1), ("Br", 1)]
 BRACKET_ATOMS = ["[C]", "[N+]", "[O-]", "[CH2]", "[13C]"]  # no valence ceiling
