@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -106,6 +106,34 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+class Module:
+    """Base of the parameter dataclasses: ``parameters`` names their tensors
+    by one rule, in field order. With ``key`` a field's ``metadata["key"]``
+    or else its name, a tensor is ``key``, a list of tensors ``key.i``, a
+    module ``key.sub`` and a list of modules ``key{i}.sub``; other fields
+    are skipped. These names, in this order, are the checkpoint keys.
+    """
+
+    def parameters(self) -> dict[str, Tensor]:
+        out: dict[str, Tensor] = {}
+        for f in fields(self):
+            key = f.metadata.get("key", f.name)
+            value = getattr(self, f.name)
+            if isinstance(value, Tensor):
+                out[key] = value
+            elif isinstance(value, Module):
+                out.update((f"{key}.{name}", t)
+                           for name, t in value.parameters().items())
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    if isinstance(item, Tensor):
+                        out[f"{key}.{i}"] = item
+                    else:
+                        out.update((f"{key}{i}.{name}", t)
+                                   for name, t in item.parameters().items())
+        return out
 
 
 class Tape:

@@ -161,12 +161,15 @@ def _resolve_run_tasks(cfg: RunConfig, task_ids, embeddings_path=None):
                          fallback_dim=cfg.task_dim)
 
 
+def _shown(value: float | None, digits: int) -> str:
+    return "undefined" if value is None else f"{value:.{digits}f}"
+
+
 def _epoch_line(metrics) -> str:
-    auc = "undefined" if metrics.mean_auc is None else f"{metrics.mean_auc:.4f}"
-    base = metrics.loss_means.get("base", 0.0)
     return (f"epoch {metrics.epoch:>3d} {metrics.split:<5s} "
-            f"mean auc {auc}  base loss {base:.4f}  "
-            f"max gate share {metrics.max_gate_share:.3f}"
+            f"mean auc {_shown(metrics.mean_auc, 4)}  "
+            f"base loss {_shown(metrics.loss_means.get('base'), 4)}  "
+            f"max gate share {_shown(metrics.max_gate_share, 3)}"
             + (f"  skipped {metrics.skipped_batches}"
                if metrics.skipped_batches else ""))
 
@@ -187,9 +190,8 @@ def cmd_train(args) -> int:
 
     tasks = _resolve_run_tasks(cfg, [r.task_id for r in records])
     model = Model.create(cfg.model_config(), cfg.seed, dtype=cfg.dtype())
-    params = model.parameters()
-    opt = OptimizerState.create(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    settings = cfg.train_settings()
+    opt = OptimizerState.create(model.parameters(), lr=cfg.lr,
+                                weight_decay=cfg.weight_decay)
 
     start_epoch, step = 0, 0
     if args.resume:
@@ -200,13 +202,14 @@ def cmd_train(args) -> int:
         if ckpt.seed != cfg.seed:
             print(f"note: resuming with checkpoint seed {ckpt.seed} "
                   f"(config said {cfg.seed})", file=sys.stderr)
-            settings = replace(settings, seed=ckpt.seed)
-        # restore_optimizer already took the decay; the schedule reads lr
         if (ckpt.lr, ckpt.weight_decay) != (cfg.lr, cfg.weight_decay):
             print(f"note: resuming with checkpoint lr {ckpt.lr} and weight "
                   f"decay {ckpt.weight_decay} (config said {cfg.lr} and "
                   f"{cfg.weight_decay})", file=sys.stderr)
-            settings = replace(settings, lr=ckpt.lr)
+        # the run goes on with these, so its checkpoints must record them
+        cfg = replace(cfg, seed=ckpt.seed, lr=ckpt.lr,
+                      weight_decay=ckpt.weight_decay)
+    settings = cfg.train_settings()
 
     batches_per_epoch = max(1, math.ceil(len(train_records) / cfg.batch_size))
     schedule = ScheduleConfig(total_steps=cfg.epochs * batches_per_epoch,
@@ -277,11 +280,9 @@ def cmd_eval(args) -> int:
         counts[rec.task_id] = counts.get(rec.task_id, 0) + 1
     print(f"{'task':<20s} {'n':>6s} {'auc':>12s}")
     for task_id, auc in sorted(metrics.per_task_auc.items()):
-        shown = "undefined" if auc is None else f"{auc:.6f}"
-        print(f"{task_id:<20s} {counts[task_id]:>6d} {shown:>12s}")
-    mean = ("undefined" if metrics.mean_auc is None
-            else f"{metrics.mean_auc:.6f}")
-    print(f"{'__mean__':<20s} {len(subset):>6d} {mean:>12s}")
+        print(f"{task_id:<20s} {counts[task_id]:>6d} {_shown(auc, 6):>12s}")
+    print(f"{'__mean__':<20s} {len(subset):>6d} "
+          f"{_shown(metrics.mean_auc, 6):>12s}")
 
     MetricsLog(args.out).append(metrics)
     print(f"metrics in {args.out}")

@@ -122,8 +122,8 @@ def _convert(name: str, raw: str, target_type):
 
 def parse_config(text: str) -> RunConfig:
     """Parse a configuration document; unknown keys and bad values fail."""
-    known = {f.name: f.type for f in fields(RunConfig)}
-    types = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
+    defaults = RunConfig()
+    types = {f.name: type(getattr(defaults, f.name)) for f in fields(defaults)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -133,12 +133,12 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected key = value, "
                               f"got {stripped!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in known:
+        if key not in types:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _convert(key, raw, types[key])
-    cfg = dataclasses.replace(RunConfig(), **values)
+    cfg = dataclasses.replace(defaults, **values)
     cfg.validate()
     return cfg
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Module, Tensor
 from .molgraph import EDGE_VOCAB_SIZES, NODE_VOCAB_SIZES, FeaturizedGraph
 
 
@@ -24,7 +24,7 @@ class EmptyGraph(ValueError):
 
 
 @dataclass
-class GinLayer:
+class GinLayer(Module):
     """One GIN update: learnable epsilon and a d->d->d MLP."""
 
     epsilon: Tensor
@@ -44,13 +44,9 @@ class GinLayer:
             b2=Tensor(np.zeros(dim), requires_grad=True),
         )
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"epsilon": self.epsilon, "w1": self.w1, "b1": self.b1,
-                "w2": self.w2, "b2": self.b2}
-
 
 @dataclass
-class EncoderConfig:
+class EncoderConfig(Module):
     """Input embedding tables.
 
     ``node_embed`` holds one (vocab, dim) table per node feature column;
@@ -73,14 +69,6 @@ class EncoderConfig:
             for v in EDGE_VOCAB_SIZES
         ]
         return cls(node_embed=node_embed, edge_embed=edge_embed)
-
-    def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for i, t in enumerate(self.node_embed):
-            out[f"node_embed.{i}"] = t
-        for i, t in enumerate(self.edge_embed):
-            out[f"edge_embed.{i}"] = t
-        return out
 
 
 @dataclass

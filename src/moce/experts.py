@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Module, Tensor
 from .encoder import BatchedGraph, segment_mean_pool
 
 
@@ -119,7 +119,7 @@ def resolve_tasks(task_ids, embeddings: dict[str, np.ndarray] | None,
 
 
 @dataclass
-class RouterParams:
+class RouterParams(Module):
     """Gating weights: sample scores from the readout, task scores from the
     task embedding, separate heads for the mean and noise scale."""
 
@@ -151,13 +151,9 @@ class RouterParams:
             k_s=k_s, k_t=k_t,
         )
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"w_mu1": self.w_mu1, "w_mu2": self.w_mu2,
-                "w_sigma1": self.w_sigma1, "w_sigma2": self.w_sigma2}
-
 
 @dataclass
-class ExpertParams:
+class ExpertParams(Module):
     """One expert: an attention projection for pooling and a d->d->1 MLP."""
 
     theta_att: Tensor
@@ -177,13 +173,9 @@ class ExpertParams:
             b2=Tensor(np.zeros(1), requires_grad=True),
         )
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"theta_att": self.theta_att, "w1": self.w1, "b1": self.b1,
-                "w2": self.w2, "b2": self.b2}
-
 
 @dataclass
-class IntegratorParams:
+class IntegratorParams(Module):
     """Task-conditioned softmax weights over per-layer logits."""
 
     map_w: Tensor
@@ -198,9 +190,6 @@ class IntegratorParams:
                          requires_grad=True),
             bias=Tensor(np.zeros(num_layers), requires_grad=True),
         )
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"map_w": self.map_w, "bias": self.bias}
 
 
 @dataclass

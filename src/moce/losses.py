@@ -11,7 +11,7 @@ sum to the base loss.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -152,15 +152,7 @@ class LossBreakdown:
     overall: Tensor
 
     def floats(self) -> dict[str, float]:
-        return {
-            "base": float(self.base.data),
-            "att": float(self.att.data),
-            "exp": float(self.exp.data),
-            "imp": float(self.imp.data),
-            "lod": float(self.lod.data),
-            "col": float(self.col.data),
-            "overall": float(self.overall.data),
-        }
+        return {f.name: float(getattr(self, f.name).data) for f in fields(self)}
 
 
 def overall_loss(base: Tensor, att: Tensor, exp: Tensor, imp: Tensor,

@@ -15,7 +15,7 @@ from functools import reduce
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Module, Tensor
 from .encoder import BatchedGraph, EncoderConfig, GinLayer, embed_inputs, encode_from
 from .experts import (
     ExpertParams,
@@ -69,24 +69,12 @@ class ModelConfig:
 
 
 @dataclass
-class ProcessingBlock:
+class ProcessingBlock(Module):
     """One encode-route-vote stage."""
 
-    gin_layers: list[GinLayer]
+    gin_layers: list[GinLayer] = field(metadata={"key": "gin"})
     router: RouterParams
-    experts: list[ExpertParams]
-
-    def parameters(self, prefix: str) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for g, layer in enumerate(self.gin_layers):
-            for name, t in layer.parameters().items():
-                out[f"{prefix}.gin{g}.{name}"] = t
-        for name, t in self.router.parameters().items():
-            out[f"{prefix}.router.{name}"] = t
-        for j, expert in enumerate(self.experts):
-            for name, t in expert.parameters().items():
-                out[f"{prefix}.expert{j}.{name}"] = t
-        return out
+    experts: list[ExpertParams] = field(metadata={"key": "expert"})
 
 
 @dataclass
@@ -100,10 +88,10 @@ class ForwardResult:
 
 
 @dataclass
-class Model:
+class Model(Module):
     config: ModelConfig
-    input_tables: EncoderConfig
-    blocks: list[ProcessingBlock]
+    input_tables: EncoderConfig = field(metadata={"key": "input"})
+    blocks: list[ProcessingBlock] = field(metadata={"key": "block"})
     integrator: IntegratorParams
 
     @classmethod
@@ -136,17 +124,6 @@ class Model:
     def dtype(self):
         """The floating-point type of every parameter, set by ``create``."""
         return self.integrator.bias.dtype
-
-    def parameters(self) -> dict[str, Tensor]:
-        """Stable name -> tensor mapping; the checkpoint format keys off it."""
-        out: dict[str, Tensor] = {}
-        for name, t in self.input_tables.parameters().items():
-            out[f"input.{name}"] = t
-        for b, block in enumerate(self.blocks):
-            out.update(block.parameters(f"block{b}"))
-        for name, t in self.integrator.parameters().items():
-            out[f"integrator.{name}"] = t
-        return out
 
     def forward(self, batch: BatchedGraph, tasks: Tensor, noise_on: bool,
                 rngs: list[np.random.Generator] | None = None) -> ForwardResult:

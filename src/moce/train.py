@@ -159,14 +159,15 @@ def auc_roc(scores, labels) -> float | None:
 
 @dataclass
 class EpochMetrics:
-    """One epoch's worth of reporting."""
+    """One epoch's worth of reporting; with no completed batch, the losses
+    are undefined: ``loss_means`` is empty and ``max_gate_share`` None."""
 
     epoch: int
     split: str
     per_task_auc: dict[str, float | None]
     mean_auc: float | None
     loss_means: dict[str, float]
-    max_gate_share: float
+    max_gate_share: float | None
     skipped_batches: int = 0
 
 
@@ -215,7 +216,7 @@ class _MetricsAccumulator:
 
     def metrics(self, epoch: int, split: str,
                 skipped_batches: int = 0) -> EpochMetrics:
-        denom = max(self.num_batches, 1)
+        n = self.num_batches
         per_task_auc = {
             task_id: auc_roc(self.scores[task_id], self.labels[task_id])
             for task_id in sorted(self.scores)
@@ -226,8 +227,8 @@ class _MetricsAccumulator:
             split=split,
             per_task_auc=per_task_auc,
             mean_auc=float(np.mean(defined)) if defined else None,
-            loss_means={k: v / denom for k, v in self.loss_sums.items()},
-            max_gate_share=self.share_sum / denom,
+            loss_means={k: v / n for k, v in self.loss_sums.items()},
+            max_gate_share=self.share_sum / n if n else None,
             skipped_batches=skipped_batches,
         )
 
@@ -302,14 +303,20 @@ def evaluate(model: Model, records: list[DatasetRecord],
     return acc.metrics(epoch, split)
 
 
-METRICS_HEADER = ["epoch", "task_id", "split", "auc", "base", "att", "exp",
-                  "imp", "lod", "max_gate_share"]
+LOSS_COLUMNS = ("base", "att", "exp", "imp", "lod")
+METRICS_HEADER = ["epoch", "task_id", "split", "auc", *LOSS_COLUMNS,
+                  "max_gate_share"]
+
+
+def _cell(value: float | None) -> str:
+    return "" if value is None else f"{value:.10f}"
 
 
 class MetricsLog:
     """Comma-separated metrics file, one row per (epoch, task, split).
 
-    The ``auc`` field is empty when undefined (single-class task). The
+    A field is empty when undefined: ``auc`` for a single-class task, the
+    losses and ``max_gate_share`` for an epoch with no completed batch. The
     ``task_id`` "__mean__" row carries the cross-task mean. Opening the log
     keeps an existing file's rows of epochs before ``first_epoch`` and drops
     the rest, so a run resumed at that epoch writes each row once.
@@ -328,22 +335,15 @@ class MetricsLog:
             writer.writerows(kept)
 
     def append(self, metrics: EpochMetrics) -> None:
-        losses = metrics.loss_means
+        tail = [_cell(metrics.loss_means.get(k)) for k in LOSS_COLUMNS]
+        tail.append(_cell(metrics.max_gate_share))
         with open(self.path, "a", newline="") as fh:
             writer = csv.writer(fh)
             rows = list(metrics.per_task_auc.items())
             rows.append(("__mean__", metrics.mean_auc))
             for task_id, auc in rows:
-                writer.writerow([
-                    metrics.epoch, task_id, metrics.split,
-                    "" if auc is None else f"{auc:.10f}",
-                    f"{losses.get('base', 0.0):.10f}",
-                    f"{losses.get('att', 0.0):.10f}",
-                    f"{losses.get('exp', 0.0):.10f}",
-                    f"{losses.get('imp', 0.0):.10f}",
-                    f"{losses.get('lod', 0.0):.10f}",
-                    f"{metrics.max_gate_share:.10f}",
-                ])
+                writer.writerow([metrics.epoch, task_id, metrics.split,
+                                 _cell(auc), *tail])
 
 
 def read_metrics_log(path) -> list[dict[str, str]]:

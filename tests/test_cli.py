@@ -186,8 +186,9 @@ class TestTrain:
 
     def test_resume_keeps_checkpoint_lr_and_weight_decay(self, workdir,
                                                          capsys):
-        # the resumed run edits lr and weight_decay; the checkpoint's values
-        # win, so the run still matches the unbroken one
+        # the resumed run edits seed, lr and weight_decay; the checkpoint's
+        # values win, so the run still matches the unbroken one, and its
+        # checkpoint records the values it ran with
         root = workdir["root"]
         cfg_a = root / "lr-a.cfg"
         cfg_a.write_text(TINY_CFG.format(data=workdir["data"],
@@ -201,16 +202,21 @@ class TestTrain:
                                          splits=workdir["splits"],
                                          out=root / "run-lr")
                          .replace("lr = 0.005", "lr = 0.05")
+                         .replace("seed = 5", "seed = 7")
                          + "weight_decay = 0.3\n")
         assert main(["train", "--config", str(cfg_b), "--resume",
                      str(root / "run-lr" / "checkpoint.bin")]) == 0
         err = capsys.readouterr().err
+        assert err.count("note: resuming with checkpoint seed 5 "
+                         "(config said 7)") == 1
         assert err.count("note: resuming with checkpoint lr 0.005 and "
                          "weight decay 0.01 (config said 0.05 and 0.3)") == 1
 
         resumed = load_checkpoint(root / "run-lr" / "checkpoint.bin")
         unbroken = load_checkpoint(workdir["checkpoint"])
-        assert (resumed.lr, resumed.weight_decay) == (0.005, 0.01)
+        saved = parse_config(resumed.config_text)
+        for run in (resumed, saved):
+            assert (run.seed, run.lr, run.weight_decay) == (5, 0.005, 0.01)
         assert resumed.step == unbroken.step
         for name in unbroken.params:
             assert np.array_equal(resumed.params[name], unbroken.params[name])

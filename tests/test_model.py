@@ -44,18 +44,37 @@ class TestCreation:
                    for n in a.parameters())
 
     def test_parameter_names_cover_structure(self):
-        model = Model.create(tiny_config(), seed=0)
-        names = set(model.parameters())
-        assert "input.node_embed.0" in names
-        assert "input.edge_embed.1" in names
-        assert "block0.gin0.epsilon" in names
-        assert "block1.gin1.w2" in names
-        assert "block0.router.w_sigma2" in names
-        assert "block1.expert2.theta_att" in names
-        assert "integrator.map_w" in names
-        # 5 node + 2 edge tables, per block 2 gins x 5 + 4 router + 3 experts x 5,
-        # and 2 integrator tensors
-        assert len(names) == 7 + 2 * (10 + 4 + 15) + 2
+        # the checkpoint format: every key, in order
+        assert list(Model.create(tiny_config(), seed=0).parameters()) == [
+            "input.node_embed.0", "input.node_embed.1", "input.node_embed.2",
+            "input.node_embed.3", "input.node_embed.4", "input.edge_embed.0",
+            "input.edge_embed.1", "block0.gin0.epsilon", "block0.gin0.w1",
+            "block0.gin0.b1", "block0.gin0.w2", "block0.gin0.b2",
+            "block0.gin1.epsilon", "block0.gin1.w1", "block0.gin1.b1",
+            "block0.gin1.w2", "block0.gin1.b2", "block0.router.w_mu1",
+            "block0.router.w_mu2", "block0.router.w_sigma1",
+            "block0.router.w_sigma2", "block0.expert0.theta_att",
+            "block0.expert0.w1", "block0.expert0.b1", "block0.expert0.w2",
+            "block0.expert0.b2", "block0.expert1.theta_att",
+            "block0.expert1.w1", "block0.expert1.b1", "block0.expert1.w2",
+            "block0.expert1.b2", "block0.expert2.theta_att",
+            "block0.expert2.w1", "block0.expert2.b1", "block0.expert2.w2",
+            "block0.expert2.b2", "block1.gin0.epsilon", "block1.gin0.w1",
+            "block1.gin0.b1", "block1.gin0.w2", "block1.gin0.b2",
+            "block1.gin1.epsilon", "block1.gin1.w1", "block1.gin1.b1",
+            "block1.gin1.w2", "block1.gin1.b2", "block1.router.w_mu1",
+            "block1.router.w_mu2", "block1.router.w_sigma1",
+            "block1.router.w_sigma2", "block1.expert0.theta_att",
+            "block1.expert0.w1", "block1.expert0.b1", "block1.expert0.w2",
+            "block1.expert0.b2", "block1.expert1.theta_att",
+            "block1.expert1.w1", "block1.expert1.b1", "block1.expert1.w2",
+            "block1.expert1.b2", "block1.expert2.theta_att",
+            "block1.expert2.w1", "block1.expert2.b1", "block1.expert2.w2",
+            "block1.expert2.b2", "integrator.map_w", "integrator.bias",
+        ]
+        # 7 input tables; per block 6 x 5 gin, 4 router and 60 x 5 expert
+        # tensors; 2 integrator tensors
+        assert len(Model.create(ModelConfig(), seed=0).parameters()) == 677
 
     def test_config_validation(self):
         with pytest.raises(Exception):

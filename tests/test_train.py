@@ -7,7 +7,9 @@ import weakref
 import numpy as np
 import pytest
 
+from moce import train
 from moce.autodiff import Tape, Tensor
+from moce.cli import _epoch_line
 from moce.experts import resolve_tasks
 from moce.model import Model, ModelConfig, model_loss
 from moce.synthetic import synthesize_dataset
@@ -307,6 +309,25 @@ class TestTrainingLoop:
         assert metrics.skipped_batches == 2
         assert opt.step_count == 0
         assert all(np.all(m == 0) for m in opt.m.values())
+
+    def test_epoch_with_no_completed_batch_reports_no_losses(
+            self, monkeypatch, tmp_path):
+        def fail(*args, **kwargs):
+            raise NonFiniteGradient("injected")
+
+        monkeypatch.setattr(train, "adamw_step", fail)
+        model, data, tasks, settings = tiny_setup(seed=6)
+        opt = OptimizerState.create(model.parameters(), lr=settings.lr)
+        metrics, _ = train_epoch(model, data, tasks, settings, opt,
+                                 ScheduleConfig(total_steps=2), 0, 0)
+        assert metrics.skipped_batches == 2
+        assert metrics.loss_means == {} and metrics.max_gate_share is None
+        path = tmp_path / "metrics.csv"
+        MetricsLog(path).append(metrics)
+        assert path.read_text().splitlines()[1] == "0,__mean__,train,,,,,,,"
+        line = _epoch_line(metrics)
+        assert "base loss undefined" in line
+        assert "max gate share undefined" in line
 
     def test_finished_tape_is_freed_without_the_cyclic_collector(self):
         model, data, tasks, settings = tiny_setup(seed=7)
