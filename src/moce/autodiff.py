@@ -13,11 +13,16 @@ indices); those are constants of the forward pass.
 
 A fused primitive (``dense``, ``gin_messages``, ``sag_scores``) records one
 node for a chain of generic ops. It runs the chain's numpy operations in
-the same order and makes the same checks, so its value and gradients are
-the chain's bit for bit. The one exception is a row-sparse gradient
-(``sag_scores``' and ``pool_rows``' x-gradients): it skips the rows whose
-gradient is exactly zero, which come out +0.0 where the chain's could be
--0.0.
+the same order and makes the same checks, so its value is the chain's bit
+for bit, and so are its gradients, with two exceptions where the backward
+skips the rows whose gradient is exactly zero:
+
+- a row-sparse x-gradient (``dense``'s, ``sag_scores``' and
+  ``pool_rows``'): the skipped rows come out +0.0 where the chain's could
+  be -0.0;
+- a sum over the rows (``dense``'s w and b gradients when some row is
+  dead, ``sag_scores``' theta gradient): it drops the exact-zero terms and
+  adds the rest in another order, so it matches the chain to round-off.
 """
 
 from __future__ import annotations
@@ -388,21 +393,42 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _op(A @ B, (a, b), lambda g: g @ B.T, lambda g: A.T @ g)
 
 
+def _relu_in_place(a: np.ndarray) -> None:
+    """``a[:] = np.where(a > 0, a, 0.0)``, byte for byte, without a branch
+    on each sign: fmax sends NaN and the negatives to +0.0 and may keep a
+    -0.0, which adding +0.0 turns into +0.0."""
+    np.fmax(a, 0.0, out=a)
+    a += 0.0
+
+
 def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     """``x @ w + b``, then a relu if asked: the fused chain
     ``relu(add(matmul(x, w), b))``. The sum forms in the product's buffer,
-    so ``b`` must broadcast to the product."""
+    so ``b`` must broadcast to the product.
+
+    The backward reads only the live rows of the (relu-masked) output
+    gradient, those not all zero. With every row live it is the chain's
+    bit for bit; otherwise x's gradient is row-sparse over the live rows,
+    and w's and b's sum over those rows alone, which drops terms that are
+    exact zeros but changes the order of the sum."""
     A, W = x.data, w.data
     if A.ndim != 2 or W.ndim != 2 or A.shape[1] != W.shape[0]:
         raise ShapeMismatch(f"matmul shapes {A.shape} and {W.shape}")
     out = _into(np.add, A @ W, b.data)
     mask = out > 0 if relu else None
     if relu:
-        np.copyto(out, 0.0, where=~mask)  # relu in place, +0.0 as np.where
+        _relu_in_place(out)
+    per_row_bias = b.data.ndim == 2 and b.data.shape[0] > 1
 
     def vjp(g):
         g = g if mask is None else g * mask
-        return g @ W.T, A.T @ g, _unbroadcast(g, b.data.shape)
+        live = g.any(axis=1)
+        if per_row_bias or live.all():
+            return g @ W.T, A.T @ g, _unbroadcast(g, b.data.shape)
+        rows = np.flatnonzero(live)
+        g = g[rows]
+        return (RowSparse(A.shape, rows, g @ W.T), A[rows].T @ g,
+                _unbroadcast(g, b.data.shape))
 
     return _joint_op(out, (x, w, b), vjp)
 
@@ -527,7 +553,7 @@ def gin_messages(nodes: Tensor, edges: Tensor, src, dst) -> Tensor:
     _check_index(src, n, "row index")
     msg = _into(np.add, nodes.data[src], edges.data)
     mask = msg > 0
-    np.copyto(msg, 0.0, where=~mask)
+    _relu_in_place(msg)
     _check_segments(dst, msg, n)
     out_data = _index_add((n,) + msg.shape[1:], msg.dtype, dst, msg)
 
@@ -546,7 +572,9 @@ def sag_scores(x: Tensor, theta: Tensor, dinv: np.ndarray, src, dst) -> Tensor:
     matmul(x, theta), dinv), src), dst, len(x)), dinv))``. x's gradient is
     row-sparse, over the rows whose projected-score gradient g_u is
     non-zero: each entry of ``g_u @ theta.T`` is one product, so those rows
-    are the chain's bit for bit."""
+    are the chain's bit for bit. theta's gradient sums over the same rows
+    alone, ``x[rows].T @ g_u[rows]``: the chain's sum without its terms of
+    zero, in another order."""
     X, T = x.data, theta.data
     if X.ndim != 2 or T.shape != (X.shape[1], 1):
         raise ShapeMismatch(f"sag_scores needs x (n, d) and theta (d, 1), "
@@ -566,7 +594,8 @@ def sag_scores(x: Tensor, theta: Tensor, dinv: np.ndarray, src, dst) -> Tensor:
         g = _index_add(scaled.shape, scaled.dtype, src, g[dst])
         gu = _unbroadcast(g * d, u.shape)
         rows = np.flatnonzero(gu[:, 0])
-        return RowSparse(X.shape, rows, gu[rows] @ T.T), X.T @ gu
+        gu = gu[rows]
+        return RowSparse(X.shape, rows, gu @ T.T), X[rows].T @ gu
 
     return _joint_op(y, (x, theta), vjp)
 

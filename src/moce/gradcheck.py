@@ -154,20 +154,27 @@ def _check_gin_messages(rng) -> tuple:
 
 
 def _check_sag_scores(rng) -> tuple:
-    # edges 0-1 and 1-2 both ways, then the self-loops
+    # edges 0-1 and 1-2 both ways, then the self-loops; the loss reads the
+    # scores of nodes 0 and 3, which no row of node 2 reaches, so theta's
+    # gradient sums over the other rows only
     src = np.array([0, 1, 1, 2, 0, 1, 2, 3])
     dst = np.array([1, 0, 2, 1, 0, 1, 2, 3])
     dinv = 1.0 / np.sqrt(np.bincount(dst)[:, None])
-    return ((lambda x, t: _sq_sum(ad.sag_scores(x, t, dinv, src, dst))),
+    read = np.array([0, 3])
+    return ((lambda x, t: _sq_sum(ad.gather_rows(
+                ad.sag_scores(x, t, dinv, src, dst), read))),
             [_param(rng, (4, 3)), _param(rng, (3, 1))])
 
 
 def _check_dense(rng) -> tuple:
-    def f(x, w, b):
-        return ad.add(_sq_sum(ad.dense(x, w, b, relu=True)),
-                      _sq_sum(ad.dense(x, w, b)))
+    # the loss reads rows 0, 2 and 3, so the backward reads only those
+    read = np.array([0, 2, 3])
 
-    return f, [_param(rng, (3, 4)), _param(rng, (4, 2)), _param(rng, (2,))]
+    def f(x, w, b):
+        return ad.add(_sq_sum(ad.gather_rows(ad.dense(x, w, b, relu=True), read)),
+                      _sq_sum(ad.gather_rows(ad.dense(x, w, b), read)))
+
+    return f, [_param(rng, (5, 4)), _param(rng, (4, 2)), _param(rng, (2,))]
 
 
 def _check_bce(rng) -> tuple:

@@ -53,6 +53,25 @@ from moce.autodiff import Tensor
 SIGMA_FLOOR = 1e-3
 EPS_MEAN = 1e-10
 
+# the fast path against the reference, in float64
+REFERENCE_TOL = 1e-10
+# a sum with its exact-zero terms dropped, the rest added in another
+# order, against the full sum
+REORDER_TOL = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-5}
+
+
+def rel_error(got, want) -> float:
+    """||got - want|| / ||want|| in the 2-norm over all entries; 0 when the
+    two are equal, inf when only want is zero."""
+    got, want = (np.asarray(a, dtype=np.float64) for a in (got, want))
+    if got.shape != want.shape:
+        raise ValueError(f"shapes {got.shape} and {want.shape} differ")
+    diff = float(np.linalg.norm(got - want))
+    if diff == 0.0:
+        return 0.0
+    norm = float(np.linalg.norm(want))
+    return diff / norm if norm else math.inf
+
 
 @dataclass
 class ReferenceResult:

@@ -34,6 +34,8 @@ from moce.experts import _sag_weights
 from moce.model import Model, ModelConfig
 from moce.molgraph import FeaturizedGraph, featurize, parse_smiles
 
+from reference_model import REORDER_TOL, rel_error
+
 
 def zero_router(e_f: int, e_t: int, m: int, k_s: int, k_t: int) -> RouterParams:
     z = lambda r, c: Tensor(np.zeros((r, c)), requires_grad=True)
@@ -513,7 +515,8 @@ class TestSagProject:
             for project in (sag_project_batch, sag_project_three_ops))
         assert out.dtype == d_theta.dtype == d_nodes.dtype == dtype
         assert out.tobytes() == ref.tobytes()
-        assert d_theta.tobytes() == ref_theta.tobytes()
+        # theta's gradient sums over the rows of non-zero score gradient
+        assert rel_error(d_theta, ref_theta) <= REORDER_TOL[np.dtype(dtype)]
         # dropped rows get +0 here and +-0 in the reference
         assert np.array_equal(d_nodes, ref_nodes)
 
@@ -532,7 +535,11 @@ class TestSagProject:
                                           batch, e, x, g)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype == dtype
-            assert a.tobytes() == b.tobytes()
+        (out, d_theta, d_nodes), (ref, ref_theta, ref_nodes) = got, want
+        assert out.tobytes() == ref.tobytes()
+        assert d_nodes.tobytes() == ref_nodes.tobytes()
+        # theta's gradient sums over the rows of non-zero score gradient
+        assert rel_error(d_theta, ref_theta) <= REORDER_TOL[np.dtype(dtype)]
 
 
 def sag_project_chain(nodes, batch, expert, pool_ratio):
@@ -557,7 +564,10 @@ def expert_mlp_chain(expert, pooled):
 
 class TestExpertMatchesChain:
     """An expert's view and vote through the fused primitives and through
-    the op chains give the same logits and gradients bit for bit."""
+    the op chains give the same logits bit for bit. The gradients match to
+    round-off: the fused backward skips the rows whose gradient is zero, so
+    its sums over rows drop exact-zero terms and add the rest in another
+    order."""
 
     @staticmethod
     def _run(project, mlp, batch, dtype, unrouted):
@@ -585,10 +595,12 @@ class TestExpertMatchesChain:
     @pytest.mark.parametrize("smiles", [("C", "[NH4+]", "O"), ("CC(N)C=O",),
                                         None])
     def test_bits(self, smiles, dtype):
-        got, want = self._both(smiles, dtype, unrouted=False)
-        for a, b in zip(got, want, strict=True):
+        (logits, *grads), (want, *want_grads) = self._both(smiles, dtype,
+                                                           unrouted=False)
+        assert logits.tobytes() == want.tobytes()
+        for a, b in zip(grads, want_grads, strict=True):
             assert a.dtype == b.dtype == dtype
-            assert a.tobytes() == b.tobytes()
+            assert rel_error(a, b) <= REORDER_TOL[np.dtype(dtype)]
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("smiles", [("C", "[NH4+]", "O"), ("CC(N)C=O",),
@@ -596,14 +608,18 @@ class TestExpertMatchesChain:
     def test_unrouted_samples(self, smiles, dtype):
         """The upstream gradient is zero on every other sample, as on the
         pairs a router leaves out (all of them at B = 1), so the backward
-        skips their rows. The logits are the chain's bit for bit, and each
-        leaf gradient equals the chain's up to the sign of a zero."""
+        skips their rows. The logits are the chain's bit for bit, each leaf
+        gradient matches the chain's to round-off, and the node rows that
+        only unrouted samples read get exact zeros."""
         (logits, *grads), (want, *want_grads) = self._both(smiles, dtype,
                                                            unrouted=True)
         assert logits.tobytes() == want.tobytes()
         for a, b in zip(grads, want_grads, strict=True):
             assert a.dtype == b.dtype == dtype
-            assert np.array_equal(a, b)
+            assert rel_error(a, b) <= REORDER_TOL[np.dtype(dtype)]
+        d_nodes, want_nodes = grads[0], want_grads[0]
+        dead = ~want_nodes.any(axis=1)
+        assert dead.any() and not d_nodes[dead].any()
 
 
 class TestDenseLayout:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from moce.gradcheck import CheckResult, all_passed, format_results, run_all
-from moce.gradcheck import _check_encoder, _row_rng, _run_check
-from moce.autodiff import FdReport, Tensor, finite_diff_check
+from moce.gradcheck import (_check_dense, _check_encoder, _check_sag_scores,
+                            _row_rng, _run_check)
+from moce.autodiff import FdReport, Tape, Tensor, finite_diff_check
 from moce import autodiff as ad
 
 
@@ -31,6 +32,29 @@ class TestSuite:
         rng = _row_rng(seed, "encoder")
         report = _run_check(_check_encoder(rng), rng)
         assert report.max_rel_error <= 1e-4
+
+    @pytest.mark.parametrize("name, build, rows", [
+        # backward visits the plain dense first; at seed 0 both of row 0's
+        # relu units are off, so the relu dense skips row 0 as well
+        ("dense", _check_dense, [[0, 2, 3], [2, 3]]),
+        ("sag-scores", _check_sag_scores, [[0, 1, 3]])])
+    def test_rows_reach_the_live_row_backward(self, monkeypatch, name, build,
+                                              rows):
+        """Each loss reads a subset of the output rows, so the check's
+        finite differences test the backward that skips the others: x's
+        gradient comes back row-sparse over the rows the loss reaches."""
+        seen = []
+
+        class Recorded(ad.RowSparse):
+            def __init__(self, shape, rows, values):
+                super().__init__(shape, rows, values)
+                seen.append(rows.tolist())
+
+        monkeypatch.setattr(ad, "RowSparse", Recorded)
+        f, inputs = build(_row_rng(0, name))
+        with Tape() as tape:
+            tape.backward(f(*inputs))
+        assert seen == rows
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
     def test_meaningless_tolerance_rejected(self, tol):

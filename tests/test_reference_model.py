@@ -19,20 +19,12 @@ from moce.losses import LossToggles
 from moce.model import Model, ModelConfig, model_loss
 from moce.molgraph import featurize, parse_smiles
 
-from reference_model import reference_forward
-
-TOL = 1e-10
+from reference_model import REFERENCE_TOL as TOL, reference_forward, rel_error
 
 # one-atom (bondless) molecules, and molecules whose atoms tie in every
 # score: the two carbons of CC and the six of benzene are alike
 SMILES = ("C", "[NH4+]", "O", "CC", "CCO", "C=O", "CC(N)C=O", "c1ccccc1",
           "C1CC1", "OC(=O)C", "[O-][N+](=O)C")
-
-
-def _close(got, want, tol=TOL) -> bool:
-    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
-    return (got.shape == want.shape
-            and np.linalg.norm(got - want) <= tol * np.linalg.norm(want))
 
 
 @st.composite
@@ -78,7 +70,8 @@ def _check(config, smiles, seed, noise_on, toggles, beta):
     graphs = [featurize(parse_smiles(s)) for s in smiles]
     tasks = rng.normal(size=(len(graphs), config.task_dim))
     labels = rng.integers(0, 2, size=len(graphs)).astype(np.float64)
-    noise_seeds = ([int(s) for s in rng.integers(0, 2**32, size=config.num_processing_layers)]
+    blocks = config.num_processing_layers
+    noise_seeds = ([int(s) for s in rng.integers(0, 2**32, size=blocks)]
                    if noise_on else None)
     loss, result, grads, kept = _fast(model, graphs, tasks, labels, beta,
                                       toggles, noise_seeds)
@@ -97,15 +90,15 @@ def _check(config, smiles, seed, noise_on, toggles, beta):
         for j in range(config.num_experts):
             np.testing.assert_array_equal(
                 kept[b * config.num_experts + j], ref.kept[b][j])
-        assert _close(layer.expert_logits.data, ref.expert_logits[b]), b
-    assert _close(result.logits.data, ref.logits)
-    assert _close(result.per_layer_logits.data, ref.per_layer_logits)
+        assert rel_error(layer.expert_logits.data, ref.expert_logits[b]) <= TOL, b
+    assert rel_error(result.logits.data, ref.logits) <= TOL
+    assert rel_error(result.per_layer_logits.data, ref.per_layer_logits) <= TOL
     for name, value in ref.loss.items():
-        assert _close(getattr(loss, name).data, value.data), name
+        assert rel_error(getattr(loss, name).data, value.data) <= TOL, name
     for name, t in params.items():
         got = grads.get(t, np.zeros_like(t.data))
         want = ref_grads.get(t, np.zeros_like(t.data))
-        assert _close(got, want), name
+        assert rel_error(got, want) <= TOL, name
 
 
 class TestMatchesReference:
