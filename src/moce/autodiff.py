@@ -11,11 +11,13 @@ harness rely on.
 Gradients never flow through integer index arrays (gather/scatter
 indices); those are constants of the forward pass.
 
-A fused primitive (``dense``, ``gin_messages``, ``sag_scores``) records one
-node for a chain of generic ops. It runs the chain's numpy operations in
-the same order and makes the same checks, so its value is the chain's bit
-for bit, and so are its gradients, with two exceptions where the backward
-skips the rows whose gradient is exactly zero:
+A fused primitive records one node for a chain of generic ops. It takes
+one shape per operand and raises ShapeMismatch on any other: ``dense`` x
+(n, k), w (k, m), b (m,); ``gin_messages`` nodes (n, d), edges (len(src),
+d); ``sag_scores`` x (n, d), theta (d, 1), dinv (n, 1). It runs the
+chain's numpy operations in the same order, so its value is the chain's
+bit for bit, and so are its gradients, with two exceptions where the
+backward skips the rows whose gradient is exactly zero:
 
 - a row-sparse x-gradient (``dense``'s, ``sag_scores``' and
   ``pool_rows``'): the skipped rows come out +0.0 where the chain's could
@@ -402,9 +404,9 @@ def _relu_in_place(a: np.ndarray) -> None:
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
-    """``x @ w + b``, then a relu if asked: the fused chain
-    ``relu(add(matmul(x, w), b))``. The sum forms in the product's buffer,
-    so ``b`` must broadcast to the product.
+    """``x @ w + b`` for x (n, k), w (k, m) and b (m,), then a relu if
+    asked: the fused chain ``relu(add(matmul(x, w), b))``. The sum forms
+    in the product's buffer.
 
     The backward reads only the live rows of the (relu-masked) output
     gradient, those not all zero. With every row live it is the chain's
@@ -414,21 +416,22 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     A, W = x.data, w.data
     if A.ndim != 2 or W.ndim != 2 or A.shape[1] != W.shape[0]:
         raise ShapeMismatch(f"matmul shapes {A.shape} and {W.shape}")
+    if b.data.shape != (W.shape[1],):
+        raise ShapeMismatch(
+            f"dense bias must be ({W.shape[1]},), got {b.data.shape}")
     out = _into(np.add, A @ W, b.data)
     mask = out > 0 if relu else None
     if relu:
         _relu_in_place(out)
-    per_row_bias = b.data.ndim == 2 and b.data.shape[0] > 1
 
     def vjp(g):
         g = g if mask is None else g * mask
         live = g.any(axis=1)
-        if per_row_bias or live.all():
-            return g @ W.T, A.T @ g, _unbroadcast(g, b.data.shape)
+        if live.all():
+            return g @ W.T, A.T @ g, g.sum(axis=0)
         rows = np.flatnonzero(live)
         g = g[rows]
-        return (RowSparse(A.shape, rows, g @ W.T), A[rows].T @ g,
-                _unbroadcast(g, b.data.shape))
+        return RowSparse(A.shape, rows, g @ W.T), A[rows].T @ g, g.sum(axis=0)
 
     return _joint_op(out, (x, w, b), vjp)
 
@@ -468,20 +471,19 @@ def _check_not_empty(x: Tensor, axis):
         raise EmptyAxis(f"reduction over empty axis {axis}")
 
 
+def _unreduce(g, x: Tensor, axis, keepdims: bool) -> np.ndarray:
+    """A reduction's output gradient ``g``, broadcast back to x's shape."""
+    g = np.asarray(g)
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, x.data.shape)
+
+
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axis = _norm_axis(x, axis)
     _check_not_empty(x, axis)
     y = np.sum(x.data, axis=axis, keepdims=keepdims)
-
-    def dx(g):
-        g = np.asarray(g)
-        if axis is None:
-            return np.broadcast_to(g, x.data.shape).copy()
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, x.data.shape).copy()
-
-    return _op(y, (x,), dx)
+    return _op(y, (x,), lambda g: _unreduce(g, x, axis, keepdims).copy())
 
 
 def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -489,16 +491,7 @@ def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     _check_not_empty(x, axis)
     n = x.data.size if axis is None else x.data.shape[axis]
     y = np.mean(x.data, axis=axis, keepdims=keepdims)
-
-    def dx(g):
-        g = np.asarray(g)
-        if axis is None:
-            return np.broadcast_to(g, x.data.shape) / n
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, x.data.shape) / n
-
-    return _op(y, (x,), dx)
+    return _op(y, (x,), lambda g: _unreduce(g, x, axis, keepdims) / n)
 
 
 def _index_add(shape, dtype, ids, values: np.ndarray) -> np.ndarray:
@@ -544,14 +537,18 @@ def scatter_segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tenso
 
 def gin_messages(nodes: Tensor, edges: Tensor, src, dst) -> Tensor:
     """GIN's aggregated messages: out[v] sums relu(nodes[src[i]] + edges[i])
-    over the edges i with dst[i] = v. The fused chain
-    ``scatter_segment_sum(relu(add(gather_rows(nodes, src), edges)), dst,
-    len(nodes))``; the messages form in the gathered buffer, and only their
-    relu mask is kept."""
+    over the edges i with dst[i] = v, for nodes (n, d) and edges
+    (len(src), d). The fused chain ``scatter_segment_sum(relu(add(
+    gather_rows(nodes, src), edges)), dst, len(nodes))``; the messages form
+    in the gathered buffer, and only their relu mask is kept."""
     src, dst = np.asarray(src), np.asarray(dst)
     n = nodes.data.shape[0]
     _check_index(src, n, "row index")
-    msg = _into(np.add, nodes.data[src], edges.data)
+    msg = nodes.data[src]
+    if msg.ndim != 2 or edges.data.shape != msg.shape:
+        raise ShapeMismatch(
+            f"gin_messages needs edges {msg.shape}, got {edges.data.shape}")
+    msg = _into(np.add, msg, edges.data)
     mask = msg > 0
     _relu_in_place(msg)
     _check_segments(dst, msg, n)
@@ -559,40 +556,39 @@ def gin_messages(nodes: Tensor, edges: Tensor, src, dst) -> Tensor:
 
     def vjp(g):
         gm = g[dst] * mask
-        return (_index_add(nodes.data.shape, nodes.data.dtype, src, gm),
-                _unbroadcast(gm, edges.data.shape))
+        return _index_add(nodes.data.shape, nodes.data.dtype, src, gm), gm
 
     return _joint_op(out_data, (nodes, edges), vjp)
 
 
 def sag_scores(x: Tensor, theta: Tensor, dinv: np.ndarray, src, dst) -> Tensor:
     """SAG attention scores tanh(dinv * P(dinv * (x @ theta))) of a (d, 1)
-    projection theta, where P adds row src[i] into row dst[i] for each i:
-    the fused chain ``tanh(mul(scatter_segment_sum(gather_rows(mul(
-    matmul(x, theta), dinv), src), dst, len(x)), dinv))``. x's gradient is
-    row-sparse, over the rows whose projected-score gradient g_u is
-    non-zero: each entry of ``g_u @ theta.T`` is one product, so those rows
-    are the chain's bit for bit. theta's gradient sums over the same rows
-    alone, ``x[rows].T @ g_u[rows]``: the chain's sum without its terms of
-    zero, in another order."""
-    X, T = x.data, theta.data
-    if X.ndim != 2 or T.shape != (X.shape[1], 1):
-        raise ShapeMismatch(f"sag_scores needs x (n, d) and theta (d, 1), "
-                            f"got {X.shape} and {T.shape}")
-    d, src, dst = np.asarray(dinv), np.asarray(src), np.asarray(dst)
+    projection theta, with (n, 1) dinv, where P adds row src[i] into row
+    dst[i] for each i: the fused chain ``tanh(mul(scatter_segment_sum(
+    gather_rows(mul(matmul(x, theta), dinv), src), dst, len(x)), dinv))``.
+    x's gradient is row-sparse, over the rows whose projected-score
+    gradient g_u is non-zero: each entry of ``g_u @ theta.T`` is one
+    product, so those rows are the chain's bit for bit. theta's gradient
+    sums over the same rows alone, ``x[rows].T @ g_u[rows]``: the chain's
+    sum without its terms of zero, in another order."""
+    X, T, d = x.data, theta.data, np.asarray(dinv)
+    if X.ndim != 2 or T.shape != (X.shape[1], 1) or d.shape != (len(X), 1):
+        raise ShapeMismatch(
+            f"sag_scores needs x (n, d), theta (d, 1) and dinv (n, 1), "
+            f"got {X.shape}, {T.shape} and {d.shape}")
+    src, dst = np.asarray(src), np.asarray(dst)
     u = X @ T
     n = u.shape[0]
-    scaled = _into(np.multiply, u, d, fresh=False)
-    _check_index(src, scaled.shape[0], "row index")
+    scaled = u * d
+    _check_index(src, n, "row index")
     picked = scaled[src]
     _check_segments(dst, picked, n)
-    summed = _index_add((n,) + picked.shape[1:], picked.dtype, dst, picked)
+    summed = _index_add((n, 1), picked.dtype, dst, picked)
     y = np.tanh(summed * d)
 
     def vjp(g):
-        g = _unbroadcast(g * (1.0 - y * y) * d, summed.shape)
-        g = _index_add(scaled.shape, scaled.dtype, src, g[dst])
-        gu = _unbroadcast(g * d, u.shape)
+        g = _index_add((n, 1), scaled.dtype, src, (g * (1.0 - y * y) * d)[dst])
+        gu = g * d
         rows = np.flatnonzero(gu[:, 0])
         gu = gu[rows]
         return RowSparse(X.shape, rows, gu @ T.T), X[rows].T @ gu

@@ -150,12 +150,6 @@ def cmd_split(args) -> int:
 def _resolve_run_tasks(cfg: RunConfig, task_ids, embeddings_path=None):
     path = embeddings_path or cfg.task_embeddings
     embeddings = load_task_embeddings(path) if path else None
-    if embeddings:
-        size = next(iter(embeddings.values())).size
-        if size != cfg.task_dim:
-            raise TaskEmbeddingError(
-                f"{path}: embeddings have {size} values, but the model's "
-                f"task_dim is {cfg.task_dim}")
     return resolve_tasks(task_ids, embeddings,
                          allow_fallback=cfg.allow_fallback_embeddings,
                          fallback_dim=cfg.task_dim)

@@ -99,8 +99,18 @@ def resolve_tasks(task_ids, embeddings: dict[str, np.ndarray] | None,
                   allow_fallback: bool = True,
                   fallback_dim: int = 64) -> dict[str, TaskDescriptor]:
     """Build a TaskDescriptor per task id from a loaded embedding table,
-    falling back to the hash embedder over the id for ids the table lacks."""
+    falling back to the hash embedder over the id for ids the table lacks.
+    Every vector of the table must have ``fallback_dim`` values, the
+    model's task_dim."""
     embeddings = embeddings or {}
+    dims = sorted({v.size for v in embeddings.values()})
+    if len(dims) > 1:
+        raise TaskEmbeddingError(
+            f"task embeddings have mixed dimensions {dims}")
+    if dims and dims[0] != fallback_dim:
+        raise TaskEmbeddingError(
+            f"embeddings have {dims[0]} values, but the model's task_dim "
+            f"is {fallback_dim}")
     out: dict[str, TaskDescriptor] = {}
     for task_id in sorted(set(task_ids)):
         if task_id in embeddings:
@@ -111,10 +121,6 @@ def resolve_tasks(task_ids, embeddings: dict[str, np.ndarray] | None,
         else:
             raise MissingTaskEmbedding(
                 f"no embedding for task {task_id!r} and fallback is disabled")
-    dims = {d.embedding.size for d in out.values()}
-    if len(dims) > 1:
-        raise TaskEmbeddingError(
-            f"task embeddings have mixed dimensions {sorted(dims)}")
     return out
 
 
