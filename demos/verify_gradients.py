@@ -8,11 +8,7 @@ from moce import gradcheck
 
 
 def main() -> None:
-    results = gradcheck.run_all(seed=0)
-    for result in results:
-        print(result.line())
-    print()
-    print(gradcheck.format_results(results))
+    print(gradcheck.format_results(gradcheck.run_all(seed=0)))
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ loudly instead of silently training the default.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -64,8 +65,15 @@ class RunConfig(ModelConfig):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, "
                                   f"got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        # the checkpoint header stores the seed as a signed 64-bit integer
+        if not 0 <= self.seed < 2**63:
+            raise ConfigError(
+                f"seed must be non-negative and below 2**63, got {self.seed}")
+        for name in ("lr", "weight_decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(
+                    f"{name} must be finite and non-negative, got {value}")
         if self.stop_after < 0 or self.checkpoint_every < 0:
             raise ConfigError("stop_after and checkpoint_every must be >= 0")
         if not 0.0 <= self.min_lr_fraction <= 1.0:

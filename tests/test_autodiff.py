@@ -679,6 +679,25 @@ class TestFusedPrimitives:
                 with pytest.raises(ShapeMismatch):
                     op(*args)
 
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 4)])
+    def test_dense_takes_only_a_vector_bias(self, shape):
+        # the chain broadcasts a per-row or (1, m) bias; dense does not
+        x, w = Tensor(np.ones((3, 2))), Tensor(np.ones((2, 4)))
+        with pytest.raises(ShapeMismatch, match="bias"):
+            ad.dense(x, w, Tensor(np.ones(shape)))
+
+    def test_gin_messages_takes_only_one_edge_row_per_edge(self):
+        nodes, ok = Tensor(np.ones((3, 2))), np.array([0, 1])
+        with pytest.raises(ShapeMismatch, match="edges"):
+            ad.gin_messages(nodes, Tensor(np.ones(2)), ok, ok)
+
+    def test_sag_scores_takes_only_a_column_dinv(self):
+        # the chain broadcasts an (n,) dinv against the (n, 1) scores to (n, n)
+        x, theta = Tensor(np.ones((3, 2))), Tensor(np.ones((2, 1)))
+        ok = np.array([0, 1])
+        with pytest.raises(ShapeMismatch, match="dinv"):
+            ad.sag_scores(x, theta, np.ones(3), ok, ok)
+
 
 def _live_row_case(dtype):
     """``dense(relu=True)`` on four rows: row 1's pre-activations are all

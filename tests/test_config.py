@@ -1,8 +1,14 @@
 """Configuration document parsing and constraint validation."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from moce.checkpoint import CorruptCheckpoint, deserialize, serialize
 from moce.config import (ConfigError, RunConfig, default_config_text,
                          load_config, parse_config)
 from moce.losses import LossToggles
@@ -101,6 +107,55 @@ class TestValidation:
     def test_min_lr_fraction_range(self):
         with pytest.raises(ConfigError, match="min_lr_fraction"):
             parse_config("min_lr_fraction = 1.5\n")
+
+    @pytest.mark.parametrize("key, raw", [
+        ("lr", "-0.01"), ("lr", "nan"), ("lr", "inf"), ("lr", "-inf"),
+        ("weight_decay", "-1"), ("weight_decay", "nan"),
+        ("weight_decay", "inf"), ("seed", str(2**63)), ("seed", str(2**64))])
+    def test_values_a_checkpoint_cannot_hold_rejected(self, key, raw):
+        # a checkpoint cannot hold these: the save fails (seed), or eval,
+        # predict and resume reject the file (lr, weight_decay)
+        with pytest.raises(ConfigError, match=f"^{key} must"):
+            parse_config(f"{key} = {raw}\n")
+
+
+def _header_floats():
+    """Floats across and around the bounds of lr and weight_decay."""
+    return st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 5e-324, 0.01, math.nan,
+                                      math.inf, -math.inf]), st.floats())
+
+
+def _header_seeds():
+    return st.one_of(st.sampled_from([-1, 0, 2**63 - 1, 2**63, 2**64]),
+                     st.integers(-2**65, 2**65))
+
+
+def _checkpoint_accepts(seed, lr, weight_decay) -> bool:
+    """A checkpoint header with these values is written and read back."""
+    one = {"w": np.zeros(1)}
+    try:
+        deserialize(serialize("", one, one, one, seed, 0, 0, 0, lr,
+                              weight_decay))
+    except (struct.error, CorruptCheckpoint):
+        return False
+    return True
+
+
+@settings(deadline=None, max_examples=200)
+@given(_header_seeds(), _header_floats(), _header_floats())
+@example(2**63, 0.01, 0.01)
+@example(0, -0.01, 0.01)
+@example(2**63 - 1, 0.0, -0.0)
+def test_config_accepts_exactly_what_a_checkpoint_holds(seed, lr, weight_decay):
+    """Any config that parses can write a checkpoint that eval, predict and
+    resume load, and a config whose run could not is rejected up front."""
+    text = f"seed = {seed}\nlr = {lr!r}\nweight_decay = {weight_decay!r}\n"
+    try:
+        parse_config(text)
+        parsed = True
+    except ConfigError:
+        parsed = False
+    assert parsed == _checkpoint_accepts(seed, lr, weight_decay)
 
 
 class TestDerivedViews:

@@ -13,13 +13,25 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["autodiff_basics", "parse_and_split",
-                                  "routing_walkthrough", "verify_gradients"])
-def test_demo_exits_cleanly(demo):
+def run_demo(demo: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+    return subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
+
+
+@pytest.mark.parametrize("demo", ["autodiff_basics", "parse_and_split",
+                                  "routing_walkthrough", "verify_gradients"])
+def test_demo_exits_cleanly(demo):
+    proc = run_demo(demo)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_gradients_prints_each_row_once():
+    out = run_demo("verify_gradients").stdout
+    rows = [line.split()[1] for line in out.splitlines()
+            if line.startswith(("PASS", "FAIL"))]
+    assert len(rows) == len(set(rows)), rows
+    assert f"all {len(rows)} checks passed" in out

@@ -839,6 +839,13 @@ class TestTaskEmbeddings:
         with pytest.raises(MissingTaskEmbedding):
             resolve_tasks(["a"], {}, allow_fallback=False)
 
+    def test_table_width_must_be_fallback_dim(self):
+        # no id falls back here, so the width is checked against the model's
+        # task_dim, not only against the fallback vectors
+        table = {"a": np.zeros(4), "b": np.zeros(4)}
+        with pytest.raises(TaskEmbeddingError, match="4 values.*task_dim is 6"):
+            resolve_tasks(["a", "b"], table, fallback_dim=6)
+
     def test_mixed_dimensions_rejected(self):
         table = {"a": np.zeros(8), "b": np.zeros(16)}
         with pytest.raises(TaskEmbeddingError, match="mixed"):
