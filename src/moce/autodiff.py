@@ -1,12 +1,21 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 A ``Tensor`` wraps an ndarray. While a ``Tape`` is active, every operation
-appends one node recording its inputs and a vector-Jacobian closure; the
-append order is a topological order of the computation, so ``backward``
-visits nodes exactly once in reverse and returns the gradient of each
-reached leaf in a map keyed by that leaf. With no active tape, operations
-compute values only, which is what evaluation mode and the finite-difference
-harness rely on.
+appends one node recording a vector-Jacobian closure and, per input, the
+target its gradient goes to: the input's node on this tape, the input
+itself if it is a leaf that needs a gradient, or None. The append order is
+a topological order of the computation, so ``backward`` visits nodes
+exactly once in reverse and returns the gradient of each reached leaf in a
+map keyed by that leaf. With no active tape, operations compute values
+only, which is what evaluation mode and the finite-difference harness rely
+on.
+
+A node holds no tensor other than a leaf, and its closure holds only the
+arrays its gradient reads (a relu mask, a tanh output, a matmul operand)
+and the shapes and dtypes of the rest. So an intermediate that the caller
+drops is freed during the forward pass unless some gradient reads it. A
+node lives until its tape and every output that reaches it are dropped:
+an output kept past ``backward`` keeps its whole graph.
 
 Gradients never flow through integer index arrays (gather/scatter
 indices); those are constants of the forward pass.
@@ -70,7 +79,10 @@ _state = threading.local()
 
 
 class Node:
-    """One recorded operation: inputs and a vector-Jacobian product."""
+    """One recorded operation: one gradient target per input (the
+    producing ``Node`` on the same tape, a leaf ``Tensor``, or None for an
+    input that needs no gradient), a vector-Jacobian product, and the
+    node's position on its tape."""
 
     __slots__ = ("inputs", "vjp", "pos")
 
@@ -144,10 +156,12 @@ class Module:
 
 
 class Tape:
-    """Append-only record of operations, consumed once by ``backward``.
+    """Append-only record of operations, read by ``backward``.
 
-    Nodes hold their position on the tape, not the tape itself, so a
-    finished tape is freed by reference counting alone.
+    Nodes hold their position on the tape, not the tape itself, and reach
+    only earlier nodes, so a finished tape is freed by reference counting
+    alone. ``backward`` leaves the nodes as they are; they go when the tape
+    and the outputs that reach them do.
     """
 
     def __init__(self):
@@ -163,7 +177,9 @@ class Tape:
         return False
 
     def _record(self, out: Tensor, inputs: tuple, vjp: Callable):
-        node = Node(inputs, vjp, len(self.nodes))
+        targets = tuple(t.node if self._owns(t.node)
+                        else t if t.requires_grad else None for t in inputs)
+        node = Node(targets, vjp, len(self.nodes))
         out.node = node
         out.requires_grad = True
         self.nodes.append(node)
@@ -198,13 +214,11 @@ class Tape:
             gout = node_grads.pop(node, None)
             if gout is None:
                 continue
-            for tensor, gin in zip(node.inputs, node.vjp(gout)):
-                if gin is None:
+            for target, gin in zip(node.inputs, node.vjp(gout)):
+                if gin is None or target is None:
                     continue
-                if self._owns(tensor.node):
-                    _accumulate(node_grads, owned, tensor.node, gin)
-                elif tensor.requires_grad:
-                    _accumulate(leaf_grads, owned, tensor, gin)
+                _accumulate(node_grads if type(target) is Node else leaf_grads,
+                            owned, target, gin)
         for tensor, grad in leaf_grads.items():
             if tensor not in owned:
                 leaf_grads[tensor] = grad.copy()
@@ -276,14 +290,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _recording(inputs: tuple) -> Tape | None:
+    """The active tape, if there is one and some input needs a gradient."""
+    tape = getattr(_state, "tape", None)
+    if tape is not None and any(t.requires_grad for t in inputs):
+        return tape
+    return None
+
+
 def _joint_op(out_data, inputs: tuple, vjp: Callable) -> Tensor:
     """Wrap ``out_data`` as the result of one primitive applied to
     ``inputs``, recorded only on an active tape and only when some input
     needs a gradient. ``vjp`` maps the output gradient to one gradient (or
     None) per input; the tape drops those of inputs that need none."""
     out = Tensor(out_data)
-    tape = getattr(_state, "tape", None)
-    if tape is not None and any(t.requires_grad for t in inputs):
+    tape = _recording(inputs)
+    if tape is not None:
         tape._record(out, inputs, vjp)
     return out
 
@@ -291,11 +313,19 @@ def _joint_op(out_data, inputs: tuple, vjp: Callable) -> Tensor:
 def _op(out_data, inputs: tuple, *grad_fns) -> Tensor:
     """A primitive whose ``grad_fns[i]`` maps the output gradient to the
     gradient of ``inputs[i]``, summed back over broadcast axes; it runs
-    only for inputs that need a gradient."""
-    def vjp(g):
-        return tuple(_unbroadcast(fn(g), t.data.shape) if t.requires_grad
-                     else None for t, fn in zip(inputs, grad_fns))
-    return _joint_op(out_data, inputs, vjp)
+    only for inputs that need a gradient. The closure keeps those inputs'
+    ``grad_fns`` and shapes, not the inputs."""
+    out = Tensor(out_data)
+    tape = _recording(inputs)
+    if tape is not None:
+        wanted = tuple((fn, t.data.shape) if t.requires_grad else None
+                       for t, fn in zip(inputs, grad_fns))
+
+        def vjp(g):
+            return tuple(None if w is None else _unbroadcast(w[0](g), w[1])
+                         for w in wanted)
+        tape._record(out, inputs, vjp)
+    return out
 
 
 def _broadcast(ufunc, a: Tensor, b: Tensor) -> np.ndarray:
@@ -324,16 +354,15 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    A, B = a.data, b.data
     return _op(_broadcast(np.multiply, a, b), (a, b),
-               lambda g: g * b.data, lambda g: g * a.data)
+               lambda g: g * B, lambda g: g * A)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    return _op(
-        _broadcast(np.divide, a, b), (a, b),
-        lambda g: g / b.data,
-        lambda g: -g * a.data / (b.data * b.data),
-    )
+    A, B = a.data, b.data
+    return _op(_broadcast(np.divide, a, b), (a, b),
+               lambda g: g / B, lambda g: -g * A / (B * B))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -471,27 +500,30 @@ def _check_not_empty(x: Tensor, axis):
         raise EmptyAxis(f"reduction over empty axis {axis}")
 
 
-def _unreduce(g, x: Tensor, axis, keepdims: bool) -> np.ndarray:
-    """A reduction's output gradient ``g``, broadcast back to x's shape."""
+def _unreduce(g, shape: tuple, axis, keepdims: bool) -> np.ndarray:
+    """A reduction's output gradient ``g``, broadcast back to the input
+    ``shape``."""
     g = np.asarray(g)
     if axis is not None and not keepdims:
         g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, x.data.shape)
+    return np.broadcast_to(g, shape)
 
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axis = _norm_axis(x, axis)
     _check_not_empty(x, axis)
     y = np.sum(x.data, axis=axis, keepdims=keepdims)
-    return _op(y, (x,), lambda g: _unreduce(g, x, axis, keepdims).copy())
+    shape = x.data.shape
+    return _op(y, (x,), lambda g: _unreduce(g, shape, axis, keepdims).copy())
 
 
 def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axis = _norm_axis(x, axis)
     _check_not_empty(x, axis)
-    n = x.data.size if axis is None else x.data.shape[axis]
+    shape = x.data.shape
+    n = x.data.size if axis is None else shape[axis]
     y = np.mean(x.data, axis=axis, keepdims=keepdims)
-    return _op(y, (x,), lambda g: _unreduce(g, x, axis, keepdims) / n)
+    return _op(y, (x,), lambda g: _unreduce(g, shape, axis, keepdims) / n)
 
 
 def _index_add(shape, dtype, ids, values: np.ndarray) -> np.ndarray:
@@ -553,10 +585,11 @@ def gin_messages(nodes: Tensor, edges: Tensor, src, dst) -> Tensor:
     _relu_in_place(msg)
     _check_segments(dst, msg, n)
     out_data = _index_add((n,) + msg.shape[1:], msg.dtype, dst, msg)
+    shape, dtype = nodes.data.shape, nodes.data.dtype
 
     def vjp(g):
         gm = g[dst] * mask
-        return _index_add(nodes.data.shape, nodes.data.dtype, src, gm), gm
+        return _index_add(shape, dtype, src, gm), gm
 
     return _joint_op(out_data, (nodes, edges), vjp)
 
@@ -585,9 +618,10 @@ def sag_scores(x: Tensor, theta: Tensor, dinv: np.ndarray, src, dst) -> Tensor:
     _check_segments(dst, picked, n)
     summed = _index_add((n, 1), picked.dtype, dst, picked)
     y = np.tanh(summed * d)
+    dtype = scaled.dtype
 
     def vjp(g):
-        g = _index_add((n, 1), scaled.dtype, src, (g * (1.0 - y * y) * d)[dst])
+        g = _index_add((n, 1), dtype, src, (g * (1.0 - y * y) * d)[dst])
         gu = g * d
         rows = np.flatnonzero(gu[:, 0])
         gu = gu[rows]
@@ -611,34 +645,34 @@ def pool_rows(x: Tensor, scores: Tensor, weights, segment_ids,
     are read: the kept rows of the other segments get +0.0, where the
     composition gave +-0.0.
     """
-    w = np.asarray(weights)
+    X, w = x.data, np.asarray(weights)
     ids = np.asarray(segment_ids)
-    n = x.data.shape[0]
-    if (x.data.ndim != 2 or scores.data.shape != (n, 1)
+    n = X.shape[0]
+    if (X.ndim != 2 or scores.data.shape != (n, 1)
             or w.shape != (n,) or ids.shape != (n,)):
         raise ShapeMismatch(
             f"pool_rows needs x (n, d), scores (n, 1), weights and ids (n,); "
-            f"got {x.data.shape}, {scores.data.shape}, {w.shape}, {ids.shape}")
+            f"got {X.shape}, {scores.data.shape}, {w.shape}, {ids.shape}")
     _check_index(ids, num_segments, "segment id")
     rows = w.nonzero()[0]
     seg = ids[rows]
     scale = (scores.data[rows, 0] * w[rows])[:, None]
-    kept = x.data[rows] * scale
-    out_data = _index_add((num_segments, x.data.shape[1]), kept.dtype, seg, kept)
+    kept = X[rows] * scale
+    out_data = _index_add((num_segments, X.shape[1]), kept.dtype, seg, kept)
+    scores_dtype = scores.data.dtype
 
     def vjp(g):
         g = np.asarray(g)
         live = g.any(axis=1)[seg]
         live_rows = rows[live]
         g_rows = g[seg[live]]
-        dscores = np.zeros_like(scores.data)
+        dscores = np.zeros((n, 1), dtype=scores_dtype)
         # the row sums of mul's gradient, the same way (one column: no sum)
-        picked = g_rows * x.data[live_rows]
+        picked = g_rows * X[live_rows]
         dscores[live_rows] = (_unbroadcast(picked, (live_rows.size, 1))
                               * w[live_rows, None])
-        dx = _into(np.multiply, g_rows, scale[live]).astype(x.data.dtype,
-                                                            copy=False)
-        return RowSparse(x.data.shape, live_rows, dx), dscores
+        dx = _into(np.multiply, g_rows, scale[live]).astype(X.dtype, copy=False)
+        return RowSparse(X.shape, live_rows, dx), dscores
 
     return _joint_op(out_data, (x, scores), vjp)
 
@@ -647,9 +681,9 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     """Select rows of ``x`` by a constant index vector (embedding lookup)."""
     idx = np.asarray(indices)
     _check_index(idx, x.data.shape[0], "row index")
+    shape, dtype = x.data.shape, x.data.dtype
     return _op(x.data[idx], (x,),
-               lambda g: _index_add(x.data.shape, x.data.dtype, idx,
-                                    np.asarray(g)))
+               lambda g: _index_add(shape, dtype, idx, np.asarray(g)))
 
 
 def gather_cols(x: Tensor, indices) -> Tensor:
@@ -662,9 +696,10 @@ def gather_cols(x: Tensor, indices) -> Tensor:
     _check_index(idx, x.data.shape[1], "column index")
     n, m = x.data.shape
     rows = np.arange(n)[:, None]
+    dtype = x.data.dtype
 
     def dx(g):
-        flat = _index_add((n * m,), x.data.dtype, rows * m + idx, np.asarray(g))
+        flat = _index_add((n * m,), dtype, rows * m + idx, np.asarray(g))
         return flat.reshape(n, m)
 
     return _op(x.data[rows, idx], (x,), dx)
@@ -682,8 +717,8 @@ def mask_fill(x: Tensor, keep_mask, fill_value: float) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    return _op(x.data.reshape(shape), (x,),
-               lambda g: np.asarray(g).reshape(x.data.shape))
+    old = x.data.shape
+    return _op(x.data.reshape(shape), (x,), lambda g: np.asarray(g).reshape(old))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -284,8 +284,10 @@ def train_epoch(model: Model, records: list[DatasetRecord],
             adamw_step(params, grads, opt, lr=lr_now)
         except NonFiniteGradient:
             skipped += 1
-            continue
-        acc.add(breakdown, result, labels, ids)
+        else:
+            acc.add(breakdown, result, labels, ids)
+        # the outputs reach the whole graph: drop it before the next forward
+        del tape, result, breakdown, leaf_grads, grads
     return acc.metrics(epoch, "train", skipped), step
 
 

@@ -5,6 +5,8 @@ every differentiable op against central finite differences, the tape's
 accumulation semantics, and the documented error conditions.
 """
 
+import gc
+import weakref
 import zlib
 
 import numpy as np
@@ -876,6 +878,35 @@ class TestTapeSemantics:
         ga2, gb2 = run()
         assert np.array_equal(ga1, ga2) and np.array_equal(gb1, gb2)
 
+    def test_a_node_keeps_only_the_arrays_its_gradient_reads(self):
+        # an add reads neither input, so two intermediates summed on the
+        # tape go when the caller drops them; dense reads its x, which
+        # stays until the tape and the loss are dropped. No cyclic
+        # collector runs, so each array is freed by reference counting.
+        rng = np.random.default_rng(5)
+        x, y = (Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+                for _ in range(2))
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2,)), requires_grad=True)
+        gc.disable()
+        try:
+            with Tape() as tape:
+                a, c = ad.add(x, y), ad.sub(x, y)
+                s = ad.add(a, c)
+                summed = [weakref.ref(a.data), weakref.ref(c.data)]
+                read = weakref.ref(s.data)
+                del a, c
+                assert [ref() is None for ref in summed] == [True, True]
+                loss = ad.reduce_sum(ad.dense(s, w, b, relu=True))
+                del s
+                grads = tape.backward(loss)
+            assert read() is not None
+            del tape, loss
+            assert read() is None
+        finally:
+            gc.enable()
+        assert set(grads) == {x, y, w, b}
+
 
 def _reference_backward(tape, loss):
     """The accumulation ``Tape.backward`` must match: every gradient made
@@ -889,17 +920,17 @@ def _reference_backward(tape, loss):
         gout = node_grads.pop(id(node), None)
         if gout is None:
             continue
-        for tensor, gin in zip(node.inputs, node.vjp(gout)):
-            if gin is None:
+        for target, gin in zip(node.inputs, node.vjp(gout)):
+            if gin is None or target is None:
                 continue
             gin = dense(gin)
-            if tape._owns(tensor.node):
-                key = id(tensor.node)
+            if isinstance(target, ad.Node):
+                key = id(target)
                 node_grads[key] = (node_grads[key] + gin if key in node_grads
                                    else gin)
-            elif tensor.requires_grad:
-                leaf_grads[tensor] = (leaf_grads[tensor] + gin
-                                      if tensor in leaf_grads else gin.copy())
+            else:
+                leaf_grads[target] = (leaf_grads[target] + gin
+                                      if target in leaf_grads else gin.copy())
     return leaf_grads
 
 

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from moce import autodiff as ad
 from moce import train
 from moce.autodiff import Tape, Tensor
 from moce.cli import _epoch_line
@@ -350,6 +351,36 @@ class TestTrainingLoop:
             assert tape_ref() is None
         finally:
             gc.enable()
+
+    def test_each_step_frees_its_graph_before_the_next_forward(
+            self, monkeypatch):
+        model, data, tasks, settings = tiny_setup(seed=8, records=60)
+        opt = OptimizerState.create(model.parameters(), lr=settings.lr)
+        forward = Model.forward
+        last_step: list = []  # weak references to a step's tape and outputs
+        dead_at_forward = []
+
+        def watched(self, *args, **kwargs):
+            dead_at_forward.append([ref() is None for ref in last_step])
+            result = forward(self, *args, **kwargs)
+            last_step[:] = [weakref.ref(ad._state.tape), weakref.ref(result)]
+            return result
+
+        def watched_loss(*args, **kwargs):
+            breakdown = model_loss(*args, **kwargs)
+            last_step.append(weakref.ref(breakdown))
+            return breakdown
+
+        monkeypatch.setattr(Model, "forward", watched)
+        monkeypatch.setattr(train, "model_loss", watched_loss)
+        gc.disable()
+        try:
+            _, step = train_epoch(model, data, tasks, settings, opt,
+                                  ScheduleConfig(total_steps=3), 0, 0)
+        finally:
+            gc.enable()
+        assert step == 3
+        assert dead_at_forward == [[], [True] * 3, [True] * 3]
 
     def test_evaluate_is_deterministic_and_noise_free(self):
         model, data, tasks, settings = tiny_setup(seed=6)
