@@ -10,12 +10,22 @@ map keyed by that leaf. With no active tape, operations compute values
 only, which is what evaluation mode and the finite-difference harness rely
 on.
 
-A node holds no tensor other than a leaf, and its closure holds only the
-arrays its gradient reads (a relu mask, a tanh output, a matmul operand)
-and the shapes and dtypes of the rest. So an intermediate that the caller
-drops is freed during the forward pass unless some gradient reads it. A
-node lives until its tape and every output that reaches it are dropped:
-an output kept past ``backward`` keeps its whole graph.
+Every primitive records through ``_op`` with one contract: its
+vector-Jacobian product maps the output gradient to a tuple of exactly
+one gradient, or None, per input, each already of its input's shape.
+Only the broadcasting ops (``add``, ``sub``, ``mul``, ``div``, and the
+mul fused into ``pool_rows``) sum a gradient back over broadcast axes.
+``backward`` raises ValueError when a vector-Jacobian product returns
+another number of gradients.
+
+A node holds no tensor other than a leaf, and its closure holds, in its
+own cells, the arrays its gradient reads (a relu mask, a tanh output, the
+operands of ``mul``, ``div`` and ``matmul``, kept both even when one needs
+no gradient) and the shapes and dtypes of the rest. So an intermediate
+that the caller drops is freed during the forward pass unless some
+gradient reads it. A node lives until its tape and every output that
+reaches it are dropped: an output kept past ``backward`` keeps its whole
+graph.
 
 Gradients never flow through integer index arrays (gather/scatter
 indices); those are constants of the forward pass.
@@ -214,7 +224,7 @@ class Tape:
             gout = node_grads.pop(node, None)
             if gout is None:
                 continue
-            for target, gin in zip(node.inputs, node.vjp(gout)):
+            for target, gin in zip(node.inputs, node.vjp(gout), strict=True):
                 if gin is None or target is None:
                     continue
                 _accumulate(node_grads if type(target) is Node else leaf_grads,
@@ -290,40 +300,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _recording(inputs: tuple) -> Tape | None:
-    """The active tape, if there is one and some input needs a gradient."""
-    tape = getattr(_state, "tape", None)
-    if tape is not None and any(t.requires_grad for t in inputs):
-        return tape
-    return None
-
-
-def _joint_op(out_data, inputs: tuple, vjp: Callable) -> Tensor:
+def _op(out_data, inputs: tuple, vjp: Callable) -> Tensor:
     """Wrap ``out_data`` as the result of one primitive applied to
     ``inputs``, recorded only on an active tape and only when some input
-    needs a gradient. ``vjp`` maps the output gradient to one gradient (or
-    None) per input; the tape drops those of inputs that need none."""
+    needs a gradient. ``vjp`` maps the output gradient to a tuple of
+    exactly one gradient (or None) per input; the tape drops those of
+    inputs that need none."""
     out = Tensor(out_data)
-    tape = _recording(inputs)
-    if tape is not None:
-        tape._record(out, inputs, vjp)
-    return out
-
-
-def _op(out_data, inputs: tuple, *grad_fns) -> Tensor:
-    """A primitive whose ``grad_fns[i]`` maps the output gradient to the
-    gradient of ``inputs[i]``, summed back over broadcast axes; it runs
-    only for inputs that need a gradient. The closure keeps those inputs'
-    ``grad_fns`` and shapes, not the inputs."""
-    out = Tensor(out_data)
-    tape = _recording(inputs)
-    if tape is not None:
-        wanted = tuple((fn, t.data.shape) if t.requires_grad else None
-                       for t, fn in zip(inputs, grad_fns))
-
-        def vjp(g):
-            return tuple(None if w is None else _unbroadcast(w[0](g), w[1])
-                         for w in wanted)
+    tape = getattr(_state, "tape", None)
+    if tape is not None and any(t.requires_grad for t in inputs):
         tape._record(out, inputs, vjp)
     return out
 
@@ -346,33 +331,39 @@ def _into(ufunc, a: np.ndarray, b: np.ndarray, fresh: bool = True):
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _op(_broadcast(np.add, a, b), (a, b), lambda g: g, lambda g: g)
+    sa, sb = a.data.shape, b.data.shape
+    return _op(_broadcast(np.add, a, b), (a, b),
+               lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _op(_broadcast(np.subtract, a, b), (a, b), lambda g: g, lambda g: -g)
+    sa, sb = a.data.shape, b.data.shape
+    return _op(_broadcast(np.subtract, a, b), (a, b),
+               lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     A, B = a.data, b.data
     return _op(_broadcast(np.multiply, a, b), (a, b),
-               lambda g: g * B, lambda g: g * A)
+               lambda g: (_unbroadcast(g * B, A.shape),
+                          _unbroadcast(g * A, B.shape)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     A, B = a.data, b.data
     return _op(_broadcast(np.divide, a, b), (a, b),
-               lambda g: g / B, lambda g: -g * A / (B * B))
+               lambda g: (_unbroadcast(g / B, A.shape),
+                          _unbroadcast(-g * A / (B * B), B.shape)))
 
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
-    return _op(np.where(mask, x.data, 0.0), (x,), lambda g: g * mask)
+    return _op(np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
-    return _op(y, (x,), lambda g: g * (1.0 - y * y))
+    return _op(y, (x,), lambda g: (g * (1.0 - y * y),))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -390,7 +381,7 @@ def softplus(x: Tensor) -> Tensor:
     big = x.data > 30.0
     y = np.where(big, x.data, np.log1p(np.exp(np.minimum(x.data, 30.0))))
     s = _sigmoid(x.data)
-    return _op(y, (x,), lambda g: g * s)
+    return _op(y, (x,), lambda g: (g * s,))
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -402,7 +393,7 @@ def sqrt(x: Tensor) -> Tensor:
         g = np.asarray(g)
         denom = 2.0 * y
         safe = np.where(denom == 0.0, 1.0, denom)
-        return np.where(denom == 0.0, 0.0, g / safe)
+        return (np.where(denom == 0.0, 0.0, g / safe),)
 
     return _op(y, (x,), dx)
 
@@ -413,7 +404,7 @@ def normal_cdf(x: Tensor) -> Tensor:
     if x.data.dtype != np.float64:
         y = y.astype(x.data.dtype)
     pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-    return _op(y, (x,), lambda g: g * pdf)
+    return _op(y, (x,), lambda g: (g * pdf,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -421,7 +412,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     A, B = a.data, b.data
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise ShapeMismatch(f"matmul shapes {A.shape} and {B.shape}")
-    return _op(A @ B, (a, b), lambda g: g @ B.T, lambda g: A.T @ g)
+    return _op(A @ B, (a, b), lambda g: (g @ B.T, A.T @ g))
 
 
 def _relu_in_place(a: np.ndarray) -> None:
@@ -462,7 +453,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
         g = g[rows]
         return RowSparse(A.shape, rows, g @ W.T), A[rows].T @ g, g.sum(axis=0)
 
-    return _joint_op(out, (x, w, b), vjp)
+    return _op(out, (x, w, b), vjp)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -478,7 +469,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def dx(g):
         inner = np.sum(g * y, axis=axis, keepdims=True)
-        return y * (g - inner)
+        return (y * (g - inner),)
 
     return _op(y, (x,), dx)
 
@@ -514,7 +505,8 @@ def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     _check_not_empty(x, axis)
     y = np.sum(x.data, axis=axis, keepdims=keepdims)
     shape = x.data.shape
-    return _op(y, (x,), lambda g: _unreduce(g, shape, axis, keepdims).copy())
+    return _op(y, (x,),
+               lambda g: (_unreduce(g, shape, axis, keepdims).copy(),))
 
 
 def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -523,7 +515,7 @@ def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     shape = x.data.shape
     n = x.data.size if axis is None else shape[axis]
     y = np.mean(x.data, axis=axis, keepdims=keepdims)
-    return _op(y, (x,), lambda g: _unreduce(g, shape, axis, keepdims) / n)
+    return _op(y, (x,), lambda g: (_unreduce(g, shape, axis, keepdims) / n,))
 
 
 def _index_add(shape, dtype, ids, values: np.ndarray) -> np.ndarray:
@@ -564,7 +556,7 @@ def scatter_segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tenso
     _check_segments(ids, values.data, num_segments)
     out_data = _index_add((num_segments,) + values.data.shape[1:],
                           values.data.dtype, ids, values.data)
-    return _op(out_data, (values,), lambda g: np.asarray(g)[ids])
+    return _op(out_data, (values,), lambda g: (np.asarray(g)[ids],))
 
 
 def gin_messages(nodes: Tensor, edges: Tensor, src, dst) -> Tensor:
@@ -591,7 +583,7 @@ def gin_messages(nodes: Tensor, edges: Tensor, src, dst) -> Tensor:
         gm = g[dst] * mask
         return _index_add(shape, dtype, src, gm), gm
 
-    return _joint_op(out_data, (nodes, edges), vjp)
+    return _op(out_data, (nodes, edges), vjp)
 
 
 def sag_scores(x: Tensor, theta: Tensor, dinv: np.ndarray, src, dst) -> Tensor:
@@ -627,7 +619,7 @@ def sag_scores(x: Tensor, theta: Tensor, dinv: np.ndarray, src, dst) -> Tensor:
         gu = gu[rows]
         return RowSparse(X.shape, rows, gu @ T.T), X[rows].T @ gu
 
-    return _joint_op(y, (x, theta), vjp)
+    return _op(y, (x, theta), vjp)
 
 
 def pool_rows(x: Tensor, scores: Tensor, weights, segment_ids,
@@ -667,14 +659,15 @@ def pool_rows(x: Tensor, scores: Tensor, weights, segment_ids,
         live_rows = rows[live]
         g_rows = g[seg[live]]
         dscores = np.zeros((n, 1), dtype=scores_dtype)
-        # the row sums of mul's gradient, the same way (one column: no sum)
+        # mul's sum back over x's columns, by the same helper: one column
+        # is returned as it is, where a sum would turn -0.0 into +0.0
         picked = g_rows * X[live_rows]
         dscores[live_rows] = (_unbroadcast(picked, (live_rows.size, 1))
                               * w[live_rows, None])
         dx = _into(np.multiply, g_rows, scale[live]).astype(X.dtype, copy=False)
         return RowSparse(X.shape, live_rows, dx), dscores
 
-    return _joint_op(out_data, (x, scores), vjp)
+    return _op(out_data, (x, scores), vjp)
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
@@ -683,7 +676,7 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     _check_index(idx, x.data.shape[0], "row index")
     shape, dtype = x.data.shape, x.data.dtype
     return _op(x.data[idx], (x,),
-               lambda g: _index_add(shape, dtype, idx, np.asarray(g)))
+               lambda g: (_index_add(shape, dtype, idx, np.asarray(g)),))
 
 
 def gather_cols(x: Tensor, indices) -> Tensor:
@@ -700,7 +693,7 @@ def gather_cols(x: Tensor, indices) -> Tensor:
 
     def dx(g):
         flat = _index_add((n * m,), dtype, rows * m + idx, np.asarray(g))
-        return flat.reshape(n, m)
+        return (flat.reshape(n, m),)
 
     return _op(x.data[rows, idx], (x,), dx)
 
@@ -713,12 +706,13 @@ def mask_fill(x: Tensor, keep_mask, fill_value: float) -> Tensor:
     if keep.shape != x.data.shape:
         raise ShapeMismatch(f"mask shape {keep.shape} != tensor shape {x.data.shape}")
     out_data = np.where(keep, x.data, x.data.dtype.type(fill_value))
-    return _op(out_data, (x,), lambda g: np.asarray(g) * keep)
+    return _op(out_data, (x,), lambda g: (np.asarray(g) * keep,))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     old = x.data.shape
-    return _op(x.data.reshape(shape), (x,), lambda g: np.asarray(g).reshape(old))
+    return _op(x.data.reshape(shape), (x,),
+               lambda g: (np.asarray(g).reshape(old),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -726,13 +720,9 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ShapeMismatch("concat of an empty sequence")
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
-    pieces = []
-    for lo, hi in zip(offsets[:-1], offsets[1:]):
-        sl = [slice(None)] * out_data.ndim
-        sl[axis] = slice(lo, hi)
-        pieces.append(lambda g, sl=tuple(sl): np.asarray(g)[sl])
-    return _op(out_data, tuple(tensors), *pieces)
+    offsets = np.cumsum([t.data.shape[axis] for t in tensors])[:-1].tolist()
+    return _op(out_data, tuple(tensors),
+               lambda g: tuple(np.split(np.asarray(g), offsets, axis=axis)))
 
 
 def check_rel_tol(rel_tol: float) -> float:

@@ -25,7 +25,7 @@ class BadK(ValueError):
     """k_s and k_t must satisfy 1 <= k_s <= k_t <= num_experts."""
 
 
-class MissingTaskEmbedding(KeyError):
+class MissingTaskEmbedding(LookupError):
     """No embedding for a task id and the fallback embedder is disabled."""
 
 

@@ -36,12 +36,12 @@ def bce(logit: Tensor, label) -> Tensor:
     Computed as max(z, 0) - z*y + log(1 + exp(-|z|)), which never
     exponentiates a positive argument; its gradient is sigmoid(z) - y
     everywhere, z = 0 included. ``label`` may be a scalar or an array
-    broadcastable against ``logit``.
+    that broadcasts to ``logit``'s shape.
     """
-    y = np.asarray(label, dtype=logit.dtype)
     zd = logit.data
+    y = np.broadcast_to(np.asarray(label, dtype=logit.dtype), zd.shape)
     value = (np.where(zd > 0, zd, 0.0) - zd * y) + np.log1p(np.exp(-np.abs(zd)))
-    return ad._op(value, (logit,), lambda g: g * (ad._sigmoid(zd) - y))
+    return ad._op(value, (logit,), lambda g: (g * (ad._sigmoid(zd) - y),))
 
 
 def attention_cosine_loss(thetas: list[Tensor]) -> Tensor:

@@ -907,6 +907,17 @@ class TestTapeSemantics:
             gc.enable()
         assert set(grads) == {x, y, w, b}
 
+    def test_a_vjp_must_return_one_gradient_per_input(self):
+        # a two-input primitive whose vjp returns one gradient would leave
+        # its second input without one
+        x, y = (Tensor(np.array([1.0, 2.0]), requires_grad=True)
+                for _ in range(2))
+        with Tape() as tape:
+            out = ad._op(x.data + y.data, (x, y), lambda g: (g,))
+            loss = ad.reduce_sum(out)
+            with pytest.raises(ValueError):
+                tape.backward(loss)
+
 
 def _reference_backward(tape, loss):
     """The accumulation ``Tape.backward`` must match: every gradient made
@@ -920,7 +931,7 @@ def _reference_backward(tape, loss):
         gout = node_grads.pop(id(node), None)
         if gout is None:
             continue
-        for target, gin in zip(node.inputs, node.vjp(gout)):
+        for target, gin in zip(node.inputs, node.vjp(gout), strict=True):
             if gin is None or target is None:
                 continue
             gin = dense(gin)
@@ -1273,16 +1284,27 @@ class TestPerOpFiniteDifferences:
                 assert r.passed, str(r)
 
     def test_concat(self):
+        # two and three pieces of unequal widths, along each axis of a
+        # matrix and along the last one by a negative index
         rng = np.random.default_rng(42)
-        for _ in range(100):
-            a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-            b = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-            w = rng.normal(size=(2, 5))
-            r = finite_diff_check(
-                lambda x, y: ad.reduce_sum(ad.mul(ad.concat([x, y], axis=1), Tensor(w))),
-                [a, b],
-            )
-            assert r.passed, str(r)
+        for axis in (1, 0, -1):
+            for widths in ((3, 2), (3, 1, 2)):
+                for _ in range(100 // len(widths)):
+                    pieces = []
+                    for k in widths:
+                        shape = [2, 2]
+                        shape[axis] = k
+                        pieces.append(Tensor(rng.normal(size=shape),
+                                             requires_grad=True))
+                    shape = [2, 2]
+                    shape[axis] = sum(widths)
+                    w = Tensor(rng.normal(size=shape))
+                    r = finite_diff_check(
+                        lambda *xs: ad.reduce_sum(
+                            ad.mul(ad.concat(xs, axis=axis), w)),
+                        pieces,
+                    )
+                    assert r.passed, str(r)
 
 
 class TestFiniteDiffHarness:
@@ -1307,7 +1329,7 @@ class TestFiniteDiffHarness:
         def bad_softplus(x):
             big = x.data > 30.0
             y = np.where(big, x.data, np.log1p(np.exp(np.minimum(x.data, 30.0))))
-            return ad._op(y, (x,), lambda g: g * 0.5)
+            return ad._op(y, (x,), lambda g: (g * 0.5,))
 
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         report = finite_diff_check(lambda t: ad.reduce_sum(bad_softplus(t)), [x])

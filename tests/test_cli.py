@@ -341,7 +341,9 @@ class TestTrain:
                                        out=tmp_path / "out")
                        + "allow_fallback_embeddings = false\n")
         assert main(["train", "--config", str(cfg)]) == 2
-        assert "embedding" in capsys.readouterr().err.lower()
+        assert capsys.readouterr().err == (
+            "moce train: error: no embedding for task 'aromatic' and "
+            "fallback is disabled\n")
 
 
     @pytest.mark.parametrize("index", ["999", "-1"])

@@ -323,3 +323,55 @@ class TestTapeSize:
             out = model.forward(tiny_batch(), tasks, noise_on=True, rngs=rngs)
             model_loss(model, out, np.array([1.0, 0.0]), beta=0.1)
         assert len(tape.nodes) == 181
+
+    def test_every_kept_array_is_one_level_deep(self):
+        """The arrays a node keeps sit in its inputs or directly in its
+        vector-Jacobian closure's cells, so a one-level walk (the one that
+        counts tape bytes) finds every buffer a deep walk through tuples,
+        lists, dicts and nested functions finds."""
+        model = Model.create(tiny_config(), seed=3)
+        rng = np.random.default_rng(3)
+        rngs = [np.random.default_rng(b) for b in range(2)]
+        with Tape() as tape:
+            out = model.forward(tiny_batch(("CCO", "C=O", "CC(=O)O")),
+                                task_matrix(rng, 3), noise_on=True, rngs=rngs)
+            lb = model_loss(model, out, np.array([1.0, 0.0, 1.0]), beta=0.1)
+            tape.backward(lb.overall)
+        total = set()
+        for node in tape.nodes:
+            shallow = _node_buffers(node, deep=False)
+            assert shallow == _node_buffers(node, deep=True)
+            total |= shallow
+        assert len(total) > len(model.parameters())
+
+
+def _node_buffers(node, deep: bool) -> set[int]:
+    """ids of the base buffers of the arrays reachable from ``node``'s
+    inputs and its vjp's closure cells; with ``deep``, also through
+    tuples, lists, dicts and the closures of nested functions."""
+    found = set()
+
+    def visit(value, depth):
+        if isinstance(value, Tensor):
+            value = value.data
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            found.add(id(value))
+        elif depth and callable(value) and hasattr(value, "__closure__"):
+            for cell in value.__closure__ or ():
+                try:
+                    visit(cell.cell_contents, depth - 1)
+                except ValueError:  # empty cell
+                    pass
+        elif deep and isinstance(value, (tuple, list)):
+            for item in value:
+                visit(item, depth)
+        elif deep and isinstance(value, dict):
+            for item in value.values():
+                visit(item, depth)
+
+    for target in node.inputs:
+        visit(target, 0)
+    visit(node.vjp, float("inf") if deep else 1)
+    return found
