@@ -129,10 +129,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -313,11 +309,6 @@ def _op(out_data, inputs: tuple, vjp: Callable) -> Tensor:
     return out
 
 
-def _broadcast(ufunc, a: Tensor, b: Tensor) -> np.ndarray:
-    """``ufunc(a, b)``, with numpy's broadcast error raised as ShapeMismatch."""
-    return _into(ufunc, a.data, b.data, fresh=False)
-
-
 def _into(ufunc, a: np.ndarray, b: np.ndarray, fresh: bool = True):
     """``ufunc(a, b)``, into a ``fresh`` a (the same bits) when the result
     keeps a's dtype; numpy's broadcast error raised as ShapeMismatch."""
@@ -332,26 +323,26 @@ def _into(ufunc, a: np.ndarray, b: np.ndarray, fresh: bool = True):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = a.data.shape, b.data.shape
-    return _op(_broadcast(np.add, a, b), (a, b),
+    return _op(_into(np.add, a.data, b.data, fresh=False), (a, b),
                lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     sa, sb = a.data.shape, b.data.shape
-    return _op(_broadcast(np.subtract, a, b), (a, b),
+    return _op(_into(np.subtract, a.data, b.data, fresh=False), (a, b),
                lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     A, B = a.data, b.data
-    return _op(_broadcast(np.multiply, a, b), (a, b),
+    return _op(_into(np.multiply, A, B, fresh=False), (a, b),
                lambda g: (_unbroadcast(g * B, A.shape),
                           _unbroadcast(g * A, B.shape)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     A, B = a.data, b.data
-    return _op(_broadcast(np.divide, a, b), (a, b),
+    return _op(_into(np.divide, A, B, fresh=False), (a, b),
                lambda g: (_unbroadcast(g / B, A.shape),
                           _unbroadcast(-g * A / (B * B), B.shape)))
 
@@ -734,6 +725,9 @@ def check_rel_tol(rel_tol: float) -> float:
     return rel_tol
 
 
+FD_STEP = 1e-4  # central-difference step of ``finite_diff_check``
+
+
 @dataclass
 class FdReport:
     """Result of a finite-difference gradient verification run."""
@@ -754,14 +748,13 @@ class FdReport:
 def finite_diff_check(
     f: Callable[..., Tensor],
     inputs: Sequence[Tensor],
-    step: float = 1e-4,
     rel_tol: float = 1e-4,
     per_tensor: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> FdReport:
     """Compare tape gradients of ``f(*inputs)`` against central differences.
 
-    Every coordinate of every requires_grad input is perturbed by ``step``
+    Every coordinate of every requires_grad input is perturbed by ``FD_STEP``
     in both directions, in place, so ``f`` may also read the inputs through
     a closure. With ``per_tensor`` set, only a sample of that many
     coordinates per input is checked, drawn from ``rng`` without
@@ -793,12 +786,12 @@ def finite_diff_check(
         for j in coords:
             j = int(j)
             orig = flat[j]
-            flat[j] = orig + step
+            flat[j] = orig + FD_STEP
             hi = float(f(*inputs).data)
-            flat[j] = orig - step
+            flat[j] = orig - FD_STEP
             lo = float(f(*inputs).data)
             flat[j] = orig
-            g_fd = (hi - lo) / (2.0 * step)
+            g_fd = (hi - lo) / (2.0 * FD_STEP)
             g_a = float(g_ad.reshape(-1)[j])
             rel = abs(g_a - g_fd) / (abs(g_a) + abs(g_fd) + 1e-12)
             checked += 1

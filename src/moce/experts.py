@@ -38,9 +38,8 @@ _SIGMA_FLOOR = 1e-3  # lower bound on the routing noise scale
 
 @dataclass
 class TaskDescriptor:
-    """A prediction task: identifier and embedding."""
+    """A prediction task's embedding."""
 
-    task_id: str
     embedding: np.ndarray
 
 
@@ -114,10 +113,9 @@ def resolve_tasks(task_ids, embeddings: dict[str, np.ndarray] | None,
     out: dict[str, TaskDescriptor] = {}
     for task_id in sorted(set(task_ids)):
         if task_id in embeddings:
-            out[task_id] = TaskDescriptor(task_id, embeddings[task_id])
+            out[task_id] = TaskDescriptor(embeddings[task_id])
         elif allow_fallback:
-            out[task_id] = TaskDescriptor(task_id,
-                                          fallback_embedding(task_id, fallback_dim))
+            out[task_id] = TaskDescriptor(fallback_embedding(task_id, fallback_dim))
         else:
             raise MissingTaskEmbedding(
                 f"no embedding for task {task_id!r} and fallback is disabled")
@@ -135,10 +133,6 @@ class RouterParams(Module):
     w_sigma2: Tensor
     k_s: int
     k_t: int
-
-    @property
-    def num_experts(self) -> int:
-        return self.w_mu1.shape[1]
 
     @classmethod
     def create(cls, rng: np.random.Generator, feat_dim: int, task_dim: int,
@@ -251,7 +245,7 @@ def route_batch(x_hat: Tensor, tasks: Tensor, r: RouterParams,
     p_choose is the probability that each expert would be selected under
     fresh noise, a normal CDF around the k_s-th largest competing score.
     """
-    m = r.num_experts
+    m = r.w_mu1.shape[1]
     validate_k(r.k_s, r.k_t, m)
     dtype = x_hat.dtype
 
@@ -357,8 +351,8 @@ def layer_forward(nodes: Tensor, batch: BatchedGraph, tasks: Tensor,
                   experts: list[ExpertParams], router: RouterParams,
                   pool_ratio: float,
                   rng: np.random.Generator | None = None) -> LayerResult:
-    """Route a batch and form gate-weighted expert votes; routing noise is
-    drawn from ``rng`` when one is given.
+    """Route a batch and form its (batch, 1) column of gate-weighted expert
+    votes; routing noise is drawn from ``rng`` when one is given.
 
     Every expert's logits are computed for the full batch and retained (the
     expert-specific loss needs them); unselected positions have an exact
@@ -371,7 +365,7 @@ def layer_forward(nodes: Tensor, batch: BatchedGraph, tasks: Tensor,
         pooled = sag_project_batch(nodes, batch, expert, pool_ratio)
         columns.append(expert_mlp(expert, pooled))
     expert_logits = ad.concat(columns, axis=1)
-    output = ad.reduce_sum(ad.mul(rb.gates, expert_logits), axis=1)
+    output = ad.reduce_sum(ad.mul(rb.gates, expert_logits), axis=1, keepdims=True)
     return LayerResult(output=output, route=rb, expert_logits=expert_logits)
 
 

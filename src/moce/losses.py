@@ -148,7 +148,6 @@ class LossBreakdown:
     exp: Tensor
     imp: Tensor
     lod: Tensor
-    col: Tensor
     overall: Tensor
 
     def floats(self) -> dict[str, float]:
@@ -163,4 +162,4 @@ def overall_loss(base: Tensor, att: Tensor, exp: Tensor, imp: Tensor,
     col = ad.add(ad.add(att, exp), ad.add(imp, lod))
     overall = ad.add(base, ad.mul(col, Tensor(beta, dtype=col.dtype)))
     return LossBreakdown(base=base, att=att, exp=exp, imp=imp, lod=lod,
-                         col=col, overall=overall)
+                         overall=overall)

@@ -145,7 +145,7 @@ class Model(Module):
             res = layer_forward(state, batch, tasks, block.experts,
                                 block.router, self.config.pool_ratio,
                                 rngs[b] if noise_on else None)
-            columns.append(ad.reshape(res.output, (batch.num_graphs, 1)))
+            columns.append(res.output)
             layer_results.append(res)
         per_layer = ad.concat(columns, axis=1)
         logits, weights = integrate_outputs(per_layer, tasks, self.integrator)

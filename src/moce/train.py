@@ -67,7 +67,7 @@ class OptimizerState:
 
 
 def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-               state: OptimizerState, lr: float | None = None) -> None:
+               state: OptimizerState, lr: float) -> None:
     """One bias-corrected Adam update with decoupled weight decay.
 
     Every gradient is checked before anything mutates, so a non-finite
@@ -79,8 +79,6 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient(f"non-finite gradient in {name}")
-    if lr is None:
-        lr = state.lr
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1 ** t

@@ -1143,7 +1143,8 @@ class TestFanIn:
         for grads in (got, want):
             fresh, opt = state()
             live = fresh.parameters()
-            adamw_step(live, {n: grads[params[n]] for n in params}, opt)
+            adamw_step(live, {n: grads[params[n]] for n in params}, opt,
+                       lr=0.01)
             after.append([arr.tobytes() for n in sorted(live)
                           for arr in (live[n].data, opt.m[n], opt.v[n])])
         assert after[0] == after[1]

@@ -304,7 +304,6 @@ class TestOverall:
             beta = float(rng.uniform(0.05, 1.0))
             lb = overall_loss(base, att, exp, imp, lod, beta)
             col = att.data + exp.data + imp.data + lod.data
-            assert lb.col.data == pytest.approx(col, rel=1e-12)
             assert lb.overall.data == pytest.approx(base.data + beta * col,
                                                     rel=1e-12)
 
@@ -319,14 +318,13 @@ class TestOverall:
         base, att, exp, imp, lod = self._parts(rng)
         a = overall_loss(base, att, exp, imp, lod, 0.5)
         assert a.overall.data - a.base.data == pytest.approx(
-            0.5 * a.col.data, rel=1e-12)
+            0.5 * (att.data + exp.data + imp.data + lod.data), rel=1e-12)
 
     def test_floats_exposes_every_term(self):
         rng = np.random.default_rng(11)
         lb = overall_loss(*self._parts(rng), 0.1)
         out = lb.floats()
-        assert set(out) == {"base", "att", "exp", "imp", "lod", "col",
-                            "overall"}
+        assert set(out) == {"base", "att", "exp", "imp", "lod", "overall"}
 
     def test_backward_reaches_inputs(self):
         base = Tensor(np.asarray(0.5), requires_grad=True)

@@ -44,13 +44,13 @@ class TestAdamW:
     def test_zero_gradient_zero_decay_is_identity(self):
         params = param_dict({"w": np.array([1.0, -2.0])})
         state = OptimizerState.create(params, lr=0.01, weight_decay=0.0)
-        adamw_step(params, {"w": np.zeros(2)}, state)
+        adamw_step(params, {"w": np.zeros(2)}, state, lr=0.01)
         np.testing.assert_array_equal(params["w"].data, [1.0, -2.0])
 
     def test_zero_gradient_applies_pure_decay(self):
         params = param_dict({"w": np.array([1.0, -2.0])})
         state = OptimizerState.create(params, lr=0.01, weight_decay=0.01)
-        adamw_step(params, {"w": np.zeros(2)}, state)
+        adamw_step(params, {"w": np.zeros(2)}, state, lr=0.01)
         np.testing.assert_allclose(params["w"].data,
                                    np.array([1.0, -2.0]) * (1 - 1e-4),
                                    rtol=1e-15)
@@ -62,7 +62,7 @@ class TestAdamW:
         prev = params["w"].data.copy()
         for _ in range(1000):
             prev = params["w"].data.copy()
-            adamw_step(params, {"w": g}, state)
+            adamw_step(params, {"w": g}, state, lr=0.001)
         delta = params["w"].data - prev
         np.testing.assert_allclose(delta, -0.001 * np.sign(g), rtol=1e-2)
 
@@ -70,7 +70,7 @@ class TestAdamW:
         params = param_dict({"w": np.array([0.5])})
         state = OptimizerState.create(params, lr=0.1, weight_decay=0.0)
         g = np.array([0.3])
-        adamw_step(params, {"w": g}, state)
+        adamw_step(params, {"w": g}, state, lr=0.1)
         # bias correction makes m-hat = g and v-hat = g^2 on step one
         expected = 0.5 - 0.1 * (0.3 / (0.3 + 1e-8))
         np.testing.assert_allclose(params["w"].data, [expected], rtol=1e-12)
@@ -80,7 +80,7 @@ class TestAdamW:
         state = OptimizerState.create(params, lr=0.01, weight_decay=0.01)
         grads = {"a": np.array([0.5]), "b": np.array([np.nan])}
         with pytest.raises(NonFiniteGradient, match="b"):
-            adamw_step(params, grads, state)
+            adamw_step(params, grads, state, lr=0.01)
         np.testing.assert_array_equal(params["a"].data, [1.0])
         np.testing.assert_array_equal(params["b"].data, [2.0])
         assert state.step_count == 0
@@ -342,7 +342,8 @@ class TestTrainingLoop:
                                        rngs=noise_rngs(0, 0, len(model.blocks)))
                 loss = model_loss(model, result, labels, settings.beta).overall
                 grads = tape.backward(loss)
-            adamw_step(params, {n: grads[p] for n, p in params.items()}, opt)
+            adamw_step(params, {n: grads[p] for n, p in params.items()}, opt,
+                       lr=settings.lr)
             return weakref.ref(tape)
 
         gc.disable()
@@ -409,7 +410,7 @@ class TestMetricsLog:
             per_task_auc={"A": 0.75, "B": None},
             mean_auc=0.75,
             loss_means={"base": 0.5, "att": 0.25, "exp": 1.5, "imp": 0.1,
-                        "lod": 0.2, "col": 2.05, "overall": 0.705},
+                        "lod": 0.2, "overall": 0.705},
             max_gate_share=0.6,
         )
         log.append(metrics)
