@@ -153,7 +153,7 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text ({exc.reason})") from None

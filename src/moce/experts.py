@@ -60,11 +60,12 @@ def fallback_embedding(text: str, dim: int = 64) -> np.ndarray:
 
 
 def load_task_embeddings(path) -> dict[str, np.ndarray]:
-    """Read tab-separated ``task_id<TAB>v1,v2,...`` rows; one per task."""
+    """Read tab-separated ``task_id<TAB>v1,v2,...`` rows; one per task. Ids
+    are stripped, as dataset cells are; a leading byte-order mark is not data."""
     table: dict[str, np.ndarray] = {}
     dim = None
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise TaskEmbeddingError(f"{path} is not UTF-8 text ({exc.reason})") from None
@@ -76,7 +77,7 @@ def load_task_embeddings(path) -> dict[str, np.ndarray]:
         if len(parts) != 2:
             raise TaskEmbeddingError(
                 f"line {lineno}: expected task_id<TAB>values, got {len(parts)} fields")
-        task_id, values = parts
+        task_id, values = parts[0].strip(), parts[1]
         try:
             vec = np.array([float(x) for x in values.split(",")])
         except ValueError as exc:

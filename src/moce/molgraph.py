@@ -448,9 +448,9 @@ def scaffold_key(graph: FeaturizedGraph) -> ScaffoldKey:
 
 
 def _csv_rows(path: str) -> list[list[str]]:
-    """Every row of a UTF-8 CSV file. A row the csv module rejects, or bytes
-    that are not UTF-8, raise DatasetError."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Every row of a UTF-8 CSV file, less a leading byte-order mark. A row
+    the csv module rejects, or bytes that are not UTF-8, raise DatasetError."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             return list(reader)

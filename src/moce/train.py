@@ -138,15 +138,16 @@ def auc_roc(scores, labels) -> float | None:
     """Probability a random positive outscores a random negative.
 
     Mann-Whitney rank form with average ranks for ties (a tied pair counts
-    one half). Returns None when only one class is present; the undefined
-    case is never reported as a number.
+    one half); infinite scores rank at the ends. Returns None when only one
+    class is present or a score is NaN, which ranks against nothing; the
+    undefined case is never reported as a number.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     pos = y == 1
     n_pos = int(pos.sum())
     n_neg = s.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    if n_pos == 0 or n_neg == 0 or np.isnan(s).any():
         return None
     _, inverse, counts = np.unique(s, return_inverse=True, return_counts=True)
     below = np.concatenate([[0], np.cumsum(counts)[:-1]])

@@ -63,6 +63,13 @@ class TestParsing:
         assert cfg.seed == 42
         assert cfg.out_dir == "somewhere"
 
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_load_with_or_without_a_byte_order_mark(self, tmp_path, bom):
+        path = tmp_path / "run.cfg"
+        path.write_text(bom + "embed_dim = 16\nseed = 42\n", encoding="utf-8")
+        cfg = load_config(path)
+        assert (cfg.embed_dim, cfg.seed) == (16, 42)
+
     def test_text_round_trip_non_defaults(self):
         cfg = RunConfig(seed=9, use_lod_loss=False, dataset="d.csv",
                         beta=0.25, k_s=2, k_t=5, num_experts=8)

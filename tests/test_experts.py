@@ -811,6 +811,22 @@ class TestTaskEmbeddings:
         np.testing.assert_array_equal(table["tox"], [0.5, -1.0, 2.0])
         np.testing.assert_array_equal(table["sol"], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_file_with_or_without_a_byte_order_mark(self, tmp_path, bom):
+        path = tmp_path / "tasks.tsv"
+        path.write_text(bom + "A\t1.0,0.0\nB\t0.0,1.0\n", encoding="utf-8")
+        table = load_task_embeddings(path)
+        assert list(table) == ["A", "B"]
+        np.testing.assert_array_equal(table["A"], [1.0, 0.0])
+
+    def test_ids_are_stripped_as_dataset_cells_are(self, tmp_path):
+        path = tmp_path / "tasks.tsv"
+        path.write_text("A \t1,0,0,0\nB\t0,1,0,0\n", encoding="utf-8")
+        out = resolve_tasks(["A", "B"], load_task_embeddings(path),
+                            allow_fallback=True, fallback_dim=4)
+        np.testing.assert_array_equal(out["A"].embedding, [1, 0, 0, 0])
+        np.testing.assert_array_equal(out["B"].embedding, [0, 1, 0, 0])
+
     def test_unequal_lengths_rejected(self, tmp_path):
         path = tmp_path / "tasks.tsv"
         path.write_text("a\t1.0,2.0\nb\t1.0,2.0,3.0\n")

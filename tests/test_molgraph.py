@@ -482,6 +482,22 @@ class TestDatasetCsv:
         with pytest.raises(DatasetError):
             load_dataset_csv(str(path))
 
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_read_with_or_without_a_byte_order_mark(self, tmp_path, bom):
+        path = tmp_path / "data.csv"
+        path.write_text(bom + "smiles,label,task_id\nCCO,1,tox\n",
+                        encoding="utf-8")
+        [record] = load_dataset_csv(str(path))
+        assert (record.smiles, record.label, record.task_id) == ("CCO", 1, "tox")
+
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_split_csv_with_or_without_a_byte_order_mark(self, tmp_path, bom):
+        path = tmp_path / "split.csv"
+        path.write_text(bom + "record_index,split\n0,train\n1,test\n",
+                        encoding="utf-8")
+        assert SplitAssignment.read_csv(str(path)).splits == {0: "train",
+                                                              1: "test"}
+
     def test_split_csv_round_trip(self, tmp_path):
         split = SplitAssignment({0: "train", 1: "test", 2: "valid"})
         path = tmp_path / "split.csv"

@@ -204,6 +204,12 @@ class TestAucRoc:
         assert auc_roc([0.1, 0.9], [1, 1]) is None
         assert auc_roc([0.1, 0.9], [0, 0]) is None
 
+    def test_a_nan_score_is_undefined_and_infinities_rank_at_the_ends(self):
+        assert auc_roc([np.nan] * 4, [0, 1, 0, 1]) is None
+        assert auc_roc([0.2, np.nan, 0.7, 0.1], [0, 1, 1, 0]) is None
+        assert auc_roc([-np.inf, np.inf, 0.0, np.inf], [0, 1, 0, 1]) == 1.0
+        assert auc_roc([np.inf, 0.5, -np.inf], [0, 1, 1]) == 0.0
+
     def test_matches_pairwise_counting(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -310,6 +316,18 @@ class TestTrainingLoop:
         assert metrics.skipped_batches == 2
         assert opt.step_count == 0
         assert all(np.all(m == 0) for m in opt.m.values())
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_nan_logits_report_no_auc(self, tmp_path):
+        model, data, tasks, settings = tiny_setup(seed=5)
+        model.integrator.bias.data[0] = np.nan
+        metrics = evaluate(model, data, tasks, settings)
+        assert np.isnan(metrics.loss_means["base"])
+        assert metrics.per_task_auc == {"A": None, "B": None}
+        assert metrics.mean_auc is None
+        path = tmp_path / "metrics.csv"
+        MetricsLog(path).append(metrics)
+        assert [row["auc"] for row in read_metrics_log(path)] == ["", "", ""]
 
     def test_epoch_with_no_completed_batch_reports_no_losses(
             self, monkeypatch, tmp_path):
