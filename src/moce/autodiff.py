@@ -44,11 +44,18 @@ backward skips the rows whose gradient is exactly zero:
 - a sum over the rows (``dense``'s w and b gradients when some row is
   dead, ``sag_scores``' theta gradient): it drops the exact-zero terms and
   adds the rest in another order, so it matches the chain to round-off.
+
+With two usable CPUs, the two products of a ``matmul`` or ``dense`` backward
+of PAIR_MIN_WORK multiply-adds or more, and the two halves of a large AdamW
+step, run at once, one on a worker thread (``_both``). Each is the same numpy
+call on the same operands either way, so no bit depends on it; BLAS threads
+are left to the environment.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
@@ -398,12 +405,76 @@ def normal_cdf(x: Tensor) -> Tensor:
     return _op(y, (x,), lambda g: (g * pdf,))
 
 
+# Least work for ``_both`` to pay off: multiply-adds per product of a
+# backward (measured crossover ~1.5M) or elements of an AdamW step (0.4M
+# to 1.5M, more for more and smaller tensors).
+PAIR_MIN_WORK = 2_000_000
+
+_worker = None  # ``_both``'s ThreadPoolExecutor, started on first use
+
+
+def _forget_worker() -> None:
+    """A forked child has no copy of the worker thread: start afresh."""
+    global _worker
+    _worker = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    return len(affinity(0)) if affinity else 1
+
+
+def _both(first: Callable[[], None], second: Callable[[], None]) -> None:
+    """Run two independent jobs that each write only into arrays their
+    caller allocated, ``second`` on the worker thread when this process may
+    use two CPUs. If the worker has not started it by the time ``first``
+    returns, ``second`` runs here instead, so a busy second CPU costs a
+    queue round trip, never a wait. An exception in either job raises
+    here, after both are done or cancelled."""
+    global _worker
+    if _usable_cpus() < 2:
+        first()
+        second()
+        return
+    # two threads racing here start two executors; the one dropped exits
+    if _worker is None:
+        # imported here: ~0.6 MB of RSS that a process which never pairs
+        # (serving, small shapes) need not pay
+        from concurrent.futures import ThreadPoolExecutor
+        _worker = ThreadPoolExecutor(max_workers=1,
+                                     thread_name_prefix="moce-both")
+    job = _worker.submit(second)
+    try:
+        first()
+    finally:
+        taken_back = job.cancel()
+        if not taken_back:
+            job.result()
+    if taken_back:
+        second()
+
+
+def _grad_products(g: np.ndarray, b: np.ndarray, a: np.ndarray):
+    """``(g @ b.T, a.T @ g)``, the two products of the backward of
+    ``a @ b``, run by ``_both`` when each has PAIR_MIN_WORK or more."""
+    if g.shape[0] * b.size < PAIR_MIN_WORK:
+        return g @ b.T, a.T @ g
+    ga = np.empty((g.shape[0], b.shape[0]), np.result_type(g, b))
+    gb = np.empty((a.shape[1], g.shape[1]), np.result_type(a, g))
+    _both(lambda: np.matmul(g, b.T, out=ga), lambda: np.matmul(a.T, g, out=gb))
+    return ga, gb
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """2-D matrix product; any other rank raises ShapeMismatch."""
     A, B = a.data, b.data
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise ShapeMismatch(f"matmul shapes {A.shape} and {B.shape}")
-    return _op(A @ B, (a, b), lambda g: (g @ B.T, A.T @ g))
+    return _op(A @ B, (a, b), lambda g: _grad_products(g, B, A))
 
 
 def _relu_in_place(a: np.ndarray) -> None:
@@ -439,10 +510,11 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
         g = g if mask is None else g * mask
         live = g.any(axis=1)
         if live.all():
-            return g @ W.T, A.T @ g, g.sum(axis=0)
+            return *_grad_products(g, W, A), g.sum(axis=0)
         rows = np.flatnonzero(live)
         g = g[rows]
-        return RowSparse(A.shape, rows, g @ W.T), A[rows].T @ g, g.sum(axis=0)
+        gx, gw = _grad_products(g, W, A[rows])
+        return RowSparse(A.shape, rows, gx), gw, g.sum(axis=0)
 
     return _op(out, (x, w, b), vjp)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .encoder import BatchedGraph, batch_graphs
 from .experts import TaskDescriptor
@@ -74,39 +75,68 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     batch leaves parameters and moments untouched. The update runs in
     place with the operations of ``p -= lr * ((m / bc1) / (sqrt(v / bc2) +
     eps) + weight_decay * p)``; each gradient has its parameter's dtype.
+    Each tensor's update reads only its own arrays, so with
+    ``ad.PAIR_MIN_WORK`` elements or more, two halves of near-equal size
+    run at once (``ad._both``), each with its own scratch buffers.
     """
     for name in params:
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradient(f"non-finite gradient in {name}")
     state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - ADAM_BETA1 ** t
-    bc2 = 1.0 - ADAM_BETA2 ** t
-    largest = max((p.data.size for p in params.values()), default=0)
-    scratch = {}  # per dtype, two buffers of the largest parameter's size
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        if p.data.dtype not in scratch:
-            scratch[p.data.dtype] = np.empty((2, largest), p.data.dtype)
-        a, b = (buf[:p.data.size].reshape(p.data.shape)
-                for buf in scratch[p.data.dtype])
-        m *= ADAM_BETA1
-        m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
-        v *= ADAM_BETA2
-        np.square(g, out=b)
-        v += np.multiply(b, 1.0 - ADAM_BETA2, out=b)
-        np.divide(m, bc1, out=a)
-        np.divide(v, bc2, out=b)
-        np.sqrt(b, out=b)
-        b += ADAM_EPS
-        a /= b                                    # the update
-        np.multiply(p.data, state.weight_decay, out=b)
-        b += a
-        b *= lr
-        p.data -= b
+    if sum(p.data.size for p in params.values()) < ad.PAIR_MIN_WORK:
+        _adamw_job(list(params), params, grads, state, lr)()
+    else:
+        ad._both(*(_adamw_job(half, params, grads, state, lr)
+                   for half in _halves(params)))
+
+
+def _halves(params: dict[str, Tensor]) -> tuple[list[str], list[str]]:
+    """The names in two groups of near-equal total size: largest first,
+    each into the smaller group so far, ties by name and to the first."""
+    halves: tuple[list[str], list[str]] = ([], [])
+    sizes = [0, 0]
+    for name in sorted(params, key=lambda n: (-params[n].data.size, n)):
+        i = int(sizes[1] < sizes[0])
+        halves[i].append(name)
+        sizes[i] += params[name].data.size
+    return halves
+
+
+def _adamw_job(names: list[str], params: dict[str, Tensor],
+               grads: dict[str, np.ndarray], state: OptimizerState,
+               lr: float):
+    """``adamw_step``'s in-place update of the tensors ``names``, as a job
+    for ``ad._both``. Its scratch, two buffers per dtype of the largest
+    tensor's size, is allocated here, on the calling thread."""
+    items = [(params[n].data, grads[n], state.m[n], state.v[n])
+             for n in names]
+    largest = max((p.size for p, *_ in items), default=0)
+    scratch = {dt: np.empty((2, largest), dt)
+               for dt in {p.dtype for p, *_ in items}}
+    bc1 = 1.0 - ADAM_BETA1 ** state.step_count
+    bc2 = 1.0 - ADAM_BETA2 ** state.step_count
+    weight_decay = state.weight_decay
+
+    def run() -> None:
+        for p, g, m, v in items:
+            a, b = (buf[:p.size].reshape(p.shape) for buf in scratch[p.dtype])
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+            v *= ADAM_BETA2
+            np.square(g, out=b)
+            v += np.multiply(b, 1.0 - ADAM_BETA2, out=b)
+            np.divide(m, bc1, out=a)
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            a /= b                                    # the update
+            np.multiply(p, weight_decay, out=b)
+            b += a
+            b *= lr
+            p -= b
+
+    return run
 
 
 @dataclass

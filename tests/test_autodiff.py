@@ -6,8 +6,13 @@ accumulation semantics, and the documented error conditions.
 """
 
 import gc
+import multiprocessing
+import sys
+import threading
+import time
 import weakref
 import zlib
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -1148,6 +1153,210 @@ class TestFanIn:
             after.append([arr.tobytes() for n in sorted(live)
                           for arr in (live[n].data, opt.m[n], opt.v[n])])
         assert after[0] == after[1]
+
+
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0})
+
+
+def _every_job_on_the_worker(monkeypatch):
+    """``_both`` pairs every job, however small, and never takes one back
+    from the worker, so the worker runs each second job."""
+    monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(ad, "PAIR_MIN_WORK", 0)
+    monkeypatch.setattr(Future, "cancel", lambda self: False)
+
+
+def _counting_both(monkeypatch) -> list:
+    calls = []
+    real = ad._both
+
+    def both(first, second):
+        calls.append(1)
+        real(first, second)
+
+    monkeypatch.setattr(ad, "_both", both)
+    return calls
+
+
+def _step_bytes(dtype) -> list[bytes]:
+    """One training step, forward, backward and AdamW, at a shape whose
+    GIN and expert products are above ``ad.PAIR_MIN_WORK``: the bytes of
+    every gradient, parameter and Adam moment."""
+    from moce.experts import resolve_tasks
+    from moce.model import Model, ModelConfig, model_loss
+    from moce.synthetic import synthesize_dataset
+    from moce.train import OptimizerState, adamw_step, make_batch
+
+    cfg = ModelConfig(embed_dim=128, num_gnn_layers=1,
+                      num_processing_layers=2, num_experts=8, k_s=2, k_t=4,
+                      pool_ratio=0.5, task_dim=8)
+    records = synthesize_dataset(
+        seed=11, tasks={"c": "carbonyl", "a": "aromatic_ring"}, per_task=32)
+    tasks = resolve_tasks(["a", "c"], None, fallback_dim=8)
+    batch, t, labels, _ = make_batch(records, tasks, dtype=dtype)
+    model = Model.create(cfg, seed=4, dtype=dtype)
+    params = model.parameters()
+    opt = OptimizerState.create(params, lr=0.01)
+    with Tape() as tape:
+        rngs = [np.random.default_rng(90 + b) for b in range(2)]
+        out = model.forward(batch, t, noise_on=True, rngs=rngs)
+        loss = model_loss(model, out, labels, beta=0.1).overall
+        leaf_grads = tape.backward(loss)
+    grads = {n: leaf_grads[p] for n, p in params.items()}
+    adamw_step(params, grads, opt, lr=0.01)
+    return [arr.tobytes() for n in params
+            for arr in (grads[n], params[n].data, opt.m[n], opt.v[n])]
+
+
+def _live_row_grads(dtype):
+    """``dense(relu=True)``'s and ``matmul``'s gradients at shapes above
+    ``ad.PAIR_MIN_WORK``, with half of dense's rows dead, beside the numpy
+    products each must equal bit for bit."""
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(600, 128)).astype(dtype)
+    x = np.abs(x) + 0.125
+    x[::2] *= -1  # with w > 0 and b = 0, these rows are dead, the rest live
+    w = (np.abs(rng.normal(size=(128, 64))) + 0.125).astype(dtype)
+    b = np.zeros(64, dtype)
+    g = rng.normal(size=(600, 64)).astype(dtype)
+    leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+    with Tape():
+        out = ad.dense(*leaves, relu=True)
+        prod = ad.matmul(leaves[0], leaves[1])
+    dx, dw, _ = out.node.vjp(g)
+    px, pw = prod.node.vjp(g)
+    live = np.flatnonzero((g * (out.data > 0)).any(axis=1))
+    assert len(live) == 300 and isinstance(dx, ad.RowSparse)
+    masked = (g * (out.data > 0))[live]
+    got = [dx.values, dw, px, pw]
+    want = [masked @ w.T, x[live].T @ masked, g @ w.T, x.T @ g]
+    return got, want
+
+
+class TestTwoCpus:
+    """``ad._both`` runs a large backward's two products, and AdamW's two
+    halves, on two CPUs; no bit may depend on it."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_worker_and_inline_training_steps_are_equal(self, dtype,
+                                                        monkeypatch):
+        calls = _counting_both(monkeypatch)
+        paired = _step_bytes(dtype)
+        assert calls  # the GIN and expert products were above the cutoff
+        with monkeypatch.context() as m:
+            _one_cpu(m)
+            inline = _step_bytes(dtype)
+        with monkeypatch.context() as m:
+            _every_job_on_the_worker(m)
+            on_worker = _step_bytes(dtype)
+        assert paired == inline
+        assert on_worker == inline
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_live_row_and_matmul_products_are_numpys(self, dtype,
+                                                     monkeypatch):
+        calls = _counting_both(monkeypatch)
+        for setting in (None, _one_cpu, _every_job_on_the_worker):
+            with monkeypatch.context() as m:
+                if setting:
+                    setting(m)
+                got, want = _live_row_grads(dtype)
+            _assert_same_bits(got, want)
+        assert len(calls) == 6  # two vjps per setting
+
+    def test_adamw_halves_are_balanced_by_size_then_name(self):
+        from moce.train import _halves
+
+        sizes = {"a": 5, "b": 3, "c": 3, "d": 2, "e": 1}
+        params = {n: Tensor(np.zeros(k)) for n, k in sizes.items()}
+        assert _halves(params) == (["a", "d"], ["b", "c", "e"])
+
+    def test_adamw_halves_share_no_buffer(self, monkeypatch):
+        """Stress: thread switches every microsecond while both halves
+        update on two threads; a buffer they shared would lose updates."""
+        from moce.train import OptimizerState, adamw_step
+
+        rng = np.random.default_rng(5)
+        shapes = [(int(n),) for n in rng.integers(1, 3000, size=48)]
+        grads = [{i: rng.normal(size=s) for i, s in enumerate(shapes)}
+                 for _ in range(4)]
+
+        def run():
+            params = {i: Tensor(np.ones(s)) for i, s in enumerate(shapes)}
+            opt = OptimizerState.create(params, lr=0.01)
+            for g in grads:
+                adamw_step(params, g, opt, lr=0.01)
+            return [a.tobytes() for i in params
+                    for a in (params[i].data, opt.m[i], opt.v[i])]
+
+        with monkeypatch.context() as m:
+            _one_cpu(m)
+            want = run()
+        _every_job_on_the_worker(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [run() for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(g == want for g in got)
+
+    def test_worker_exception_raises_in_the_caller(self, monkeypatch):
+        _every_job_on_the_worker(monkeypatch)
+
+        def fail():
+            raise RuntimeError("in the worker")
+
+        with pytest.raises(RuntimeError, match="in the worker"):
+            ad._both(lambda: None, fail)
+        done = []
+        ad._both(lambda: done.append("first"), lambda: done.append("second"))
+        assert sorted(done) == ["first", "second"]
+
+    def test_first_job_exception_waits_for_the_second(self, monkeypatch):
+        _every_job_on_the_worker(monkeypatch)
+        done = []
+
+        def fail():
+            raise RuntimeError("in the caller")
+
+        with pytest.raises(RuntimeError, match="in the caller"):
+            ad._both(fail, lambda: (time.sleep(0.05), done.append(1)))
+        assert done == [1]
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(ad, "_worker", None)
+        _one_cpu(monkeypatch)
+        threads = threading.active_count()
+        got, want = _live_row_grads(np.float64)
+        _assert_same_bits(got, want)
+        assert threading.active_count() == threads
+        assert ad._worker is None
+
+    @pytest.mark.filterwarnings(
+        "ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_runs_jobs_on_a_worker_of_its_own(self,
+                                                           monkeypatch):
+        monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0, 1})
+        ad._both(lambda: None, lambda: None)
+        assert ad._worker is not None
+
+        def child():
+            # a job left queued for a worker the fork did not copy would
+            # never run: the child must start its own
+            Future.cancel = lambda self: False
+            got, want = _live_row_grads(np.float64)
+            _assert_same_bits(got, want)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+            pytest.fail("the forked child hung")
+        assert proc.exitcode == 0
 
 
 def _fd_single(op, x_data, **kwargs):
