@@ -288,10 +288,10 @@ def cmd_predict(args) -> int:
     graph = featurize(parse_smiles(args.smiles))
     batch = batch_graphs([graph])
 
-    tasks = _resolve_run_tasks(cfg, [args.task_id],
+    task_id = args.task_id.strip()  # as dataset and embedding ids are
+    tasks = _resolve_run_tasks(cfg, [task_id],
                                embeddings_path=args.task_embeddings)
-    t = Tensor(tasks[args.task_id].embedding.reshape(1, -1)
-               .astype(model.dtype))
+    t = Tensor(tasks[task_id].embedding.reshape(1, -1).astype(model.dtype))
 
     result = model.forward(batch, t, noise_on=False)
     logit = float(result.logits.data[0])
@@ -301,7 +301,7 @@ def cmd_predict(args) -> int:
     prob = 1.0 / (1.0 + math.exp(-logit)) if logit > -500 else 0.0
 
     print(f"smiles: {args.smiles}")
-    print(f"task: {args.task_id}")
+    print(f"task: {task_id}")
     print(f"probability: {prob:.6f}")
     weights = result.layer_weights.data[0]
     print("layer weights: " + " ".join(f"{w:.6f}" for w in weights))

@@ -501,11 +501,12 @@ class SplitAssignment:
     @classmethod
     def read_csv(cls, path: str) -> "SplitAssignment":
         out = cls()
-        rows = _csv_rows(path)
+        # every cell stripped, as load_dataset_csv strips them
+        rows = [[cell.strip() for cell in row] for row in _csv_rows(path)]
         if rows[:1] != [["record_index", "split"]]:
             raise DatasetError("expected header record_index,split", 1)
         for lineno, row in enumerate(rows[1:], start=2):
-            if not row:
+            if not any(row):
                 continue
             if len(row) != 2 or row[1] not in SPLIT_NAMES:
                 raise DatasetError(f"bad split row {row!r}", lineno)

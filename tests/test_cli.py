@@ -475,6 +475,22 @@ class TestPredict:
                      "--smiles", "C1CC", "--task-id", "t"]) == 2
         capsys.readouterr()
 
+    def test_task_id_is_stripped_as_file_ids_are(self, workdir, tmp_path,
+                                                 capsys):
+        vectors = tmp_path / "tasks.tsv"
+        vectors.write_text("carbonyl\t0.5,-1,2,0,1,-0.25\n")
+        outputs = []
+        for task in ("carbonyl", " carbonyl ", "carbonyl\t"):
+            assert main(["predict", "--checkpoint", str(workdir["checkpoint"]),
+                         "--smiles", "CC(=O)OC", "--task-id", task,
+                         "--task-embeddings", str(vectors)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert "task: carbonyl\n" in outputs[0]
+        # the file's vector, not the hash fallback, scored the molecule
+        fallback = self.run_predict(workdir, capsys, task="carbonyl")
+        assert fallback.splitlines()[2] != outputs[0].splitlines()[2]
+
     def test_missing_task_embeddings_file_is_data_error(self, workdir,
                                                         tmp_path, capsys):
         absent = tmp_path / "typo.tsv"

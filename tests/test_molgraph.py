@@ -498,6 +498,15 @@ class TestDatasetCsv:
         assert SplitAssignment.read_csv(str(path)).splits == {0: "train",
                                                               1: "test"}
 
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_split_csv_cells_are_stripped_as_dataset_cells_are(self, tmp_path,
+                                                               bom):
+        path = tmp_path / "split.csv"
+        path.write_text(bom + " record_index , split\n0, train\n 1 ,test \n"
+                        "  ,  \n2,\tvalid\n", encoding="utf-8")
+        assert SplitAssignment.read_csv(str(path)).splits == {
+            0: "train", 1: "test", 2: "valid"}
+
     def test_split_csv_round_trip(self, tmp_path):
         split = SplitAssignment({0: "train", 1: "test", 2: "valid"})
         path = tmp_path / "split.csv"
