@@ -23,9 +23,12 @@ own cells, the arrays its gradient reads (a relu mask, a tanh output, the
 operands of ``mul``, ``div`` and ``matmul``, kept both even when one needs
 no gradient) and the shapes and dtypes of the rest. So an intermediate
 that the caller drops is freed during the forward pass unless some
-gradient reads it. A node lives until its tape and every output that
-reaches it are dropped: an output kept past ``backward`` keeps its whole
-graph.
+gradient reads it. ``backward`` drops each node's closure once it has
+run, so the graph's arrays are freed while the gradients build up, and a
+tape runs ``backward`` once: a second call raises TapeConsumed. A node
+itself lives until its tape and every output that reaches it are dropped,
+so an output kept past ``backward`` keeps its value and its ``Node``, not
+the graph's arrays.
 
 Gradients never flow through integer index arrays (gather/scatter
 indices); those are constants of the forward pass.
@@ -79,6 +82,10 @@ class NotScalar(ValueError):
     """backward() needs a scalar loss on the active tape."""
 
 
+class TapeConsumed(RuntimeError):
+    """backward() already ran on this tape and dropped its closures."""
+
+
 class AllMaskedRow(ValueError):
     """softmax saw a row consisting entirely of the minus-infinity sentinel."""
 
@@ -98,8 +105,8 @@ _state = threading.local()
 class Node:
     """One recorded operation: one gradient target per input (the
     producing ``Node`` on the same tape, a leaf ``Tensor``, or None for an
-    input that needs no gradient), a vector-Jacobian product, and the
-    node's position on its tape."""
+    input that needs no gradient), a vector-Jacobian product (None once
+    ``Tape.backward`` has run it), and the node's position on its tape."""
 
     __slots__ = ("inputs", "vjp", "pos")
 
@@ -173,12 +180,15 @@ class Tape:
 
     Nodes hold their position on the tape, not the tape itself, and reach
     only earlier nodes, so a finished tape is freed by reference counting
-    alone. ``backward`` leaves the nodes as they are; they go when the tape
-    and the outputs that reach them do.
+    alone. ``backward`` runs once per tape: it drops each node's
+    vector-Jacobian closure, and with it the arrays the closure kept, but
+    leaves the nodes in ``nodes``; they go when the tape and the outputs
+    that reach them do.
     """
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self._consumed = False
 
     def __enter__(self):
         self._outer = getattr(_state, "tape", None)
@@ -211,7 +221,13 @@ class Tape:
         made (see ``_accumulate``); an array a vector-Jacobian product
         returned is never written. Each returned gradient is a dense array
         of its own.
+
+        Each node's vector-Jacobian closure is dropped as ``backward``
+        reaches it, so the arrays it kept are freed once its gradients are
+        added in, and a second call on the same tape raises TapeConsumed.
         """
+        if self._consumed:
+            raise TapeConsumed("backward already ran on this tape")
         if loss.data.size != 1:
             raise NotScalar(f"loss must be scalar, got shape {loss.data.shape}")
         if not self._owns(loss.node):
@@ -221,13 +237,15 @@ class Tape:
         node_grads: dict[Node, np.ndarray] = {loss.node: np.ones_like(loss.data)}
         leaf_grads: dict[Tensor, np.ndarray] = {}
         owned: set = set()
+        self._consumed = True
 
         for pos in range(start, -1, -1):
             node = self.nodes[pos]
+            vjp, node.vjp = node.vjp, None
             gout = node_grads.pop(node, None)
             if gout is None:
                 continue
-            for target, gin in zip(node.inputs, node.vjp(gout), strict=True):
+            for target, gin in zip(node.inputs, vjp(gout), strict=True):
                 if gin is None or target is None:
                     continue
                 _accumulate(node_grads if type(target) is Node else leaf_grads,
@@ -448,6 +466,9 @@ def _both(first: Callable[[], None], second: Callable[[], None]) -> None:
         _worker = ThreadPoolExecutor(max_workers=1,
                                      thread_name_prefix="moce-both")
     job = _worker.submit(second)
+    # both jobs are done, or ``second`` cancelled, before this returns, so no
+    # worker still writes into a buffer once ``Tape.backward`` drops the
+    # closure that owned it
     try:
         first()
     finally:

@@ -6,7 +6,8 @@ and aromaticity, for bare and bracket atoms alike, and ``_BRACKET`` matches a
 whole bracket atom ``[isotope]symbol[chirality][H count][charge]``. The
 parser also takes ring closures 1-9 and %nn, branches, and the bond symbols
 - = # :. Stereo markers (/ \\ @) and isotopes are accepted and ignored.
-Every parse error carries the byte offset of the offending token.
+Every parse error carries the byte offset of the offending token; a closed
+bracket atom whose element is outside the subset names it as written.
 """
 
 from __future__ import annotations
@@ -141,18 +142,36 @@ _DIGITS = "0123456789"
 _BRACKET = re.compile(
     r"\[[0-9]*(?:(%s)@*(?:H([0-9]*))?(?:(\++|-+)([0-9]*))?(\])?)?"
     % "|".join(sorted(_ATOM_SYMBOLS, key=len, reverse=True)))
+# the element symbol as written: a letter and the lowercase ones after it
+_WRITTEN_SYMBOL = re.compile(r"\[[0-9]*([A-Za-z][a-z]*)?")
 _RING = re.compile("%[0-9][0-9]")
+
+
+def _bracket_error(s: str, start: int, m: re.Match) -> UnknownAtomToken:
+    """The error for a bracket atom at ``start`` that ``_BRACKET`` does not
+    match whole. When a ``]`` closes it, an element it does not know is
+    named as written."""
+    end = s.find("]", start)
+    if end != -1 and "[" not in s[start + 1:end]:
+        w = _WRITTEN_SYMBOL.match(s, start)
+        if w.group(1) in _ATOM_SYMBOLS:
+            return UnknownAtomToken("malformed bracket atom", start)
+        if w.group(1) is not None:
+            return UnknownAtomToken(
+                f"unsupported element {w.group(1)!r} in bracket atom",
+                w.start(1))
+    if m.group(1) is None:
+        return UnknownAtomToken("unsupported element in bracket atom",
+                                m.end() if m.end() < len(s) else start)
+    return UnknownAtomToken("unterminated bracket atom", start)
 
 
 def _parse_bracket(s: str, start: int):
     """Parse a bracket atom starting at '['; returns (info, next_index)."""
     m = _BRACKET.match(s, start)
     symbol, h_count, sign, charge_digits, close = m.groups()
-    if symbol is None:
-        raise UnknownAtomToken("unsupported element in bracket atom",
-                               m.end() if m.end() < len(s) else start)
     if close is None:
-        raise UnknownAtomToken("unterminated bracket atom", start)
+        raise _bracket_error(s, start, m)
     element, aromatic = _ATOM_SYMBOLS[symbol]
     charge = 0 if sign is None else (
         (1 if sign[0] == "+" else -1) * int(charge_digits or len(sign)))

@@ -315,7 +315,8 @@ def train_epoch(model: Model, records: list[DatasetRecord],
             skipped += 1
         else:
             acc.add(breakdown, result, labels, ids)
-        # the outputs reach the whole graph: drop it before the next forward
+        # backward freed the graph's arrays; the outputs' values and the
+        # gradients go here, before the next forward
         del tape, result, breakdown, leaf_grads, grads
     return acc.metrics(epoch, "train", skipped), step
 

@@ -29,6 +29,7 @@ from moce.autodiff import (
     NotScalar,
     ShapeMismatch,
     Tape,
+    TapeConsumed,
     Tensor,
     finite_diff_check,
     neg_inf,
@@ -886,8 +887,9 @@ class TestTapeSemantics:
     def test_a_node_keeps_only_the_arrays_its_gradient_reads(self):
         # an add reads neither input, so two intermediates summed on the
         # tape go when the caller drops them; dense reads its x, which
-        # stays until the tape and the loss are dropped. No cyclic
-        # collector runs, so each array is freed by reference counting.
+        # stays until backward runs dense's vjp, while the tape and the
+        # loss are still held. No cyclic collector runs, so each array is
+        # freed by reference counting.
         rng = np.random.default_rng(5)
         x, y = (Tensor(rng.normal(size=(4, 3)), requires_grad=True)
                 for _ in range(2))
@@ -904,13 +906,40 @@ class TestTapeSemantics:
                 assert [ref() is None for ref in summed] == [True, True]
                 loss = ad.reduce_sum(ad.dense(s, w, b, relu=True))
                 del s
+                assert read() is not None
                 grads = tape.backward(loss)
-            assert read() is not None
-            del tape, loss
-            assert read() is None
+                assert read() is None
+            assert loss.node is tape.nodes[-1]
         finally:
             gc.enable()
         assert set(grads) == {x, y, w, b}
+
+    def test_a_second_backward_raises(self):
+        # with the same loss or another loss recorded on the same tape
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with Tape() as tape:
+            first = ad.reduce_sum(ad.mul(x, x))
+            second = ad.reduce_sum(ad.tanh(x))
+            tape.backward(first)
+            for loss in (first, second):
+                with pytest.raises(TapeConsumed):
+                    tape.backward(loss)
+
+    def test_a_fresh_tape_gives_the_same_gradients(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4,)), requires_grad=True)
+
+        def grads_of_one_tape():
+            with Tape() as tape:
+                loss = ad.reduce_sum(ad.tanh(ad.dense(x, w, b, relu=True)))
+                grads = tape.backward(loss)
+                with pytest.raises(TapeConsumed):
+                    tape.backward(loss)
+            return [grads[t].tobytes() for t in (x, w, b)]
+
+        assert grads_of_one_tape() == grads_of_one_tape()
 
     def test_a_vjp_must_return_one_gradient_per_input(self):
         # a two-input primitive whose vjp returns one gradient would leave

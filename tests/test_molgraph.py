@@ -244,9 +244,24 @@ class TestParserErrors:
         ("C2CC1CC", UnmatchedRingClosure, "unclosed ring bond 1", 4),
         ("CC:C", ValenceError, "aromatic bond with non-aromatic endpoint", 1),
         ("FF=C", ValenceError, "valence 3 exceeds maximum for element 9", 1),
-        ("C[Si]", UnknownAtomToken, "unterminated bracket atom", 1),
-        ("C[Xe]", UnknownAtomToken, "unsupported element in bracket atom", 2),
-        ("[13Xe]", UnknownAtomToken, "unsupported element in bracket atom", 3),
+        ("C[Si]", UnknownAtomToken,
+         "unsupported element 'Si' in bracket atom", 2),
+        ("[Na+]", UnknownAtomToken,
+         "unsupported element 'Na' in bracket atom", 1),
+        ("[se]1cccc1", UnknownAtomToken,
+         "unsupported element 'se' in bracket atom", 1),
+        ("Cl[Pt](Cl)", UnknownAtomToken,
+         "unsupported element 'Pt' in bracket atom", 3),
+        ("[2H]C", UnknownAtomToken,
+         "unsupported element 'H' in bracket atom", 2),
+        ("[H]O[H]", UnknownAtomToken,
+         "unsupported element 'H' in bracket atom", 1),
+        ("C[Xe]", UnknownAtomToken,
+         "unsupported element 'Xe' in bracket atom", 2),
+        ("[13Xe]", UnknownAtomToken,
+         "unsupported element 'Xe' in bracket atom", 3),
+        ("[C+H]", UnknownAtomToken, "malformed bracket atom", 0),
+        ("[*]", UnknownAtomToken, "unsupported element in bracket atom", 1),
         ("C[", UnknownAtomToken, "unsupported element in bracket atom", 1),
         ("[13", UnknownAtomToken, "unsupported element in bracket atom", 0),
         ("C[Cl", UnknownAtomToken, "unterminated bracket atom", 1),
