@@ -819,6 +819,7 @@ def check_rel_tol(rel_tol: float) -> float:
 
 
 FD_STEP = 1e-4  # central-difference step of ``finite_diff_check``
+FD_TOL = 1e-4  # its default relative error bound, and ``moce gradcheck``'s
 
 
 @dataclass
@@ -841,7 +842,7 @@ class FdReport:
 def finite_diff_check(
     f: Callable[..., Tensor],
     inputs: Sequence[Tensor],
-    rel_tol: float = 1e-4,
+    rel_tol: float = FD_TOL,
     per_tensor: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> FdReport:

@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .autodiff import Tensor, check_rel_tol
+from .autodiff import FD_TOL, Tensor, check_rel_tol
 from .checkpoint import (CheckpointError, load_checkpoint, restore_model,
                          restore_optimizer, save_checkpoint)
 from .config import ConfigError, RunConfig, default_config_text, load_config, parse_config
@@ -90,7 +90,7 @@ def _build_parser() -> _Parser:
     p_grad = sub.add_parser("gradcheck",
                             help="verify gradients by finite differences")
     p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument("--tol", type=_tolerance, default=1e-4,
+    p_grad.add_argument("--tol", type=_tolerance, default=FD_TOL,
                         help="finite positive relative error bound")
 
     sub.add_parser("show-config", help="print every config key at its default")

@@ -52,7 +52,7 @@ def fnv1a_64(text: str) -> int:
     return h
 
 
-def fallback_embedding(text: str, dim: int = 64) -> np.ndarray:
+def fallback_embedding(text: str, dim: int) -> np.ndarray:
     """Deterministic pseudo-random unit vector hashed from ``text``."""
     rng = np.random.Generator(np.random.PCG64(fnv1a_64(text)))
     v = rng.standard_normal(dim)
@@ -96,8 +96,8 @@ def load_task_embeddings(path) -> dict[str, np.ndarray]:
 
 
 def resolve_tasks(task_ids, embeddings: dict[str, np.ndarray] | None,
-                  allow_fallback: bool = True,
-                  fallback_dim: int = 64) -> dict[str, TaskDescriptor]:
+                  allow_fallback: bool = True, *,
+                  fallback_dim: int) -> dict[str, TaskDescriptor]:
     """Build a TaskDescriptor per task id from a loaded embedding table,
     falling back to the hash embedder over the id for ids the table lacks.
     Every vector of the table must have ``fallback_dim`` values, the

@@ -30,8 +30,6 @@ from .losses import (attention_cosine_loss, bce, expert_specific_loss,
 from .model import Model, ModelConfig, model_loss
 from .molgraph import featurize, parse_smiles
 
-DEFAULT_TOL = 1e-4
-
 
 @dataclass
 class CheckResult:
@@ -289,7 +287,7 @@ def _check_full_model(rng) -> tuple:
 
 
 def _run_check(problem: tuple, rng: np.random.Generator,
-               rel_tol: float = DEFAULT_TOL) -> FdReport:
+               rel_tol: float = ad.FD_TOL) -> FdReport:
     """Run one check's problem; a sampled check draws its coordinates from
     ``rng``, the generator that built it."""
     f, inputs, *per_tensor = problem
@@ -303,7 +301,7 @@ def _row_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64([seed, zlib.crc32(name.encode())]))
 
 
-def run_all(seed: int = 0, rel_tol: float = DEFAULT_TOL) -> list[CheckResult]:
+def run_all(seed: int = 0, rel_tol: float = ad.FD_TOL) -> list[CheckResult]:
     """Run every gradient check; returns one result row per family.
 
     Each row draws from its own generator keyed on (seed, crc32 of the row

@@ -51,15 +51,15 @@ class OptimizerState:
     """Decoupled-weight-decay Adam moments, keyed by parameter name. The
     decay rates and epsilon are the fixed ADAM_* constants."""
 
-    lr: float = 0.01
-    weight_decay: float = 0.01
+    lr: float
+    weight_decay: float
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def create(cls, params: dict[str, Tensor], lr: float = 0.01,
-               weight_decay: float = 0.01) -> "OptimizerState":
+    def create(cls, params: dict[str, Tensor], lr: float,
+               weight_decay: float) -> "OptimizerState":
         state = cls(lr=lr, weight_decay=weight_decay)
         for name, p in params.items():
             state.m[name] = np.zeros_like(p.data)
@@ -266,13 +266,13 @@ class _MetricsAccumulator:
 class TrainSettings:
     """Loop hyperparameters (the model's shape lives in ModelConfig)."""
 
-    batch_size: int = 512
-    seed: int = 0
-    lr: float = 0.01
+    batch_size: int
+    seed: int
+    lr: float
+    beta: float
     # unread: adamw_step applies OptimizerState.weight_decay. Its last
     # writer is perfbench/workloads.py; delete it with that argument.
     weight_decay: float = 0.01
-    beta: float = 0.1
     toggles: LossToggles = LossToggles()
 
 

@@ -1156,7 +1156,8 @@ class TestFanIn:
 
         def state():
             model = Model.create(cfg, seed=21, dtype=dtype)
-            return model, OptimizerState.create(model.parameters(), lr=0.01)
+            return model, OptimizerState.create(model.parameters(), lr=0.01,
+                                                weight_decay=0.01)
 
         model, _ = state()
         params = model.parameters()
@@ -1226,7 +1227,7 @@ def _step_bytes(dtype) -> list[bytes]:
     batch, t, labels, _ = make_batch(records, tasks, dtype=dtype)
     model = Model.create(cfg, seed=4, dtype=dtype)
     params = model.parameters()
-    opt = OptimizerState.create(params, lr=0.01)
+    opt = OptimizerState.create(params, lr=0.01, weight_decay=0.01)
     with Tape() as tape:
         rngs = [np.random.default_rng(90 + b) for b in range(2)]
         out = model.forward(batch, t, noise_on=True, rngs=rngs)
@@ -1313,7 +1314,7 @@ class TestTwoCpus:
 
         def run():
             params = {i: Tensor(np.ones(s)) for i, s in enumerate(shapes)}
-            opt = OptimizerState.create(params, lr=0.01)
+            opt = OptimizerState.create(params, lr=0.01, weight_decay=0.01)
             for g in grads:
                 adamw_step(params, g, opt, lr=0.01)
             return [a.tobytes() for i in params

@@ -116,7 +116,8 @@ class TestRoundTrip:
 class TestStreaming:
     def test_save_and_load_allocate_at_most_about_one_file(self, tmp_path):
         model = sized_model()
-        opt = OptimizerState.create(model.parameters())
+        opt = OptimizerState.create(model.parameters(), lr=0.01,
+                                    weight_decay=0.01)
         path = tmp_path / "c.bin"
         tracemalloc.start()
         try:
@@ -178,7 +179,8 @@ class TestStreaming:
         model = tiny_model()
         path = tmp_path / "c.bin"
         save_checkpoint(path, "", model,
-                        OptimizerState.create(model.parameters()), 0, 0, 0)
+                        OptimizerState.create(model.parameters(), lr=0.01,
+                                              weight_decay=0.01), 0, 0, 0)
         full = path.read_bytes()
         for keep in (0, 10, len(full) // 2, len(full) - 1):
             path.write_bytes(full)
@@ -188,7 +190,8 @@ class TestStreaming:
 
     def test_interrupted_save_keeps_the_earlier_file(self, tmp_path):
         model = sized_model()
-        opt = OptimizerState.create(model.parameters())
+        opt = OptimizerState.create(model.parameters(), lr=0.01,
+                                    weight_decay=0.01)
         path = tmp_path / "c.bin"
         save_checkpoint(path, "", model, opt, 0, 1, 1)
         earlier = path.read_bytes()
@@ -370,7 +373,8 @@ class TestRestoreValidation:
 
     def test_shape_mismatch_rejected(self, tmp_path):
         model = tiny_model()
-        opt = OptimizerState.create(model.parameters())
+        opt = OptimizerState.create(model.parameters(), lr=0.01,
+                                    weight_decay=0.01)
         path = tmp_path / "c.bin"
         save_checkpoint(path, "", model, opt, 0, 0, 0)
         ckpt = load_checkpoint(path)
@@ -382,7 +386,8 @@ class TestRestoreValidation:
         # a valid file whose first moment is 0-d for a 3-vector parameter
         blob = serialize("", {"w": np.ones(3)}, {"w": np.asarray(7.0)},
                          {"w": np.ones(3)}, 0, 0, 0, 4, 0.01, 0.0)
-        opt = OptimizerState(m={"w": np.zeros(3)}, v={"w": np.zeros(3)})
+        opt = OptimizerState(lr=0.01, weight_decay=0.01,
+                             m={"w": np.zeros(3)}, v={"w": np.zeros(3)})
         with pytest.raises(CheckpointError, match="w: stored first-moment"):
             restore_optimizer(opt, deserialize(blob))
         assert opt.m["w"].tolist() == [0.0, 0.0, 0.0]
@@ -390,7 +395,8 @@ class TestRestoreValidation:
 
     def test_optimizer_missing_moment_rejected(self):
         model = tiny_model()
-        opt = OptimizerState.create(model.parameters())
+        opt = OptimizerState.create(model.parameters(), lr=0.01,
+                                    weight_decay=0.01)
         params = {name: t.data for name, t in model.parameters().items()}
         ckpt = deserialize(serialize("", params, opt.m, opt.v, 0, 0, 0, 0,
                                      0.1, 0.0))

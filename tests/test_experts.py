@@ -793,9 +793,9 @@ class TestTaskEmbeddings:
         assert fnv1a_64("a") == 0xAF63DC4C8601EC8C
 
     def test_fallback_is_deterministic_unit_vector(self):
-        a = fallback_embedding("solubility")
-        b = fallback_embedding("solubility")
-        c = fallback_embedding("toxicity")
+        a = fallback_embedding("solubility", 64)
+        b = fallback_embedding("solubility", 64)
+        c = fallback_embedding("toxicity", 64)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
         assert a.shape == (64,)
@@ -847,14 +847,16 @@ class TestTaskEmbeddings:
 
     def test_resolve_prefers_file_then_fallback(self):
         table = {"a": np.zeros(64)}
-        out = resolve_tasks(["a", "b"], table, allow_fallback=True)
+        out = resolve_tasks(["a", "b"], table, allow_fallback=True,
+                            fallback_dim=64)
         np.testing.assert_array_equal(out["a"].embedding, np.zeros(64))
-        np.testing.assert_array_equal(out["b"].embedding, fallback_embedding("b"))
+        np.testing.assert_array_equal(out["b"].embedding,
+                                      fallback_embedding("b", 64))
         assert list(out) == ["a", "b"]
 
     def test_resolve_without_fallback_raises(self):
         with pytest.raises(MissingTaskEmbedding):
-            resolve_tasks(["a"], {}, allow_fallback=False)
+            resolve_tasks(["a"], {}, allow_fallback=False, fallback_dim=64)
 
     def test_table_width_must_be_fallback_dim(self):
         # no id falls back here, so the width is checked against the model's
@@ -866,4 +868,4 @@ class TestTaskEmbeddings:
     def test_mixed_dimensions_rejected(self):
         table = {"a": np.zeros(8), "b": np.zeros(16)}
         with pytest.raises(TaskEmbeddingError, match="mixed"):
-            resolve_tasks(["a", "b"], table)
+            resolve_tasks(["a", "b"], table, fallback_dim=64)

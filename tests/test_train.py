@@ -266,7 +266,8 @@ def tiny_setup(seed=0, records=40):
 class TestTrainingLoop:
     def test_epoch_advances_steps_and_reports(self):
         model, data, tasks, settings = tiny_setup()
-        opt = OptimizerState.create(model.parameters(), lr=settings.lr)
+        opt = OptimizerState.create(model.parameters(), lr=settings.lr,
+                                    weight_decay=0.01)
         sched = ScheduleConfig(total_steps=4)
         metrics, step = train_epoch(model, data, tasks, settings, opt, sched,
                                     epoch=0, start_step=0)
@@ -282,7 +283,8 @@ class TestTrainingLoop:
         runs = []
         for _ in range(2):
             model, data, tasks, settings = tiny_setup(seed=3)
-            opt = OptimizerState.create(model.parameters(), lr=settings.lr)
+            opt = OptimizerState.create(model.parameters(), lr=settings.lr,
+                                        weight_decay=0.01)
             sched = ScheduleConfig(total_steps=4)
             step = 0
             for epoch in range(2):
@@ -298,7 +300,8 @@ class TestTrainingLoop:
     def test_training_changes_parameters(self):
         model, data, tasks, settings = tiny_setup(seed=4)
         before = {n: p.data.copy() for n, p in model.parameters().items()}
-        opt = OptimizerState.create(model.parameters(), lr=settings.lr)
+        opt = OptimizerState.create(model.parameters(), lr=settings.lr,
+                                    weight_decay=0.01)
         train_epoch(model, data, tasks, settings, opt,
                     ScheduleConfig(total_steps=2), 0, 0)
         changed = [n for n, p in model.parameters().items()
@@ -309,7 +312,8 @@ class TestTrainingLoop:
     def test_non_finite_batches_are_skipped_and_counted(self):
         model, data, tasks, settings = tiny_setup(seed=5)
         model.integrator.bias.data[0] = np.inf
-        opt = OptimizerState.create(model.parameters(), lr=settings.lr)
+        opt = OptimizerState.create(model.parameters(), lr=settings.lr,
+                                    weight_decay=0.01)
         metrics, step = train_epoch(model, data, tasks, settings, opt,
                                     ScheduleConfig(total_steps=2), 0, 0)
         assert step == 2
@@ -336,7 +340,8 @@ class TestTrainingLoop:
 
         monkeypatch.setattr(train, "adamw_step", fail)
         model, data, tasks, settings = tiny_setup(seed=6)
-        opt = OptimizerState.create(model.parameters(), lr=settings.lr)
+        opt = OptimizerState.create(model.parameters(), lr=settings.lr,
+                                    weight_decay=0.01)
         metrics, _ = train_epoch(model, data, tasks, settings, opt,
                                  ScheduleConfig(total_steps=2), 0, 0)
         assert metrics.skipped_batches == 2
@@ -351,7 +356,8 @@ class TestTrainingLoop:
     def test_finished_tape_is_freed_without_the_cyclic_collector(self):
         model, data, tasks, settings = tiny_setup(seed=7)
         params = model.parameters()
-        opt = OptimizerState.create(params, lr=settings.lr)
+        opt = OptimizerState.create(params, lr=settings.lr,
+                                    weight_decay=0.01)
 
         def one_step():
             batch, t_matrix, labels, _ = make_batch(data[:20], tasks)
@@ -374,7 +380,8 @@ class TestTrainingLoop:
     def test_each_step_frees_its_graph_before_the_next_forward(
             self, monkeypatch):
         model, data, tasks, settings = tiny_setup(seed=8, records=60)
-        opt = OptimizerState.create(model.parameters(), lr=settings.lr)
+        opt = OptimizerState.create(model.parameters(), lr=settings.lr,
+                                    weight_decay=0.01)
         forward = Model.forward
         last_step: list = []  # weak references to a step's tape and outputs
         dead_at_forward = []
