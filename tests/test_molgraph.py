@@ -1,5 +1,7 @@
 """Tests for SMILES parsing, featurization, scaffolds, and the split."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from moce.molgraph import (
     SplitAssignment,
     write_dataset_csv,
 )
+from moce.synthetic import synthesize_dataset
 
 
 class TestParser:
@@ -266,6 +269,15 @@ class TestParserErrors:
         ("[13", UnknownAtomToken, "unsupported element in bracket atom", 0),
         ("C[Cl", UnknownAtomToken, "unterminated bracket atom", 1),
         ("[CH2+", UnknownAtomToken, "unterminated bracket atom", 0),
+        ("[Xe", UnknownAtomToken, "unterminated bracket atom", 0),
+        ("C[Zn", UnknownAtomToken, "unterminated bracket atom", 1),
+        ("C[Fi", UnknownAtomToken, "unterminated bracket atom", 1),
+        ("[Co]", UnknownAtomToken,
+         "unsupported element 'Co' in bracket atom", 1),
+        ("[Clx]", UnknownAtomToken,
+         "unsupported element 'Clx' in bracket atom", 1),
+        ("[cl]", UnknownAtomToken,
+         "unsupported element 'cl' in bracket atom", 1),
     ])
     def test_error_type_message_and_offset(self, smiles, error, message, offset):
         with pytest.raises(SmilesError) as err:
@@ -317,6 +329,18 @@ class TestFeaturize:
             for col, size in enumerate(EDGE_VOCAB_SIZES):
                 if g.edge_features.size:
                     assert np.all(g.edge_features[:, col] < size), smiles
+
+    def test_synthetic_graphs_are_stable(self):
+        # a grammar change that moves any existing graph changes this digest
+        digest = hashlib.sha256()
+        for seed in range(3):
+            for rec in synthesize_dataset(
+                    seed, {"A": "carbonyl", "B": "aromatic_ring"}, 200):
+                g = featurize(parse_smiles(rec.smiles))
+                for array in (g.node_features, g.edge_index, g.edge_features):
+                    digest.update(array.tobytes())
+        assert digest.hexdigest() == (
+            "94f50b761f953ee40e1fbcf116157a83980ec4e0658bb544c94335f17efc17a8")
 
 
 def _key(smiles: str) -> str:
