@@ -250,11 +250,11 @@ def _load_model(checkpoint_path):
     cfg = parse_config(ckpt.config_text)
     model = Model.create(cfg.model_config(), ckpt.seed, dtype=cfg.dtype())
     restore_model(model, ckpt)
-    return model, cfg, ckpt
+    return model, cfg
 
 
 def cmd_eval(args) -> int:
-    model, cfg, _ = _load_model(args.checkpoint)
+    model, cfg = _load_model(args.checkpoint)
     records = load_dataset_csv(args.data)
     subset = records
     if args.split:
@@ -284,7 +284,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model, cfg, _ = _load_model(args.checkpoint)
+    model, cfg = _load_model(args.checkpoint)
     graph = featurize(parse_smiles(args.smiles))
     batch = batch_graphs([graph])
 
