@@ -159,11 +159,11 @@ def _parse_bracket(s: str, start: int):
         end = s.find("]", start)
         if end == -1 or "[" in s[start + 1:end]:
             raise UnknownAtomToken("unterminated bracket atom", start)
+        if symbol in _ATOM_SYMBOLS:
+            raise UnknownAtomToken("malformed bracket atom", start)
     if symbol not in _ATOM_SYMBOLS:
         raise UnknownAtomToken(
             f"unsupported element {symbol!r} in bracket atom", m.start(2))
-    if close is None:
-        raise UnknownAtomToken("malformed bracket atom", start)
     element, aromatic = _ATOM_SYMBOLS[symbol]
     charge = 0 if sign is None else (
         (1 if sign[0] == "+" else -1) * int(charge_digits or len(sign)))

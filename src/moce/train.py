@@ -264,7 +264,7 @@ class _MetricsAccumulator:
 
 @dataclass
 class TrainSettings:
-    """Loop hyperparameters (the model's shape lives in ModelConfig)."""
+    """Loop hyperparameters, passed explicitly; RunConfig holds the defaults."""
 
     batch_size: int
     seed: int
