@@ -175,6 +175,20 @@ class Module:
         return out
 
 
+def arena(shapes: Sequence[tuple[int, ...]], dtype) -> list[np.ndarray]:
+    """Zeroed arrays of ``shapes``, in order, as views of one ``np.zeros``
+    buffer with no gap between them. A large buffer's pages are mapped
+    only when first written, and go back to the system in one piece once
+    no view is left."""
+    sizes = [math.prod(shape) for shape in shapes]
+    buf = np.zeros(sum(sizes), dtype)
+    views, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(buf[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
 class Tape:
     """Append-only record of operations, read by ``backward``.
 

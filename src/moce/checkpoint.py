@@ -82,8 +82,9 @@ def _write(fh, config_text: str, params: dict, opt_m: dict, opt_v: dict,
         encoded = name.encode("utf-8")
         put(struct.pack("<H", len(encoded)) + encoded)
         param = params[name]
-        for arr in (param, opt_m.get(name, np.zeros_like(param)),
-                    opt_v.get(name, np.zeros_like(param))):
+        for arr in (param, opt_m.get(name), opt_v.get(name)):
+            if arr is None:  # a moment the tables lack is stored as zeros
+                arr = np.zeros(np.shape(param))
             # copies only a float32 or non-C-ordered array; keeps 0-d as 0-d
             arr = np.asarray(arr, dtype="<f8", order="C")
             put(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
@@ -205,10 +206,11 @@ def save_checkpoint(path, config_text: str, model, opt, seed: int,
 
 
 def load_checkpoint(path) -> CheckpointData:
-    """Read `path` in one pass into a buffer sized from the file; the
-    returned arrays are views of that buffer."""
+    """Read `path` in one pass into a buffer sized from the file, left
+    unfilled until the read; the returned arrays are writable views of
+    that buffer."""
     with open(path, "rb") as fh:
-        buf = bytearray(os.fstat(fh.fileno()).st_size)
+        buf = np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
         size = fh.readinto(buf)
     return deserialize(memoryview(buf)[:size])
 

@@ -98,7 +98,9 @@ class Model(Module):
     def create(cls, config: ModelConfig, seed: int, dtype=np.float64) -> "Model":
         """Build all parameters from one seeded generator in a fixed order,
         so (config, seed, precision) fully determine the initial state. Each
-        parameter is drawn in float64 and cast to ``dtype`` once, here."""
+        parameter is drawn in float64 and cast to ``dtype`` once, here, by
+        the copy into one ``ad.arena`` buffer, in ``parameters()`` order;
+        each parameter's ``data`` is a view of that buffer."""
         config.validate()
         rng = np.random.Generator(np.random.PCG64(seed))
         tables = EncoderConfig.create(rng, config.embed_dim)
@@ -116,8 +118,10 @@ class Model(Module):
                                              config.num_processing_layers)
         model = cls(config=config, input_tables=tables, blocks=blocks,
                     integrator=integrator)
-        for t in model.parameters().values():
-            t.data = t.data.astype(dtype, copy=False)
+        params = list(model.parameters().values())
+        for t, view in zip(params, ad.arena([t.shape for t in params], dtype)):
+            np.copyto(view, t.data)
+            t.data = view
         return model
 
     @property

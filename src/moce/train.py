@@ -49,7 +49,9 @@ def noise_rngs(seed: int, step: int, num_blocks: int) -> list[np.random.Generato
 @dataclass
 class OptimizerState:
     """Decoupled-weight-decay Adam moments, keyed by parameter name. The
-    decay rates and epsilon are the fixed ADAM_* constants."""
+    decay rates and epsilon are the fixed ADAM_* constants. ``create``
+    makes the moments of each kind views of one ``ad.arena`` buffer, in
+    the parameters' order and of their dtype."""
 
     lr: float
     weight_decay: float
@@ -60,11 +62,11 @@ class OptimizerState:
     @classmethod
     def create(cls, params: dict[str, Tensor], lr: float,
                weight_decay: float) -> "OptimizerState":
-        state = cls(lr=lr, weight_decay=weight_decay)
-        for name, p in params.items():
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        return state
+        shapes = [p.shape for p in params.values()]
+        dtype = np.result_type(*(p.dtype for p in params.values()))
+        return cls(lr=lr, weight_decay=weight_decay,
+                   m=dict(zip(params, ad.arena(shapes, dtype))),
+                   v=dict(zip(params, ad.arena(shapes, dtype))))
 
 
 def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],

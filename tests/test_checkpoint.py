@@ -210,6 +210,40 @@ class TestStreaming:
         assert path.read_bytes() == earlier
         assert [p.name for p in tmp_path.iterdir()] == ["c.bin"]
 
+    def test_save_builds_no_array_when_every_moment_is_present(self,
+                                                               tmp_path):
+        model = sized_model()
+        opt = OptimizerState.create(model.parameters(), lr=0.01,
+                                    weight_decay=0.01)
+        largest = max(p.data.nbytes for p in model.parameters().values())
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "c.bin", "", model, opt, 0, 0, 0)
+            save_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert save_peak < 0.5 * largest
+
+    def test_a_missing_moment_is_stored_as_zeros(self):
+        params, m, v = small_state()
+        zeros = {name: np.zeros(np.shape(arr)) for name, arr in params.items()}
+        blob = serialize("", params, {"vec": m["vec"]}, {"mat": v["mat"]},
+                         0, 0, 0, 0, 0.01, 0.0)
+        assert blob == serialize("", params, {**zeros, "vec": m["vec"]},
+                                 {**zeros, "mat": v["mat"]}, 0, 0, 0, 0,
+                                 0.01, 0.0)
+
+    def test_loaded_arrays_are_writable(self, tmp_path):
+        model = tiny_model()
+        opt = OptimizerState.create(model.parameters(), lr=0.01,
+                                    weight_decay=0.01)
+        save_checkpoint(tmp_path / "c.bin", "", model, opt, 0, 0, 0)
+        ckpt = load_checkpoint(tmp_path / "c.bin")
+        arrays = [arr for table in (ckpt.params, ckpt.opt_m, ckpt.opt_v)
+                  for arr in table.values()]
+        assert all(arr.flags.writeable for arr in arrays)
+        arrays[0][...] = 1.0
+
 
 class TestCorruption:
     def make_blob(self):

@@ -1,18 +1,23 @@
 """Full-model assembly: init determinism, forward shapes, loss composition."""
 
+import copy
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from moce import autodiff as ad
 from moce.autodiff import Tape, Tensor, finite_diff_check
+from moce.checkpoint import (load_checkpoint, restore_model,
+                             restore_optimizer, save_checkpoint)
 from moce.encoder import batch_graphs
 from moce.experts import resolve_tasks
 from moce.losses import LossToggles, expert_specific_loss
 from moce.model import Model, ModelConfig, model_loss
 from moce.molgraph import featurize, parse_smiles
 from moce.synthetic import synthesize_dataset
-from moce.train import make_batch
+from moce.train import OptimizerState, adamw_step, make_batch
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -89,6 +94,134 @@ class TestCreation:
         with pytest.raises(ValueError):
             tiny_config(num_processing_layers=0).validate()
         tiny_config().validate()
+
+    @pytest.mark.parametrize("dtype, digest", [
+        (np.float64, "3015d17ad23400e19baa84b5e607fb06"
+                     "f9a2108310933126489454879a4b6d5c"),
+        (np.float32, "93d5780c54ac6acdd0f03941588195ef"
+                     "4c1b1b10617c613916feeae3fec7a377"),
+    ])
+    def test_initial_bytes_are_pinned(self, dtype, digest):
+        """No draw, draw order or cast may move: the sha256 of every
+        parameter's bytes, in ``parameters()`` order."""
+        h = hashlib.sha256()
+        for p in Model.create(tiny_config(), seed=0,
+                              dtype=dtype).parameters().values():
+            assert p.dtype == dtype
+            h.update(p.data.tobytes())
+        assert h.hexdigest() == digest
+
+
+def _arena_of(arrays: list[np.ndarray], dtype) -> np.ndarray:
+    """The one buffer that ``arrays`` are views of, once checked that they
+    lie in it in order, C-ordered, with no gap and no overlap."""
+    base = arrays[0].base
+    assert isinstance(base, np.ndarray) and base.ndim == 1
+    assert base.dtype == dtype and base.flags.owndata
+    start = base.__array_interface__["data"][0]
+    offset = 0
+    for a in arrays:
+        assert a.base is base and a.dtype == dtype and a.flags.c_contiguous
+        assert a.__array_interface__["data"][0] == start + offset * a.itemsize
+        offset += a.size
+    assert offset == base.size
+    return base
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+class TestArena:
+    """Parameters and each kind of Adam moment are views of one buffer each;
+    every in-place write reaches that buffer."""
+
+    @staticmethod
+    def build(dtype, seed=0):
+        model = Model.create(tiny_config(), seed=seed, dtype=dtype)
+        opt = OptimizerState.create(model.parameters(), lr=0.01,
+                                    weight_decay=0.01)
+        return model, opt
+
+    @staticmethod
+    def arenas(model, opt, dtype):
+        params = [p.data for p in model.parameters().values()]
+        return (_arena_of(params, dtype), _arena_of(list(opt.m.values()), dtype),
+                _arena_of(list(opt.v.values()), dtype))
+
+    def test_parameters_and_moments_share_one_layout(self, dtype):
+        model, opt = self.build(dtype)
+        params = model.parameters()
+        assert list(opt.m) == list(opt.v) == list(params)
+        bases = self.arenas(model, opt, dtype)
+        assert len({id(b) for b in bases}) == 3
+        for name, p in params.items():
+            assert opt.m[name].shape == opt.v[name].shape == p.shape
+        assert bases[0].size == sum(p.data.size for p in params.values())
+        assert not bases[1].any() and not bases[2].any()
+
+    def test_adamw_step_writes_into_the_arenas(self, dtype):
+        model, opt = self.build(dtype)
+        params = model.parameters()
+        bases = self.arenas(model, opt, dtype)
+        before = [b.copy() for b in bases]
+        rng = np.random.default_rng(1)
+        grads = {n: rng.normal(size=p.shape).astype(dtype)
+                 for n, p in params.items()}
+        adamw_step(params, grads, opt, lr=0.01)
+        after = self.arenas(model, opt, dtype)
+        assert all(a is b for a, b in zip(after, bases))
+        assert all((b != old).any() for b, old in zip(bases, before))
+
+    def test_restore_copies_into_the_arenas(self, dtype, tmp_path):
+        source, source_opt = self.build(dtype, seed=1)
+        rng = np.random.default_rng(2)
+        params = source.parameters()
+        adamw_step(params, {n: rng.normal(size=p.shape).astype(dtype)
+                            for n, p in params.items()}, source_opt, lr=0.01)
+        save_checkpoint(tmp_path / "c.bin", "", source, source_opt, 0, 0, 0)
+        model, opt = self.build(dtype)
+        bases = self.arenas(model, opt, dtype)
+        ckpt = load_checkpoint(tmp_path / "c.bin")
+        restore_model(model, ckpt)
+        restore_optimizer(opt, ckpt)
+        after = self.arenas(model, opt, dtype)
+        assert all(a is b for a, b in zip(after, bases))
+        for got, want in zip(bases, self.arenas(source, source_opt, dtype)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_finite_diff_check_perturbs_the_arena(self, dtype):
+        model, _ = self.build(dtype)
+        base = _arena_of([p.data for p in model.parameters().values()], dtype)
+        x = model.blocks[0].gin_layers[0].b1
+        first = (x.data.__array_interface__["data"][0]
+                 - base.__array_interface__["data"][0]) // base.itemsize
+        original = base.copy()
+        seen = []
+
+        def f(t):
+            seen.append(np.flatnonzero(base != original).tolist())
+            return ad.reduce_sum(ad.mul(t, t))
+
+        finite_diff_check(f, [x])
+        # the tape run, then each coordinate up and down, in the arena
+        assert seen == [[]] + [[first + j] for j in range(x.data.size)
+                               for _ in range(2)]
+        assert base.tobytes() == original.tobytes()
+        assert x.data.base is base
+
+    def test_deepcopy_is_independent(self, dtype):
+        model, _ = self.build(dtype)
+        base = _arena_of([p.data for p in model.parameters().values()], dtype)
+        original = base.copy()
+        clone = copy.deepcopy(model)
+        pairs = list(zip(model.parameters().values(),
+                         clone.parameters().values()))
+        for p, c in pairs:
+            assert not np.shares_memory(p.data, c.data)
+            assert c.data.tobytes() == p.data.tobytes()
+            c.data += 1
+        assert base.tobytes() == original.tobytes()
+        base *= 2
+        for p, c in pairs:
+            np.testing.assert_array_equal(c.data, p.data / 2 + 1)
 
 
 class TestForward:
@@ -351,7 +484,9 @@ class TestTapeSize:
             tape.backward(lb.overall)
         left = set().union(*(_node_buffers(node, deep=True)
                              for node in tape.nodes))
-        assert left == {id(p.data) for p in model.parameters().values()}
+        # the leaf inputs left are parameters, all views of one arena
+        (arena,) = {id(p.data.base) for p in model.parameters().values()}
+        assert left == {arena}
 
     def test_backward_frees_the_graph_as_it_goes(self):
         """At the acceptance shape, the memory that ``backward`` adds above
