@@ -616,44 +616,85 @@ def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _op(y, (x,), lambda g: (_unreduce(g, shape, axis, keepdims) / n,))
 
 
-def _index_add(shape, dtype, ids, values: np.ndarray) -> np.ndarray:
-    """zeros(shape, dtype) with each ``values[i]`` added into row ``ids[i]``.
+class Index:
+    """A constant integer index vector, checked once against ``bound``:
+    every entry lies in [0, bound), else IndexOutOfRange naming ``what``.
 
-    ``values`` has shape ``ids.shape + shape[1:]``. The rows are flattened
-    so that ``np.add.at`` runs on 1-D operands, its fast path: every target
-    element still starts at zero and receives its additions in index order,
-    so the result is bit for bit that of ``np.add.at(out, ids, values)``.
+    It caches, per row width w, the flat index ``ids * w + arange(w)`` by
+    which ``_index_add`` scatters rows of w elements, and the count of each
+    id. The gather and scatter primitives take an Index or a raw vector,
+    which they wrap on entry, so an Index made once for a batch
+    (``encoder.batch_graphs`` makes them) is neither checked nor flattened
+    again by the calls that share it. Its caches live as long as it does.
+    """
+
+    __slots__ = ("ids", "bound", "_flat", "_counts")
+
+    def __init__(self, ids, bound: int, what: str = "index"):
+        ids = np.asarray(ids)
+        if ids.size and (ids.min() < 0 or ids.max() >= bound):
+            raise IndexOutOfRange(f"{what} outside [0, {bound})")
+        self.ids, self.bound = ids, bound
+        self._flat: dict[int, np.ndarray] = {}
+        self._counts = None
+
+    @classmethod
+    def of(cls, ids, bound: int, what: str) -> "Index":
+        """``ids`` itself if it is an Index of this ``bound``, else its
+        entries checked now against ``bound``."""
+        if isinstance(ids, Index):
+            if ids.bound == bound:
+                return ids
+            ids = ids.ids
+        return cls(ids, bound, what)
+
+    def flat(self, width: int) -> np.ndarray:
+        flat = self._flat.get(width)
+        if flat is None:
+            flat = self.ids.astype(np.intp).reshape(-1, 1) * width
+            flat = self._flat[width] = (flat + np.arange(width)).reshape(-1)
+        return flat
+
+    def counts(self) -> np.ndarray:
+        """How many entries hold each id in [0, bound)."""
+        if self._counts is None:
+            self._counts = np.bincount(self.ids, minlength=self.bound)
+        return self._counts
+
+
+def _index_add(shape, dtype, index: Index, values: np.ndarray) -> np.ndarray:
+    """zeros(shape, dtype) with each ``values[i]`` added into row
+    ``index.ids[i]``.
+
+    ``values`` has shape ``index.ids.shape + shape[1:]``. The rows are
+    flattened, by the index's cached flat index, so that ``np.add.at`` runs
+    on 1-D operands, its fast path: every target element still starts at
+    zero and receives its additions in index order, so the result is bit
+    for bit that of ``np.add.at(out, index.ids, values)``.
     """
     out = np.zeros(shape, dtype=dtype)
-    width = math.prod(shape[1:])
-    flat = np.asarray(ids, dtype=np.intp).reshape(-1, 1) * width
-    flat = (flat + np.arange(width)).reshape(-1)
-    np.add.at(out.reshape(-1), flat, values.reshape(-1))
+    np.add.at(out.reshape(-1), index.flat(math.prod(shape[1:])),
+              values.reshape(-1))
     return out
 
 
-def _check_index(ids: np.ndarray, bound: int, what: str) -> None:
-    if ids.size and (ids.min() < 0 or ids.max() >= bound):
-        raise IndexOutOfRange(f"{what} outside [0, {bound})")
-
-
-def _check_segments(ids: np.ndarray, values: np.ndarray, num_segments: int):
-    if ids.ndim != 1 or ids.shape[0] != values.shape[0]:
-        raise ShapeMismatch(
-            f"segment ids shape {ids.shape} does not match rows {values.shape}")
-    _check_index(ids, num_segments, "segment id")
+def _check_segments(ids: Index, values: np.ndarray):
+    if ids.ids.ndim != 1 or ids.ids.shape[0] != values.shape[0]:
+        raise ShapeMismatch(f"segment ids shape {ids.ids.shape} does not "
+                            f"match rows {values.shape}")
 
 
 def scatter_segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     """out[s] = sum of values rows whose segment id is s.
 
-    ``segment_ids`` is a constant integer vector aligned with axis 0 of
-    ``values``; gradients gather straight back through it.
+    ``segment_ids`` is a constant integer vector (or ``Index``) aligned with
+    axis 0 of ``values``; gradients gather straight back through it.
     """
-    ids = np.asarray(segment_ids)
-    _check_segments(ids, values.data, num_segments)
+    ids = Index.of(segment_ids, num_segments, "segment id")
+    _check_segments(ids, values.data)
     out_data = _index_add((num_segments,) + values.data.shape[1:],
                           values.data.dtype, ids, values.data)
+    ids = ids.ids  # the gradient gathers: no flat index to keep
     return _op(out_data, (values,), lambda g: (np.asarray(g)[ids],))
 
 
@@ -663,22 +704,22 @@ def gin_messages(nodes: Tensor, edges: Tensor, src, dst) -> Tensor:
     (len(src), d). The fused chain ``scatter_segment_sum(relu(add(
     gather_rows(nodes, src), edges)), dst, len(nodes))``; the messages form
     in the gathered buffer, and only their relu mask is kept."""
-    src, dst = np.asarray(src), np.asarray(dst)
     n = nodes.data.shape[0]
-    _check_index(src, n, "row index")
-    msg = nodes.data[src]
+    src = Index.of(src, n, "row index")
+    msg = nodes.data[src.ids]
     if msg.ndim != 2 or edges.data.shape != msg.shape:
         raise ShapeMismatch(
             f"gin_messages needs edges {msg.shape}, got {edges.data.shape}")
     msg = _into(np.add, msg, edges.data)
     mask = msg > 0
     _relu_in_place(msg)
-    _check_segments(dst, msg, n)
+    dst = Index.of(dst, n, "segment id")
+    _check_segments(dst, msg)
     out_data = _index_add((n,) + msg.shape[1:], msg.dtype, dst, msg)
     shape, dtype = nodes.data.shape, nodes.data.dtype
 
     def vjp(g):
-        gm = g[dst] * mask
+        gm = g[dst.ids] * mask
         return _index_add(shape, dtype, src, gm), gm
 
     return _op(out_data, (nodes, edges), vjp)
@@ -699,19 +740,19 @@ def sag_scores(x: Tensor, theta: Tensor, dinv: np.ndarray, src, dst) -> Tensor:
         raise ShapeMismatch(
             f"sag_scores needs x (n, d), theta (d, 1) and dinv (n, 1), "
             f"got {X.shape}, {T.shape} and {d.shape}")
-    src, dst = np.asarray(src), np.asarray(dst)
     u = X @ T
     n = u.shape[0]
     scaled = u * d
-    _check_index(src, n, "row index")
-    picked = scaled[src]
-    _check_segments(dst, picked, n)
+    src = Index.of(src, n, "row index")
+    picked = scaled[src.ids]
+    dst = Index.of(dst, n, "segment id")
+    _check_segments(dst, picked)
     summed = _index_add((n, 1), picked.dtype, dst, picked)
     y = np.tanh(summed * d)
     dtype = scaled.dtype
 
     def vjp(g):
-        g = _index_add((n, 1), dtype, src, (g * (1.0 - y * y) * d)[dst])
+        g = _index_add((n, 1), dtype, src, (g * (1.0 - y * y) * d)[dst.ids])
         gu = g * d
         rows = np.flatnonzero(gu[:, 0])
         gu = gu[rows]
@@ -736,19 +777,21 @@ def pool_rows(x: Tensor, scores: Tensor, weights, segment_ids,
     composition gave +-0.0.
     """
     X, w = x.data, np.asarray(weights)
-    ids = np.asarray(segment_ids)
+    ids = Index.of(segment_ids, num_segments, "segment id")
     n = X.shape[0]
     if (X.ndim != 2 or scores.data.shape != (n, 1)
-            or w.shape != (n,) or ids.shape != (n,)):
+            or w.shape != (n,) or ids.ids.shape != (n,)):
         raise ShapeMismatch(
             f"pool_rows needs x (n, d), scores (n, 1), weights and ids (n,); "
-            f"got {X.shape}, {scores.data.shape}, {w.shape}, {ids.shape}")
-    _check_index(ids, num_segments, "segment id")
+            f"got {X.shape}, {scores.data.shape}, {w.shape}, {ids.ids.shape}")
     rows = w.nonzero()[0]
-    seg = ids[rows]
+    seg = ids.ids[rows]
     scale = (scores.data[rows, 0] * w[rows])[:, None]
     kept = X[rows] * scale
-    out_data = _index_add((num_segments, X.shape[1]), kept.dtype, seg, kept)
+    # the kept rows differ per expert: their flat index is built for this
+    # one scatter and not kept, where the tape would hold one per view
+    out_data = _index_add((num_segments, X.shape[1]), kept.dtype,
+                          Index(seg, num_segments), kept)
     scores_dtype = scores.data.dtype
 
     def vjp(g):
@@ -769,31 +812,35 @@ def pool_rows(x: Tensor, scores: Tensor, weights, segment_ids,
 
 
 def gather_rows(x: Tensor, indices) -> Tensor:
-    """Select rows of ``x`` by a constant index vector (embedding lookup)."""
-    idx = np.asarray(indices)
-    _check_index(idx, x.data.shape[0], "row index")
+    """Select rows of ``x`` by a constant index vector (or ``Index``), as
+    an embedding lookup does."""
+    idx = Index.of(indices, x.data.shape[0], "row index")
     shape, dtype = x.data.shape, x.data.dtype
-    return _op(x.data[idx], (x,),
+    return _op(x.data[idx.ids], (x,),
                lambda g: (_index_add(shape, dtype, idx, np.asarray(g)),))
 
 
 def gather_cols(x: Tensor, indices) -> Tensor:
-    """Row-wise gather: out[i, j] = x[i, indices[i, j]] for a 2-D ``x``."""
-    idx = np.asarray(indices)
-    if x.data.ndim != 2 or idx.ndim != 2 or idx.shape[0] != x.data.shape[0]:
-        raise ShapeMismatch(
-            f"gather_cols needs matching 2-D shapes, got {x.data.shape} and {idx.shape}"
-        )
-    _check_index(idx, x.data.shape[1], "column index")
+    """Row-wise gather: out[i, j] = x[i, indices[i, j]] for a 2-D ``x`` and
+    a 2-D constant index matrix (or ``Index``)."""
+    if x.data.ndim != 2:
+        raise ShapeMismatch(f"gather_cols needs a 2-D x, got {x.data.shape}")
     n, m = x.data.shape
+    idx = Index.of(indices, m, "column index")
+    if idx.ids.ndim != 2 or idx.ids.shape[0] != n:
+        raise ShapeMismatch(
+            f"gather_cols needs matching 2-D shapes, got {x.data.shape} and "
+            f"{idx.ids.shape}")
     rows = np.arange(n)[:, None]
     dtype = x.data.dtype
 
     def dx(g):
-        flat = _index_add((n * m,), dtype, rows * m + idx, np.asarray(g))
-        return (flat.reshape(n, m),)
+        # x's (n, m) gradient as n * m rows of one element: each entry of g
+        # adds into cell (i, idx[i, j]), in the rows' order
+        cells = Index(rows * m + idx.ids, n * m)
+        return (_index_add((n * m,), dtype, cells, np.asarray(g)).reshape(n, m),)
 
-    return _op(x.data[rows, idx], (x,), dx)
+    return _op(x.data[rows, idx.ids], (x,), dx)
 
 
 def mask_fill(x: Tensor, keep_mask, fill_value: float) -> Tensor:

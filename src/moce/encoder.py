@@ -76,53 +76,63 @@ class BatchedGraph:
     """Several graphs stacked block-diagonally: graph g owns the contiguous
     node rows ``offsets[g]:offsets[g + 1]``.
 
-    The expert views propagate over A + I: ``prop_src`` and ``prop_dst``
-    hold the directed edges followed by one self-loop per node, so a
-    node's own term adds last, and ``prop_dinv`` is the (N, 1) float64
-    column D̃^-1/2, each node's (in-degree + 1)^-1/2.
+    The index vectors are ``ad.Index`` plans, checked once here and shared
+    by every gather and scatter of the batch: ``src`` and ``dst`` are the
+    directed edges, aligned with the rows of ``edge_features``, and
+    ``graph_ids`` each node's graph. The expert views propagate over
+    A + I: ``prop_src`` and ``prop_dst`` hold the directed edges followed
+    by one self-loop per node, so a node's own term adds last, and
+    ``prop_dinv`` is the (N, 1) float64 column D̃^-1/2, each node's
+    (in-degree + 1)^-1/2.
     """
 
     node_features: np.ndarray
-    edge_index: np.ndarray
     edge_features: np.ndarray
-    graph_ids: np.ndarray
+    src: ad.Index
+    dst: ad.Index
+    graph_ids: ad.Index
     offsets: np.ndarray
-    prop_src: np.ndarray
-    prop_dst: np.ndarray
+    prop_src: ad.Index
+    prop_dst: ad.Index
     prop_dinv: np.ndarray
     num_graphs: int
     num_nodes: int
 
 
 def batch_graphs(graphs: list[FeaturizedGraph]) -> BatchedGraph:
+    """Stack ``graphs`` into one batch. Each graph's edges must join its
+    own atoms: an endpoint outside [0, num_nodes) of its graph raises
+    IndexOutOfRange naming the graph."""
     if not graphs:
         raise EmptyGraph("cannot batch zero graphs")
-    node_rows = []
-    edge_rows = []
-    efeat_rows = []
-    ids = []
-    offsets = [0]
-    for gid, g in enumerate(graphs):
-        if g.num_nodes == 0:
-            raise EmptyGraph("graph with zero atoms in batch")
-        node_rows.append(g.node_features)
-        edge_rows.append(g.edge_index + offsets[-1])
-        efeat_rows.append(g.edge_features)
-        ids.append(np.full(g.num_nodes, gid, dtype=np.int64))
-        offsets.append(offsets[-1] + g.num_nodes)
-    edge_index = np.concatenate(edge_rows, axis=0)
-    num_nodes = offsets[-1]
+    sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+    if not sizes.all():
+        raise EmptyGraph("graph with zero atoms in batch")
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    edge_graph = np.repeat(np.arange(len(graphs)),
+                           [len(g.edge_index) for g in graphs])
+    local = np.concatenate([g.edge_index for g in graphs], axis=0)
+    outside = ((local < 0) | (local >= sizes[edge_graph, None])).any(axis=1)
+    if outside.any():
+        gid = edge_graph[outside.argmax()]
+        raise ad.IndexOutOfRange(
+            f"graph {gid}: edge endpoint outside [0, {sizes[gid]})")
+    edge_index = local + offsets[edge_graph, None]
+    num_nodes = int(offsets[-1])
     loops = np.arange(num_nodes)
-    in_degree = np.bincount(edge_index[:, 1], minlength=num_nodes)
+    src, dst = edge_index[:, 0], edge_index[:, 1]
     return BatchedGraph(
-        node_features=np.concatenate(node_rows, axis=0),
-        edge_index=edge_index,
-        edge_features=np.concatenate(efeat_rows, axis=0),
-        graph_ids=np.concatenate(ids),
-        offsets=np.array(offsets, dtype=np.int64),
-        prop_src=np.concatenate((edge_index[:, 0], loops)),
-        prop_dst=np.concatenate((edge_index[:, 1], loops)),
-        prop_dinv=(1.0 / np.sqrt(in_degree + 1.0))[:, None],
+        node_features=np.concatenate([g.node_features for g in graphs], axis=0),
+        edge_features=np.concatenate([g.edge_features for g in graphs], axis=0),
+        src=ad.Index(src, num_nodes, "row index"),
+        dst=ad.Index(dst, num_nodes, "segment id"),
+        graph_ids=ad.Index(np.repeat(np.arange(len(graphs)), sizes),
+                           len(graphs), "segment id"),
+        offsets=offsets,
+        prop_src=ad.Index(np.concatenate((src, loops)), num_nodes, "row index"),
+        prop_dst=ad.Index(np.concatenate((dst, loops)), num_nodes, "segment id"),
+        prop_dinv=(1.0 / np.sqrt(np.bincount(dst, minlength=num_nodes)
+                                 + 1.0))[:, None],
         num_graphs=len(graphs),
         num_nodes=num_nodes,
     )
@@ -145,37 +155,40 @@ def embed_inputs(g, cfg: EncoderConfig) -> tuple[Tensor, Tensor]:
     return nodes, edges
 
 
-def gin_forward(layer: GinLayer, nodes: Tensor, edges: Tensor,
-                edge_index: np.ndarray) -> Tensor:
+def gin_forward(layer: GinLayer, nodes: Tensor, edges: Tensor, src,
+                dst) -> Tensor:
     """One GIN update on a node matrix.
 
-    ``edge_index`` rows are directed (source, destination) pairs aligned
-    with the rows of ``edges``; both directions of every bond must be
-    present for symmetric message passing.
+    Directed edge i runs from node ``src[i]`` to node ``dst[i]`` (index
+    vectors or ``ad.Index`` plans) and has the feature row ``edges[i]``;
+    both directions of every bond must be present for symmetric message
+    passing.
     """
-    agg = ad.gin_messages(nodes, edges, edge_index[:, 0], edge_index[:, 1])
+    agg = ad.gin_messages(nodes, edges, src, dst)
     scaled = ad.mul(nodes, ad.add(layer.epsilon, Tensor(np.ones((), dtype=nodes.dtype))))
     h = ad.add(scaled, agg)
     hidden = ad.dense(h, layer.w1, layer.b1, relu=True)
     return ad.dense(hidden, layer.w2, layer.b2)
 
 
-def encode_from(nodes: Tensor, edges: Tensor, edge_index: np.ndarray,
+def encode_from(nodes: Tensor, edges: Tensor, src, dst,
                 layers: list[GinLayer]) -> Tensor:
     """Run the GIN stack from an embedded node matrix; returns the node
     matrix after the last layer."""
     for layer in layers:
-        nodes = gin_forward(layer, nodes, edges, edge_index)
+        nodes = gin_forward(layer, nodes, edges, src, dst)
     return nodes
 
 
-def segment_mean_pool(nodes: Tensor, graph_ids: np.ndarray,
-                      num_graphs: int) -> Tensor:
-    """Per-graph mean readout over a block-diagonal batch: (B, dim)."""
+def segment_mean_pool(nodes: Tensor, graph_ids, num_graphs: int) -> Tensor:
+    """Per-graph mean readout over a block-diagonal batch: (B, dim).
+    ``graph_ids`` is each node's graph, a vector or an ``ad.Index``; an
+    Index keeps the per-graph counts for the batch's next readout."""
     if nodes.shape[0] == 0:
         raise EmptyGraph("mean pool over zero nodes")
-    sums = ad.scatter_segment_sum(nodes, graph_ids, num_graphs)
-    counts = np.bincount(graph_ids, minlength=num_graphs).astype(nodes.dtype)
-    if np.any(counts == 0):
+    ids = ad.Index.of(graph_ids, num_graphs, "segment id")
+    sums = ad.scatter_segment_sum(nodes, ids, num_graphs)
+    counts = ids.counts()
+    if not counts.all():
         raise EmptyGraph("a graph in the batch has zero nodes")
-    return ad.div(sums, Tensor(counts[:, None]))
+    return ad.div(sums, Tensor(counts.astype(nodes.dtype)[:, None]))

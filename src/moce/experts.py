@@ -11,7 +11,6 @@ are constants of the forward pass; gradients flow through values only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,11 +282,43 @@ def route_batch(x_hat: Tensor, tasks: Tensor, r: RouterParams,
                       selected=selected, p_choose=p_choose)
 
 
-def _sag_weights(scores: np.ndarray, offsets: np.ndarray,
-                 pool_ratio: float) -> np.ndarray:
+@dataclass
+class SagLayout:
+    """``_sag_weights``' plan of a batch for one pool ratio kappa, shared by
+    the experts of a block: graph g keeps its top ``n_sel[g]`` =
+    ceil(kappa * n_g) rows. For several graphs, row r's score goes to cell
+    ``cells[r]`` of a (B, n_max) grid whose row g starts at node
+    ``starts[g]``; ``keep`` marks each grid row's first n_sel[g] columns,
+    and ``values`` holds 1/n_sel[g] per kept cell, in grid order."""
+
+    n_sel: np.ndarray
+    starts: np.ndarray | None = None
+    cells: np.ndarray | None = None
+    keep: np.ndarray | None = None
+    values: np.ndarray | None = None
+
+
+def sag_layout(offsets: np.ndarray, pool_ratio: float) -> SagLayout:
+    """The ``SagLayout`` of a batch whose graph g owns rows
+    offsets[g]:offsets[g + 1], for kappa in (0, 1]. One graph gets no grid:
+    ``topk_indices`` ranks it faster."""
+    if not 0.0 < pool_ratio <= 1.0:
+        raise ValueError(f"pool_ratio must be in (0, 1], got {pool_ratio}")
+    sizes = np.diff(offsets)
+    n_sel = np.ceil(pool_ratio * sizes).astype(np.intp)
+    if sizes.size == 1:
+        return SagLayout(n_sel)
+    starts = offsets[:-1]
+    width = int(sizes.max())
+    cells = np.arange(offsets[-1]) + np.repeat(
+        np.arange(sizes.size) * width - starts, sizes)
+    return SagLayout(n_sel, starts, cells, keep=np.arange(width) < n_sel[:, None],
+                     values=np.repeat(1.0 / n_sel, n_sel))
+
+
+def _sag_weights(scores: np.ndarray, layout: SagLayout) -> np.ndarray:
     """Constant per-node weights: 1/n_selected on each graph's top
-    ceil(kappa * n) rows by score (ties to the lower row), 0 off. Graph g
-    owns rows offsets[g]:offsets[g + 1].
+    ceil(kappa * n) rows by score (ties to the lower row), 0 off.
 
     One graph takes ``topk_indices`` directly. A batch writes the negated
     scores into a (B, n_max) grid padded with NaN and sorts every row at
@@ -296,40 +327,32 @@ def _sag_weights(scores: np.ndarray, offsets: np.ndarray,
     ceil(kappa * n_g) of them are its selection.
     """
     weights = np.zeros_like(scores)
-    if len(offsets) == 2:
-        n_sel = int(math.ceil(pool_ratio * scores.size))
+    if layout.cells is None:
+        n_sel = int(layout.n_sel[0])
         weights[topk_indices(scores, n_sel)] = 1.0 / n_sel
         return weights
-    starts = offsets[:-1]
-    sizes = np.diff(offsets)
-    width = int(sizes.max())
-    cells = np.arange(scores.size) + np.repeat(
-        np.arange(sizes.size) * width - starts, sizes)
-    grid = np.full(sizes.size * width, np.nan, dtype=scores.dtype)
-    grid[cells] = -scores
-    order = grid.reshape(-1, width).argsort(axis=1, kind="stable")
-    n_sel = np.ceil(pool_ratio * sizes).astype(np.intp)
-    keep = np.arange(width) < n_sel[:, None]
-    weights[(order + starts[:, None])[keep]] = np.repeat(1.0 / n_sel, n_sel)
+    grid = np.full(layout.keep.size, np.nan, dtype=scores.dtype)
+    grid[layout.cells] = -scores
+    order = grid.reshape(layout.keep.shape).argsort(axis=1, kind="stable")
+    weights[(order + layout.starts[:, None])[layout.keep]] = layout.values
     return weights
 
 
 def sag_project_batch(nodes: Tensor, batch: BatchedGraph, expert: ExpertParams,
-                      pool_ratio: float) -> Tensor:
+                      layout: SagLayout) -> Tensor:
     """Expert-specific pooled view of every graph in the batch: (B, dim).
 
     Scores are tanh of the symmetric-normalized (A + I) propagation of the
     attention projection; the output is the mean of the selected nodes'
     feature rows, each scaled by its score, so the projection receives
     gradient through both the scale and the selection values. Each graph
-    keeps its top ceil(pool_ratio * n) nodes.
+    keeps its top ceil(pool_ratio * n) nodes, as ``layout`` (the batch's
+    ``sag_layout``) says.
     """
-    if not 0.0 < pool_ratio <= 1.0:
-        raise ValueError(f"pool_ratio must be in (0, 1], got {pool_ratio}")
     z_tilde = ad.sag_scores(nodes, expert.theta_att,
                             batch.prop_dinv.astype(nodes.dtype, copy=False),
                             batch.prop_src, batch.prop_dst)
-    weights = _sag_weights(z_tilde.data[:, 0], batch.offsets, pool_ratio)
+    weights = _sag_weights(z_tilde.data[:, 0], layout)
     return ad.pool_rows(nodes, z_tilde, weights, batch.graph_ids, batch.num_graphs)
 
 
@@ -361,9 +384,10 @@ def layer_forward(nodes: Tensor, batch: BatchedGraph, tasks: Tensor,
     """
     x_hat = segment_mean_pool(nodes, batch.graph_ids, batch.num_graphs)
     rb = route_batch(x_hat, tasks, router, rng)
+    layout = sag_layout(batch.offsets, pool_ratio)
     columns = []
     for expert in experts:
-        pooled = sag_project_batch(nodes, batch, expert, pool_ratio)
+        pooled = sag_project_batch(nodes, batch, expert, layout)
         columns.append(expert_mlp(expert, pooled))
     expert_logits = ad.concat(columns, axis=1)
     output = ad.reduce_sum(ad.mul(rb.gates, expert_logits), axis=1, keepdims=True)

@@ -24,7 +24,8 @@ from . import autodiff as ad
 from .autodiff import FdReport, Tensor, finite_diff_check
 from .encoder import (EncoderConfig, GinLayer, batch_graphs, embed_inputs,
                       encode_from, segment_mean_pool)
-from .experts import ExpertParams, RouterParams, route_batch, sag_project_batch
+from .experts import (ExpertParams, RouterParams, route_batch, sag_layout,
+                      sag_project_batch)
 from .losses import (attention_cosine_loss, bce, expert_specific_loss,
                      importance_loss, load_loss)
 from .model import Model, ModelConfig, model_loss
@@ -229,7 +230,8 @@ def _check_sag(rng) -> tuple:
     inputs = [nodes, expert.theta_att]
 
     def f(*unused):
-        pooled = sag_project_batch(nodes, batch, expert, 0.5)
+        pooled = sag_project_batch(nodes, batch, expert,
+                                   sag_layout(batch.offsets, 0.5))
         return _sq_sum(pooled)
 
     return f, inputs
@@ -261,7 +263,7 @@ def _check_encoder(rng) -> tuple:
 
     def f(*unused):
         nodes, edges = embed_inputs(batch, cfg)
-        final = encode_from(nodes, edges, batch.edge_index, gins)
+        final = encode_from(nodes, edges, batch.src, batch.dst, gins)
         pooled = segment_mean_pool(final, batch.graph_ids, 3)
         return ad.reduce_sum(ad.mul(pooled, readout))
 

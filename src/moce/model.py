@@ -145,7 +145,8 @@ class Model(Module):
         layer_results = []
         state = nodes
         for b, block in enumerate(self.blocks):
-            state = encode_from(state, edges, batch.edge_index, block.gin_layers)
+            state = encode_from(state, edges, batch.src, batch.dst,
+                                block.gin_layers)
             res = layer_forward(state, batch, tasks, block.experts,
                                 block.router, self.config.pool_ratio,
                                 rngs[b] if noise_on else None)

@@ -6,6 +6,7 @@ accumulation semantics, and the documented error conditions.
 """
 
 import gc
+import math
 import multiprocessing
 import sys
 import threading
@@ -16,7 +17,7 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -787,6 +788,116 @@ class TestDenseLiveRows:
                                       [x, w, b], g)
                      for op in (ad.dense, _dense_chain))
         _assert_same_bits(got, want)
+
+
+def _index_case(dtype, n, d, src, dst, ids, segments, cols, values):
+    """Operands for every scatter and gather primitive: edges ``src`` ->
+    ``dst`` over n nodes of width d, pooling ids over ``segments``, an
+    (n, k) column index over the d columns, and float arrays drawn in turn
+    from ``values``."""
+    src, dst, ids = (np.array(a, dtype=np.int64) for a in (src, dst, ids))
+    cols = np.array(cols, dtype=np.int64).reshape(n, -1)
+    pool = np.array(values, dtype)
+    start = 0
+
+    def draw(*shape):
+        nonlocal start
+        size = math.prod(shape)
+        start += size
+        return pool[(start - size + np.arange(size)) % pool.size].reshape(shape)
+
+    weights = np.where(np.arange(n) % 3 == 1, 0.0, 0.5).astype(dtype)
+    degree = np.bincount(dst, minlength=n)
+    return dict(n=n, d=d, src=src, dst=dst, ids=ids, segments=segments,
+                cols=cols, x=draw(n, d), edges=draw(len(src), d),
+                theta=draw(d, 1), scores=draw(n, 1), weights=weights,
+                dinv=(1.0 / np.sqrt(degree + 1.0))[:, None].astype(dtype),
+                g_nodes=draw(n, d), g_col=draw(n, 1), g_edges=draw(len(src), d),
+                g_seg=draw(segments, d), g_cols=draw(*cols.shape))
+
+
+@st.composite
+def _index_cases(draw):
+    """Repeated ids, segments that no id names, width-1 columns, and
+    summands of either signed zero (``_edge_values``)."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    n, d = draw(st.integers(1, 5)), draw(st.sampled_from([1, 3]))
+    k, segments = draw(st.integers(0, 10)), draw(st.integers(1, 4))
+
+    def ids(size, bound):
+        return draw(st.lists(st.integers(0, bound - 1), min_size=size,
+                             max_size=size))
+
+    cols = ids(n * draw(st.integers(1, 3)), d)
+    values = draw(st.lists(_edge_values(dtype), min_size=1, max_size=40))
+    return _index_case(dtype, n, d, ids(k, n), ids(k, n), ids(n, segments),
+                       segments, cols, values)
+
+
+def _index_calls(c, index):
+    """Each scatter and gather primitive on the case ``c``, with every index
+    vector passed as ``index(ids, bound)``: name -> (op, inputs, output
+    gradient)."""
+    n, segments = c["n"], c["segments"]
+    src, dst = index(c["src"], n), index(c["dst"], n)
+    ids, cols = index(c["ids"], segments), index(c["cols"], c["d"])
+    return {
+        "gin_messages": (lambda u, e: ad.gin_messages(u, e, src, dst),
+                         (c["x"], c["edges"]), c["g_nodes"]),
+        "sag_scores": (lambda u, t: ad.sag_scores(u, t, c["dinv"], src, dst),
+                       (c["x"], c["theta"]), c["g_col"]),
+        "scatter_segment_sum": (lambda v: ad.scatter_segment_sum(v, dst, n),
+                                (c["edges"],), c["g_nodes"]),
+        "pool_rows": (lambda u, s: ad.pool_rows(u, s, c["weights"], ids,
+                                                segments),
+                      (c["x"], c["scores"]), c["g_seg"]),
+        "gather_rows": (lambda u: ad.gather_rows(u, src), (c["x"],),
+                        c["g_edges"]),
+        "gather_cols": (lambda u: ad.gather_cols(u, cols), (c["x"],),
+                        c["g_cols"]),
+    }
+
+
+class TestPlannedIndex:
+    """An ``ad.Index`` is its raw vector checked once, with cached flat
+    indices: every scatter and gather primitive gives the same bytes, values
+    and gradients, with a planned index as with the raw vector, also when a
+    second call reads the cache the first one filled."""
+
+    @pytest.mark.parametrize("name", ["gin_messages", "sag_scores",
+                                      "scatter_segment_sum", "pool_rows",
+                                      "gather_rows", "gather_cols"])
+    @settings(deadline=None, max_examples=100)
+    @given(case=_index_cases())
+    # node 1 and segment 1 are named by no id; -0.0 summands; width 1
+    @example(case=_index_case(np.float64, 3, 1, [0, 0, 2, 2], [2, 2, 0, 2],
+                              [0, 2, 0], 3, [0, 0, 0], [-0.0, 1.0, -0.0, 0.5]))
+    @example(case=_index_case(np.float32, 4, 3, [3, 3, 0], [0, 0, 3],
+                              [2, 2, 0, 0], 3, [[2, 2], [0, 1], [1, 1], [0, 2]],
+                              [-0.0, -2.5, 0.0, 3.0, -0.0]))
+    def test_planned_matches_raw(self, name, case):
+        # an empty output has no sum to differentiate
+        assume(name != "gather_rows" or case["src"].size)
+        want = _value_and_grads(*_index_calls(case, lambda ids, bound: ids)[name])
+        op, arrays, g = _index_calls(case, ad.Index)[name]
+        for _ in range(2):
+            _assert_same_bits(_value_and_grads(op, arrays, g), want)
+
+    def test_bounds_are_checked_once_with_the_same_errors(self):
+        with pytest.raises(IndexOutOfRange, match=r"row index outside \[0, 2\)"):
+            ad.Index([0, 2], 2, "row index")
+        with pytest.raises(IndexOutOfRange):
+            ad.Index([-1, 0], 2)
+        planned = ad.Index([0, 3], 4)
+        # planned for another bound: checked again against this one
+        with pytest.raises(IndexOutOfRange, match=r"row index outside \[0, 2\)"):
+            ad.gather_rows(Tensor(np.ones((2, 2))), planned)
+        with pytest.raises(ShapeMismatch):
+            ad.scatter_segment_sum(Tensor(np.ones((3, 1))), planned, 4)
+        assert ad.Index.of(planned, 4, "row index") is planned
+        assert planned.flat(2) is planned.flat(2)
+        np.testing.assert_array_equal(planned.flat(2), [0, 1, 6, 7])
+        np.testing.assert_array_equal(planned.counts(), [1, 0, 0, 1])
 
 
 def _relu_arrays():

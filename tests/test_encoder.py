@@ -1,5 +1,7 @@
 """GIN encoder: embedding lookups, message passing, pooling, batching."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -51,10 +53,11 @@ class TestBatching:
         batch = batch_graphs([ethanol, ethane])
         assert batch.num_graphs == 2
         assert batch.num_nodes == 5
-        np.testing.assert_array_equal(batch.graph_ids, [0, 0, 0, 1, 1])
+        np.testing.assert_array_equal(batch.graph_ids.ids, [0, 0, 0, 1, 1])
         # ethane's single bond sits after ethanol's two, shifted by 3 nodes
-        np.testing.assert_array_equal(batch.edge_index[:4], ethanol.edge_index)
-        np.testing.assert_array_equal(batch.edge_index[4:], ethane.edge_index + 3)
+        edge_index = np.stack((batch.src.ids, batch.dst.ids), axis=1)
+        np.testing.assert_array_equal(edge_index[:4], ethanol.edge_index)
+        np.testing.assert_array_equal(edge_index[4:], ethane.edge_index + 3)
         np.testing.assert_array_equal(
             batch.node_features,
             np.vstack([ethanol.node_features, ethane.node_features]))
@@ -66,6 +69,24 @@ class TestBatching:
     def test_zero_atom_graph_rejected(self):
         with pytest.raises(EmptyGraph):
             batch_graphs([graph_of("CC"), zero_node_graph()])
+
+    @pytest.mark.parametrize("edge", [(1, -1), (1, 4), (9, 1)],
+                             ids=["negative", "into-the-next-graph",
+                                  "past-the-batch"])
+    def test_edge_outside_its_graph_rejected(self, edge):
+        """An edge of ethanol's (atoms 0-2) to atom -1, to atom 4 (ethane's
+        second atom once batched) or from atom 9 (past the batch) raises
+        naming ethanol, before anything is built from it."""
+        ethanol = graph_of("CCO")
+        bad = replace(ethanol,
+                      edge_index=np.vstack([ethanol.edge_index, edge]),
+                      edge_features=np.vstack([ethanol.edge_features,
+                                               ethanol.edge_features[:1]]))
+        with pytest.raises(ad.IndexOutOfRange,
+                           match=r"^graph 0: edge endpoint outside \[0, 3\)$"):
+            batch_graphs([bad, graph_of("CC")])
+        with pytest.raises(ad.IndexOutOfRange, match=r"^graph 1: "):
+            batch_graphs([graph_of("CC"), bad])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_offsets_and_in_degrees(self, seed):
@@ -81,24 +102,26 @@ class TestBatching:
                                       np.concatenate(([0], np.cumsum(sizes))))
         loops = np.arange(batch.num_nodes)
         np.testing.assert_array_equal(
-            batch.prop_src, np.concatenate((batch.edge_index[:, 0], loops)))
+            batch.prop_src.ids, np.concatenate((batch.src.ids, loops)))
         np.testing.assert_array_equal(
-            batch.prop_dst, np.concatenate((batch.edge_index[:, 1], loops)))
-        in_degree = np.bincount(batch.edge_index[:, 1], minlength=batch.num_nodes)
+            batch.prop_dst.ids, np.concatenate((batch.dst.ids, loops)))
+        in_degree = np.bincount(batch.dst.ids, minlength=batch.num_nodes)
         assert batch.prop_dinv.shape == (batch.num_nodes, 1)
         assert batch.prop_dinv.dtype == np.float64
         assert batch.prop_dinv[:, 0].tobytes() == (
             1.0 / np.sqrt(in_degree + 1.0)).tobytes()
         assert np.any(batch.prop_dinv == 1.0)
         for g, (lo, hi) in enumerate(zip(batch.offsets, batch.offsets[1:])):
-            assert np.all(batch.graph_ids[lo:hi] == g)
+            assert np.all(batch.graph_ids.ids[lo:hi] == g)
 
     def test_single_graph_is_unchanged(self):
         g = graph_of("C1CC1")
         batch = batch_graphs([g])
         np.testing.assert_array_equal(batch.node_features, g.node_features)
-        np.testing.assert_array_equal(batch.edge_index, g.edge_index)
-        np.testing.assert_array_equal(batch.graph_ids, np.zeros(3, dtype=np.int64))
+        np.testing.assert_array_equal(batch.src.ids, g.edge_index[:, 0])
+        np.testing.assert_array_equal(batch.dst.ids, g.edge_index[:, 1])
+        np.testing.assert_array_equal(batch.graph_ids.ids,
+                                      np.zeros(3, dtype=np.int64))
 
 
 class TestEmbedding:
@@ -145,8 +168,7 @@ class TestGinForward:
         layer = identity_gin(2)
         nodes = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
         edges = Tensor(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        edge_index = np.array([[0, 1], [1, 0]])
-        out = gin_forward(layer, nodes, edges, edge_index)
+        out = gin_forward(layer, nodes, edges, [0, 1], [1, 0])
         # message into 1: relu([1,0]+[.5,.5]) = [1.5,.5]; into 0: [.5,1.5]
         # h = x + agg = [[1.5,1.5],[1.5,1.5]], identity MLP keeps it
         np.testing.assert_allclose(out.data, [[1.5, 1.5], [1.5, 1.5]], rtol=0, atol=0)
@@ -156,31 +178,31 @@ class TestGinForward:
         layer.epsilon.data[()] = 0.5
         nodes = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
         edges = Tensor(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        edge_index = np.array([[0, 1], [1, 0]])
-        out = gin_forward(layer, nodes, edges, edge_index)
+        out = gin_forward(layer, nodes, edges, [0, 1], [1, 0])
         np.testing.assert_allclose(out.data, [[2.0, 1.5], [1.5, 2.0]], rtol=0, atol=0)
 
     def test_isolated_node_keeps_self_term_only(self):
         layer = identity_gin(3)
         nodes = Tensor(np.array([[0.2, -0.4, 1.0]]))
-        out = gin_forward(layer, nodes, Tensor(np.zeros((0, 3))),
-                          np.zeros((0, 2), dtype=np.int64))
+        no_edges = np.zeros(0, dtype=np.int64)
+        out = gin_forward(layer, nodes, Tensor(np.zeros((0, 3))), no_edges,
+                          no_edges)
         np.testing.assert_allclose(out.data, [[0.2, 0.0, 1.0]], rtol=0, atol=0)
 
     def test_messages_follow_edge_direction(self):
         layer = identity_gin(1)
         nodes = Tensor(np.array([[1.0], [0.0]]))
         edges = Tensor(np.array([[0.0]]))
-        only_forward = np.array([[0, 1]])
-        out = gin_forward(layer, nodes, edges, only_forward)
+        out = gin_forward(layer, nodes, edges, [0], [1])  # 0 -> 1 only
         # node 1 hears node 0; node 0 hears nothing
         np.testing.assert_allclose(out.data, [[1.0], [1.0]], rtol=0, atol=0)
 
 
-def gin_stack(g, cfg: EncoderConfig, layers: list[GinLayer]) -> Tensor:
-    """Embed a graph or batch and run the GIN stack over it."""
-    nodes, edges = embed_inputs(g, cfg)
-    return encode_from(nodes, edges, g.edge_index, layers)
+def gin_stack(batch: BatchedGraph, cfg: EncoderConfig,
+              layers: list[GinLayer]) -> Tensor:
+    """Embed a batch and run the GIN stack over it."""
+    nodes, edges = embed_inputs(batch, cfg)
+    return encode_from(nodes, edges, batch.src, batch.dst, layers)
 
 
 def mean_readout(nodes: Tensor) -> Tensor:
@@ -193,7 +215,7 @@ class TestEncode:
         rng = np.random.default_rng(7)
         cfg = EncoderConfig.create(rng, embed_dim=5)
         layers = [GinLayer.create(rng, 5) for _ in range(3)]
-        out = gin_stack(graph_of("c1ccccc1"), cfg, layers)
+        out = gin_stack(batch_graphs([graph_of("c1ccccc1")]), cfg, layers)
         assert out.shape == (6, 5)
 
     def test_encode_matches_manual_chain(self):
@@ -202,9 +224,10 @@ class TestEncode:
         layers = [GinLayer.create(rng, 4) for _ in range(2)]
         g = graph_of("CC(=O)O")
         nodes, edges = embed_inputs(g, cfg)
-        out = encode_from(nodes, edges, g.edge_index, layers)
-        step1 = gin_forward(layers[0], nodes, edges, g.edge_index)
-        step2 = gin_forward(layers[1], step1, edges, g.edge_index)
+        src, dst = g.edge_index[:, 0], g.edge_index[:, 1]
+        out = encode_from(nodes, edges, src, dst, layers)
+        step1 = gin_forward(layers[0], nodes, edges, src, dst)
+        step2 = gin_forward(layers[1], step1, edges, src, dst)
         np.testing.assert_array_equal(out.data, step2.data)
 
     def test_batched_encode_matches_per_graph(self):
@@ -225,8 +248,8 @@ class TestEncode:
         rng = np.random.default_rng(10)
         cfg = EncoderConfig.create(rng, embed_dim=5)
         layers = [GinLayer.create(rng, 5) for _ in range(2)]
-        a = mean_readout(gin_stack(graph_of("CCO"), cfg, layers))
-        b = mean_readout(gin_stack(graph_of("OCC"), cfg, layers))
+        a = mean_readout(gin_stack(batch_graphs([graph_of("CCO")]), cfg, layers))
+        b = mean_readout(gin_stack(batch_graphs([graph_of("OCC")]), cfg, layers))
         np.testing.assert_allclose(a.data, b.data, rtol=1e-10, atol=1e-12)
 
 
@@ -253,12 +276,12 @@ class TestPooling:
             segment_mean_pool(Tensor(np.ones((2, 2))), np.array([0, 0]), 2)
 
 
-def gin_forward_chain(layer: GinLayer, nodes: Tensor, edges: Tensor,
-                      edge_index: np.ndarray) -> Tensor:
+def gin_forward_chain(layer: GinLayer, nodes: Tensor, edges: Tensor, src,
+                      dst) -> Tensor:
     """``gin_forward`` as the chain of generic ops its fused primitives
     replace."""
-    messages = ad.relu(ad.add(ad.gather_rows(nodes, edge_index[:, 0]), edges))
-    agg = ad.scatter_segment_sum(messages, edge_index[:, 1], nodes.shape[0])
+    messages = ad.relu(ad.add(ad.gather_rows(nodes, src), edges))
+    agg = ad.scatter_segment_sum(messages, dst, nodes.shape[0])
     one = Tensor(np.ones((), dtype=nodes.dtype))
     h = ad.add(ad.mul(nodes, ad.add(layer.epsilon, one)), agg)
     hidden = ad.relu(ad.add(ad.matmul(h, layer.w1), layer.b1))
@@ -284,7 +307,7 @@ class TestGinMatchesChain:
         with Tape() as tape:
             nodes, edges = embed_inputs(batch, cfg)
             for layer in layers:
-                nodes = forward(layer, nodes, edges, batch.edge_index)
+                nodes = forward(layer, nodes, edges, batch.src, batch.dst)
             grads = tape.backward(ad.reduce_sum(ad.mul(nodes, g)))
         return [nodes.data] + [grads[p] for p in params]
 
@@ -321,9 +344,8 @@ class TestEncoderGradients:
         layer = identity_gin(2)
         nodes = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
         edges = Tensor(np.array([[0.1, 0.1], [0.1, 0.1]]))
-        edge_index = np.array([[0, 1], [1, 0]])
         with Tape() as tape:
-            out = gin_forward(layer, nodes, edges, edge_index)
+            out = gin_forward(layer, nodes, edges, [0, 1], [1, 0])
             loss = ad.reduce_sum(out)
             grads = tape.backward(loss)
         # d/d eps of sum(relu(x*(1+eps) + agg)) = sum(x) while everything

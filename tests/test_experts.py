@@ -27,6 +27,7 @@ from moce.experts import (
     load_task_embeddings,
     resolve_tasks,
     route_batch,
+    sag_layout,
     sag_project_batch,
     topk_indices,
 )
@@ -71,11 +72,18 @@ def graph_with(num_nodes: int, edge_index) -> FeaturizedGraph:
         num_nodes=num_nodes)
 
 
+def sag_project(nodes: Tensor, batch, expert: ExpertParams,
+                pool_ratio: float) -> Tensor:
+    """``sag_project_batch`` over the batch's own ``sag_layout``."""
+    return sag_project_batch(nodes, batch, expert,
+                             sag_layout(batch.offsets, pool_ratio))
+
+
 def sag_one(nodes: Tensor, edge_index: np.ndarray, expert: ExpertParams,
             pool_ratio: float) -> Tensor:
     """Pooled view of a single graph, as a B=1 batch."""
     batch = batch_graphs([graph_with(nodes.shape[0], edge_index)])
-    return sag_project_batch(nodes, batch, expert, pool_ratio)
+    return sag_project(nodes, batch, expert, pool_ratio)
 
 
 def expert_of(rng, dim: int, dtype) -> ExpertParams:
@@ -121,8 +129,10 @@ def sag_case(sizes, scores, ratio, dtype=np.float64):
 
 
 class TestSagWeightsGrid:
-    """``_sag_weights`` sorts every graph of a batch in one NaN-padded grid;
-    its bytes are those of the per-graph loop, kept here as the reference."""
+    """``_sag_weights`` sorts every graph of a batch in one NaN-padded grid
+    laid out once per batch by ``sag_layout``; its bytes are those of the
+    per-graph loop, kept here as the reference, for every score vector
+    that shares the layout, as a block's experts do."""
 
     @settings(deadline=None, max_examples=300)
     @given(sag_weight_cases())
@@ -137,10 +147,14 @@ class TestSagWeightsGrid:
         scores, offsets, ratio = case
         sizes = np.diff(offsets)
         graph_ids = np.repeat(np.arange(sizes.size), sizes)
-        got = _sag_weights(scores, offsets, ratio)
-        want = sag_weights_per_graph(scores, graph_ids, sizes.size, ratio)
-        assert got.dtype == scores.dtype
-        assert got.tobytes() == want.tobytes()
+        layout = sag_layout(offsets, ratio)
+        # negation swaps the signed zeros and reverses every order of ties;
+        # the last vector repeats the first after the layout's other uses
+        for view in (scores, -scores, scores[::-1].copy(), scores):
+            got = _sag_weights(view, layout)
+            want = sag_weights_per_graph(view, graph_ids, sizes.size, ratio)
+            assert got.dtype == view.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 class TestGammaMask:
@@ -345,11 +359,11 @@ def scatter_then_add(nodes, batch, expert):
     """The SAG scores with (A + I)u as its own scatter and add: A u, then
     + u."""
     n = batch.num_nodes
-    deg = np.bincount(batch.edge_index[:, 1], minlength=n)
+    deg = np.bincount(batch.dst.ids, minlength=n)
     dinv = Tensor((1.0 / np.sqrt(deg + 1.0))[:, None].astype(nodes.dtype))
     u = ad.mul(ad.matmul(nodes, expert.theta_att), dinv)
-    au = ad.scatter_segment_sum(ad.gather_rows(u, batch.edge_index[:, 0]),
-                                batch.edge_index[:, 1], n)
+    au = ad.scatter_segment_sum(ad.gather_rows(u, batch.src.ids),
+                                batch.dst.ids, n)
     return ad.tanh(ad.mul(ad.add(au, u), dinv))
 
 
@@ -357,7 +371,7 @@ def sag_project_scatter_then_add(nodes, batch, expert, pool_ratio):
     """Reference for ``sag_project_batch`` with the self-term added by a
     separate op and the weights from the per-graph loop."""
     z_tilde = scatter_then_add(nodes, batch, expert)
-    weights = sag_weights_per_graph(z_tilde.data[:, 0], batch.graph_ids,
+    weights = sag_weights_per_graph(z_tilde.data[:, 0], batch.graph_ids.ids,
                                     batch.num_graphs, pool_ratio)
     return ad.pool_rows(nodes, z_tilde, weights, batch.graph_ids,
                         batch.num_graphs)
@@ -367,7 +381,8 @@ def sag_project_three_ops(nodes, batch, expert, pool_ratio):
     """Reference for ``sag_project_batch``: every node row is weighted and
     scattered, the dropped ones by an exact zero."""
     z_tilde = scatter_then_add(nodes, batch, expert)
-    weights = _sag_weights(z_tilde.data[:, 0], batch.offsets, pool_ratio)
+    weights = _sag_weights(z_tilde.data[:, 0],
+                           sag_layout(batch.offsets, pool_ratio))
     scaled = ad.mul(z_tilde, Tensor(weights[:, None].astype(nodes.dtype)))
     return ad.scatter_segment_sum(ad.mul(nodes, scaled), batch.graph_ids,
                                   batch.num_graphs)
@@ -477,7 +492,7 @@ class TestSagProject:
         # one decimal makes score ties, which must go to the lower node index
         scores = np.round(rng.uniform(-1.0, 1.0, size=graph_ids.size), 1)
         for ratio in (0.3, 0.5, 1.0):
-            got = _sag_weights(scores, offsets, ratio)
+            got = _sag_weights(scores, sag_layout(offsets, ratio))
             want = sag_weights_per_graph(scores, graph_ids, num_graphs, ratio)
             assert got.tobytes() == want.tobytes()
 
@@ -489,7 +504,7 @@ class TestSagProject:
         ei1 = np.array([[0, 1], [1, 0], [2, 3], [3, 2]])
         ei2 = np.array([[0, 1], [1, 0], [1, 2], [2, 1]])
         batch = batch_graphs([graph_with(n1, ei1), graph_with(n2, ei2)])
-        pooled = sag_project_batch(Tensor(x), batch, e, 0.6)
+        pooled = sag_project(Tensor(x), batch, e, 0.6)
         solo1 = sag_one(Tensor(x[:n1]), ei1, e, 0.6)
         solo2 = sag_one(Tensor(x[n1:]), ei2, e, 0.6)
         np.testing.assert_allclose(pooled.data[0], solo1.data[0], rtol=1e-12)
@@ -512,7 +527,7 @@ class TestSagProject:
         e = expert_of(rng, 5, dtype)
         (out, d_theta, d_nodes), (ref, ref_theta, ref_nodes) = (
             self._project_and_backward(project, batch, e, x, g)
-            for project in (sag_project_batch, sag_project_three_ops))
+            for project in (sag_project, sag_project_three_ops))
         assert out.dtype == d_theta.dtype == d_nodes.dtype == dtype
         assert out.tobytes() == ref.tobytes()
         # theta's gradient sums over the rows of non-zero score gradient
@@ -530,7 +545,7 @@ class TestSagProject:
         x = rng.normal(size=(batch.num_nodes, 4)).astype(dtype)
         g = rng.normal(size=(12, 4)).astype(dtype)
         e = expert_of(rng, 4, dtype)
-        got = self._project_and_backward(sag_project_batch, batch, e, x, g)
+        got = self._project_and_backward(sag_project, batch, e, x, g)
         want = self._project_and_backward(sag_project_scatter_then_add,
                                           batch, e, x, g)
         for a, b in zip(got, want):
@@ -547,10 +562,11 @@ def sag_project_chain(nodes, batch, expert, pool_ratio):
     that ``ad.sag_scores`` replaces."""
     dinv = Tensor(batch.prop_dinv.astype(nodes.dtype))
     u = ad.mul(ad.matmul(nodes, expert.theta_att), dinv)
-    au = ad.scatter_segment_sum(ad.gather_rows(u, batch.prop_src),
-                                batch.prop_dst, batch.num_nodes)
+    au = ad.scatter_segment_sum(ad.gather_rows(u, batch.prop_src.ids),
+                                batch.prop_dst.ids, batch.num_nodes)
     z_tilde = ad.tanh(ad.mul(au, dinv))
-    weights = _sag_weights(z_tilde.data[:, 0], batch.offsets, pool_ratio)
+    weights = _sag_weights(z_tilde.data[:, 0],
+                           sag_layout(batch.offsets, pool_ratio))
     return ad.pool_rows(nodes, z_tilde, weights, batch.graph_ids,
                         batch.num_graphs)
 
@@ -587,7 +603,7 @@ class TestExpertMatchesChain:
     def _both(self, smiles, dtype, unrouted):
         batch = (random_batch(np.random.default_rng(52), 7) if smiles is None
                  else batch_graphs([featurize(parse_smiles(s)) for s in smiles]))
-        return (self._run(sag_project_batch, expert_mlp, batch, dtype, unrouted),
+        return (self._run(sag_project, expert_mlp, batch, dtype, unrouted),
                 self._run(sag_project_chain, expert_mlp_chain, batch, dtype,
                           unrouted))
 

@@ -408,7 +408,7 @@ class TestBondlessBatch:
         rng = np.random.default_rng(14)
         model = Model.create(tiny_config(k_s=3, k_t=3), seed=14)
         batch = tiny_batch(self.SMILES)
-        assert batch.edge_index.shape == (0, 2)
+        assert batch.src.ids.shape == batch.dst.ids.shape == (0,)
         rngs = [np.random.default_rng(70 + b) for b in range(2)]
         with Tape() as tape:
             out = model.forward(batch, task_matrix(rng, 3), noise_on=True,
@@ -487,6 +487,33 @@ class TestTapeSize:
         # the leaf inputs left are parameters, all views of one arena
         (arena,) = {id(p.data.base) for p in model.parameters().values()}
         assert left == {arena}
+
+    def test_only_the_batch_plans_keep_flat_indices(self):
+        """The ``ad.Index`` objects in the vjp closures' cells that hold a
+        cached flat index are the batch's own plans, which live with the
+        batch. ``pool_rows``' kept rows differ per expert: a closure holding
+        their Index would keep one flat index per view until ``backward``
+        (about 230 MB in a paper-shape step)."""
+        model = Model.create(tiny_config(), seed=3)
+        rng = np.random.default_rng(3)
+        rngs = [np.random.default_rng(b) for b in range(2)]
+        batch = tiny_batch(("CCO", "C=O", "CC(=O)O"))
+        plans = {id(getattr(batch, name)) for name in
+                 ("src", "dst", "graph_ids", "prop_src", "prop_dst")}
+        with Tape() as tape:
+            out = model.forward(batch, task_matrix(rng, 3), noise_on=True,
+                                rngs=rngs)
+            model_loss(model, out, np.array([1.0, 0.0, 1.0]), beta=0.1)
+        cached = set()
+        for node in tape.nodes:
+            for cell in node.vjp.__closure__ or ():
+                try:
+                    value = cell.cell_contents
+                except ValueError:  # empty cell
+                    continue
+                if isinstance(value, ad.Index) and value._flat:
+                    cached.add(id(value))
+        assert cached and cached <= plans
 
     def test_backward_frees_the_graph_as_it_goes(self):
         """At the acceptance shape, the memory that ``backward`` adds above

@@ -426,6 +426,54 @@ class TestTrainingLoop:
         assert ids == [r.task_id for r in data[:5]]
 
 
+class TestIndexPlans:
+    """A batch's index vectors are planned once (``ad.Index``): one training
+    step at the acceptance shape flattens each of them at most once per row
+    width, however many gathers and scatters read it."""
+
+    def test_a_step_flattens_each_planned_index_once_per_width(
+            self, monkeypatch):
+        data = synthesize_dataset(11, {"A": "carbonyl", "B": "aromatic_ring"}, 8)
+        tasks = resolve_tasks({r.task_id for r in data}, None, fallback_dim=6)
+        cfg = ModelConfig(embed_dim=8, num_gnn_layers=2,
+                          num_processing_layers=2, num_experts=6, k_s=2,
+                          k_t=3, pool_ratio=0.5, task_dim=6)
+        model = Model.create(cfg, seed=0)
+        settings = TrainSettings(batch_size=16, seed=0, lr=0.01, beta=0.1)
+        opt = OptimizerState.create(model.parameters(), lr=settings.lr,
+                                    weight_decay=0.01)
+        batches = []  # kept alive, so that no id() below is reused
+
+        def kept(graphs, _real=train.batch_graphs):
+            batches.append(_real(graphs))
+            return batches[-1]
+
+        returned = {}  # (id of the index, width) -> every array returned
+
+        def counted(index, width, _real=ad.Index.flat):
+            flat = _real(index, width)
+            returned.setdefault((id(index), width), []).append(flat)
+            return flat
+
+        monkeypatch.setattr(train, "batch_graphs", kept)
+        monkeypatch.setattr(ad.Index, "flat", counted)
+        _, step = train_epoch(model, data, tasks, settings, opt,
+                              ScheduleConfig(total_steps=1), 0, 0)
+        assert step == 1 and len(batches) == 1
+        names = {id(getattr(batches[0], name)): name for name in
+                 ("src", "dst", "graph_ids", "prop_src", "prop_dst")}
+        planned = {(names[i], width): flats
+                   for (i, width), flats in returned.items() if i in names}
+        # GIN: dst forward and src backward, per layer of each block; the
+        # readout per block; each expert's view, forward and backward
+        assert {key: len(flats) for key, flats in planned.items()} == {
+            ("dst", 8): 4, ("src", 8): 4, ("graph_ids", 8): 2,
+            ("prop_dst", 1): 12, ("prop_src", 1): 12}
+        # built once: every call returned the array the first call built
+        for flats in planned.values():
+            assert all(flat is flats[0] for flat in flats)
+
+
 class TestMetricsLog:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "metrics.csv"
