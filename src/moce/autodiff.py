@@ -6,9 +6,9 @@ target its gradient goes to: the input's node on this tape, the input
 itself if it is a leaf that needs a gradient, or None. The append order is
 a topological order of the computation, so ``backward`` visits nodes
 exactly once in reverse and returns the gradient of each reached leaf in a
-map keyed by that leaf. With no active tape, operations compute values
-only, which is what evaluation mode and the finite-difference harness rely
-on.
+map keyed by that leaf, or adds it into a slot the caller gave for that
+leaf. With no active tape, operations compute values only, which is what
+evaluation mode and the finite-difference harness rely on.
 
 Every primitive records through ``_op`` with one contract: its
 vector-Jacobian product maps the output gradient to a tuple of exactly
@@ -122,7 +122,7 @@ class Tensor:
     ``requires_grad`` marks leaves that should receive gradients. Results of
     operations on such tensors carry ``node`` references while a tape is
     active. Gradients live only in the map ``Tape.backward`` returns, keyed
-    by leaf.
+    by leaf, or in the slots the caller gives it.
     """
 
     __slots__ = ("data", "requires_grad", "node")
@@ -189,6 +189,42 @@ def arena(shapes: Sequence[tuple[int, ...]], dtype) -> list[np.ndarray]:
     return views
 
 
+def arena_copies(arrays: Sequence[np.ndarray], dtype) -> list[np.ndarray]:
+    """Copies of ``arrays``, cast to ``dtype``, as the views of one new
+    ``arena``."""
+    views = arena([a.shape for a in arrays], dtype)
+    for view, a in zip(views, arrays):
+        np.copyto(view, a)
+    return views
+
+
+def _arena_of(arrays: Sequence[np.ndarray]) -> np.ndarray | None:
+    """The buffer that ``arrays`` are views of as ``arena`` lays them out
+    (C-ordered, in order, no gap, no overlap, covering it), else None."""
+    buf = arrays[0].base
+    if buf is None or buf.ndim != 1 or not buf.flags.c_contiguous:
+        return None
+    end = buf.ctypes.data
+    for a in arrays:
+        if (a.base is not buf or not a.flags.c_contiguous
+                or a.ctypes.data != end):
+            return None
+        end += a.nbytes
+    return buf if end == buf.ctypes.data + buf.nbytes else None
+
+
+def pack(tensors: Sequence[Tensor], dtype) -> None:
+    """Make ``tensors``' data the views of one buffer of ``dtype``, back to
+    back in order as ``arena`` lays them out, unless they already are: each
+    tensor's data is copied into a new arena, cast to ``dtype``, and
+    rebound to its view there."""
+    arrays = [t.data for t in tensors]
+    buf = _arena_of(arrays)
+    if buf is None or buf.dtype != dtype:
+        for t, view in zip(tensors, arena_copies(arrays, dtype)):
+            t.data = view
+
+
 class Tape:
     """Append-only record of operations, read by ``backward``.
 
@@ -225,7 +261,9 @@ class Tape:
         return (node is not None and node.pos < len(self.nodes)
                 and self.nodes[node.pos] is node)
 
-    def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
+    def backward(self, loss: Tensor,
+                 into: dict[Tensor, np.ndarray] | None = None
+                 ) -> dict[Tensor, np.ndarray]:
         """Gradients of the scalar ``loss`` with respect to every
         requires_grad leaf reachable from it, as a map keyed by leaf. A leaf
         the loss does not reach has no entry.
@@ -235,6 +273,13 @@ class Tape:
         made (see ``_accumulate``); an array a vector-Jacobian product
         returned is never written. Each returned gradient is a dense array
         of its own.
+
+        ``into`` maps leaves to slots of their shape and dtype: a leaf with
+        a slot gets its gradient there, with no entry in the map returned.
+        The first arrival is copied in (a row-sparse one over zeros) and
+        later ones add in place, in the same order as above, so a gradient
+        of the slot's dtype gets the same bits. A slot whose leaf the loss
+        does not reach is zeroed.
 
         Each node's vector-Jacobian closure is dropped as ``backward``
         reaches it, so the arrays it kept are freed once its gradients are
@@ -251,6 +296,8 @@ class Tape:
         node_grads: dict[Node, np.ndarray] = {loss.node: np.ones_like(loss.data)}
         leaf_grads: dict[Tensor, np.ndarray] = {}
         owned: set = set()
+        slots = {} if into is None else into
+        filled: set = set()
         self._consumed = True
 
         for pos in range(start, -1, -1):
@@ -262,8 +309,16 @@ class Tape:
             for target, gin in zip(node.inputs, vjp(gout), strict=True):
                 if gin is None or target is None:
                     continue
-                _accumulate(node_grads if type(target) is Node else leaf_grads,
-                            owned, target, gin)
+                if type(target) is Node:
+                    _accumulate(node_grads, owned, target, gin)
+                elif target in slots:
+                    _add_into(slots[target], gin, target not in filled)
+                    filled.add(target)
+                else:
+                    _accumulate(leaf_grads, owned, target, gin)
+        for tensor, slot in slots.items():
+            if tensor not in filled:
+                slot.fill(0)
         for tensor, grad in leaf_grads.items():
             if tensor not in owned:
                 leaf_grads[tensor] = grad.copy()
@@ -320,6 +375,22 @@ def _accumulate(grads: dict, owned: set, key, gin) -> None:
         grads[key] = held + gin
         if isinstance(grads[key], np.ndarray):  # 0-d operands sum to a scalar
             owned.add(key)
+
+
+def _add_into(slot: np.ndarray, gin, first: bool) -> None:
+    """``_accumulate``'s sums for one leaf, formed in ``slot``: a first
+    arrival is copied in, a row-sparse one over zeros, and a later one
+    adds in place."""
+    if isinstance(gin, RowSparse):
+        if first:
+            slot.fill(0)
+            slot[gin.rows] = gin.values
+        else:
+            slot[gin.rows] += gin.values
+    elif first:
+        np.copyto(slot, gin)
+    else:
+        np.add(slot, gin, out=slot)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -662,19 +733,24 @@ class Index:
         return self._counts
 
 
-def _index_add(shape, dtype, index: Index, values: np.ndarray) -> np.ndarray:
+def _index_add(shape, dtype, index: Index, values: np.ndarray,
+               rows: np.ndarray | None = None) -> np.ndarray:
     """zeros(shape, dtype) with each ``values[i]`` added into row
-    ``index.ids[i]``.
+    ``index.ids[i]``, or with ``rows``, into row ``index.ids[rows[i]]``.
 
-    ``values`` has shape ``index.ids.shape + shape[1:]``. The rows are
-    flattened, by the index's cached flat index, so that ``np.add.at`` runs
-    on 1-D operands, its fast path: every target element still starts at
-    zero and receives its additions in index order, so the result is bit
-    for bit that of ``np.add.at(out, index.ids, values)``.
+    ``values`` has shape ``index.ids[rows].shape + shape[1:]``. The rows
+    are flattened, by the index's cached flat index (the rows of it that
+    ``rows`` picks), so that ``np.add.at`` runs on 1-D operands, its fast
+    path: every target element still starts at zero and receives its
+    additions in index order, so the result is bit for bit that of
+    ``np.add.at(out, index.ids[rows], values)``.
     """
     out = np.zeros(shape, dtype=dtype)
-    np.add.at(out.reshape(-1), index.flat(math.prod(shape[1:])),
-              values.reshape(-1))
+    width = math.prod(shape[1:])
+    flat = index.flat(width)
+    if rows is not None:
+        flat = flat.reshape(-1, width)[rows].reshape(-1)
+    np.add.at(out.reshape(-1), flat, values.reshape(-1))
     return out
 
 
@@ -788,10 +864,10 @@ def pool_rows(x: Tensor, scores: Tensor, weights, segment_ids,
     seg = ids.ids[rows]
     scale = (scores.data[rows, 0] * w[rows])[:, None]
     kept = X[rows] * scale
-    # the kept rows differ per expert: their flat index is built for this
-    # one scatter and not kept, where the tape would hold one per view
-    out_data = _index_add((num_segments, X.shape[1]), kept.dtype,
-                          Index(seg, num_segments), kept)
+    # the kept rows' flat index: rows of the segment ids' cached one, which
+    # is gathered for this one scatter and not kept
+    out_data = _index_add((num_segments, X.shape[1]), kept.dtype, ids, kept,
+                          rows)
     scores_dtype = scores.data.dtype
 
     def vjp(g):

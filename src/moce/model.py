@@ -9,7 +9,8 @@ by every block (bond features never change).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, fields
 from functools import reduce
 
 import numpy as np
@@ -99,8 +100,9 @@ class Model(Module):
         """Build all parameters from one seeded generator in a fixed order,
         so (config, seed, precision) fully determine the initial state. Each
         parameter is drawn in float64 and cast to ``dtype`` once, here, by
-        the copy into one ``ad.arena`` buffer, in ``parameters()`` order;
-        each parameter's ``data`` is a view of that buffer."""
+        the copy into one ``ad.arena`` buffer (``ad.pack``), in
+        ``parameters()`` order; each parameter's ``data`` is a view of that
+        buffer."""
         config.validate()
         rng = np.random.Generator(np.random.PCG64(seed))
         tables = EncoderConfig.create(rng, config.embed_dim)
@@ -118,11 +120,17 @@ class Model(Module):
                                              config.num_processing_layers)
         model = cls(config=config, input_tables=tables, blocks=blocks,
                     integrator=integrator)
-        params = list(model.parameters().values())
-        for t, view in zip(params, ad.arena([t.shape for t in params], dtype)):
-            np.copyto(view, t.data)
-            t.data = view
+        ad.pack(list(model.parameters().values()), dtype)
         return model
+
+    def __deepcopy__(self, memo) -> "Model":
+        """An independent copy whose parameters are the views of one new
+        arena, as ``create`` lays them out: each is copied straight into
+        its place there."""
+        params = [t.data for t in self.parameters().values()]
+        memo.update(zip(map(id, params), ad.arena_copies(params, self.dtype)))
+        return type(self)(**{f.name: copy.deepcopy(getattr(self, f.name), memo)
+                             for f in fields(self)})
 
     @property
     def dtype(self):

@@ -1114,13 +1114,21 @@ def _watch_vjps(tape):
 def _both_backwards(build, leaves):
     """Leaf gradients of ``build()`` from the reference and from
     ``Tape.backward`` (run second, on the same tape), and whether backward
-    left every array a vector-Jacobian product returned as it was."""
+    left every array a vector-Jacobian product returned as it was. A third
+    run, on a tape of its own, checks that ``backward`` into slots (filled
+    with stale values first) lands the bits it returns, and zeros where it
+    returns none."""
     with Tape() as tape:
         loss = build()
         want = _reference_backward(tape, loss)
         returned = _watch_vjps(tape)
         inputs = [t.data.copy() for t in leaves]
         got = tape.backward(loss)
+    slots = {t: np.full_like(t.data, 7.0) for t in leaves}
+    with Tape() as tape:
+        assert tape.backward(build(), into=slots) == {}
+    for t, slot in slots.items():
+        assert slot.tobytes() == got.get(t, np.zeros_like(t.data)).tobytes()
     untouched = (all(a.tobytes() == b.tobytes() for a, b in returned)
                  and all(t.data.tobytes() == c.tobytes()
                          for t, c in zip(leaves, inputs)))
@@ -1405,13 +1413,6 @@ class TestTwoCpus:
                 got, want = _live_row_grads(dtype)
             _assert_same_bits(got, want)
         assert len(calls) == 6  # two vjps per setting
-
-    def test_adamw_halves_are_balanced_by_size_then_name(self):
-        from moce.train import _halves
-
-        sizes = {"a": 5, "b": 3, "c": 3, "d": 2, "e": 1}
-        params = {n: Tensor(np.zeros(k)) for n, k in sizes.items()}
-        assert _halves(params) == (["a", "d"], ["b", "c", "e"])
 
     def test_adamw_halves_share_no_buffer(self, monkeypatch):
         """Stress: thread switches every microsecond while both halves

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from moce import autodiff as ad
+from moce import train
 from moce.autodiff import Tape, Tensor, finite_diff_check
 from moce.checkpoint import (load_checkpoint, restore_model,
                              restore_optimizer, save_checkpoint)
@@ -206,6 +207,120 @@ class TestArena:
                                for _ in range(2)]
         assert base.tobytes() == original.tobytes()
         assert x.data.base is base
+
+    def test_gradients_are_a_fourth_buffer_in_the_layout(self, dtype):
+        model, opt = self.build(dtype)
+        params = model.parameters()
+        assert list(opt.grads) == list(params)
+        grads = _arena_of(list(opt.grads.values()), dtype)
+        bases = self.arenas(model, opt, dtype)
+        assert all(grads is not b for b in bases)
+        assert grads.size == bases[0].size
+        for name, p in params.items():
+            assert opt.grads[name].shape == p.shape
+        assert not grads.any()
+
+    def test_adamw_reads_the_gradient_buffer_on_every_step(self, dtype,
+                                                            monkeypatch):
+        model, opt = self.build(dtype)
+        records = synthesize_dataset(3, {"A": "carbonyl"}, 8)
+        tasks = resolve_tasks(["A"], None, fallback_dim=5)
+        seen = []
+
+        def watched(params, grads, state, lr, _real=train.adamw_step):
+            seen.append([g.base for g in grads.values()])
+            _real(params, grads, state, lr)
+
+        monkeypatch.setattr(train, "adamw_step", watched)
+        train.train_epoch(model, records, tasks,
+                          train.TrainSettings(batch_size=4, seed=0, lr=0.01,
+                                              beta=0.1),
+                          opt, train.ScheduleConfig(total_steps=2), 0, 0)
+        grads = _arena_of(list(opt.grads.values()), dtype)
+        assert len(seen) == 2 and opt.step_count == 2
+        assert all(base is grads for bases in seen for base in bases)
+
+    def test_backward_lands_each_gradient_in_its_slot(self, dtype):
+        """Every slot gets the bits ``backward`` returns without slots, and
+        zeros for a parameter the loss does not reach."""
+        model, opt = self.build(dtype)
+        params = model.parameters()
+        batch = tiny_batch()
+        tasks = Tensor(np.random.default_rng(4).normal(size=(2, 5)), dtype=dtype)
+
+        def backward(into):
+            with Tape() as tape:
+                out = model.forward(batch, tasks, noise_on=False)
+                loss = model_loss(model, out, [1.0, 0.0], beta=0.5,
+                                  toggles=LossToggles(lod=False)).overall
+                return tape.backward(loss, into=into)
+
+        returned = backward(None)
+        unreached = [n for n, p in params.items() if p not in returned]
+        assert unreached  # the noise weights, with noise and load loss off
+        for slot in opt.grads.values():
+            slot.fill(7.0)  # a stale step's values
+        assert backward(dict(zip(params.values(), opt.grads.values()))) == {}
+        for name, p in params.items():
+            want = returned.get(p, np.zeros_like(p.data))
+            assert want.dtype == dtype
+            assert opt.grads[name].tobytes() == want.tobytes(), name
+
+    def test_row_sparse_first_arrival_leaves_zeros_outside_its_rows(self,
+                                                                   dtype):
+        x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True,
+                   dtype=dtype)
+        slots = {x: np.full((3, 2), 7.0, dtype)}
+        with Tape() as tape:
+            out = ad.pool_rows(x, Tensor(np.ones((3, 1)), dtype=dtype),
+                               np.array([0.5, 0.0, 0.5], dtype),
+                               np.zeros(3, int), 1)
+            assert tape.backward(ad.reduce_sum(out), into=slots) == {}
+        want = np.array([[0.5, 0.5], [0.0, 0.0], [0.5, 0.5]], dtype)
+        assert slots[x].tobytes() == want.tobytes()
+
+    def test_deepcopies_train_to_the_originals_bytes(self, dtype):
+        """A model and its optimizer copied separately, as a serving
+        workload copies them, keep one buffer of each kind and train as the
+        originals do."""
+        model, opt = self.build(dtype)
+        records = synthesize_dataset(3, {"A": "carbonyl"}, 8)
+        tasks = resolve_tasks(["A"], None, fallback_dim=5)
+        settings = train.TrainSettings(batch_size=4, seed=0, lr=0.01,
+                                       beta=0.1)
+        schedule = train.ScheduleConfig(total_steps=4)
+        train.train_epoch(model, records, tasks, settings, opt, schedule, 0, 0)
+        clone, clone_opt = copy.deepcopy(model), copy.deepcopy(opt)
+        originals = self.arenas(model, opt, dtype)
+        copies = self.arenas(clone, clone_opt, dtype)
+        for a, b in zip(originals, copies):
+            assert not np.shares_memory(a, b)
+            assert a.tobytes() == b.tobytes()
+        grads = _arena_of(list(clone_opt.grads.values()), dtype)
+        assert not grads.any() and clone_opt.step_count == opt.step_count
+        for m, o in ((model, opt), (clone, clone_opt)):
+            train.train_epoch(m, records, tasks, settings, o, schedule, 1, 2)
+        for a, b in zip(originals, self.arenas(clone, clone_opt, dtype)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("split", ["rebound", "deepcopied", "reordered"])
+    def test_adamw_step_rejects_parameters_outside_the_layout(self, dtype,
+                                                              split):
+        model, opt = self.build(dtype)
+        moments = self.arenas(model, opt, dtype)[1:]
+        before = [b.copy() for b in moments]
+        params = model.parameters()
+        if split == "rebound":
+            params["integrator.bias"].data = params["integrator.bias"].data.copy()
+        elif split == "deepcopied":
+            params = copy.deepcopy(params)
+        else:
+            params = dict(reversed(params.items()))
+        grads = {n: np.ones(p.shape, dtype) for n, p in params.items()}
+        with pytest.raises(train.LayoutMismatch, match="optimizer's layout"):
+            adamw_step(params, grads, opt, lr=0.01)
+        assert opt.step_count == 0
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(moments, before))
 
     def test_deepcopy_is_independent(self, dtype):
         model, _ = self.build(dtype)

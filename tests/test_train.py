@@ -1,8 +1,10 @@
 """Optimizer, schedule, AUC-ROC, and the training loop."""
 
 import gc
+import itertools
 import math
 import weakref
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from moce.train import (
     ADAM_BETA2,
     ADAM_EPS,
     EpochMetrics,
+    LayoutMismatch,
     MetricsLog,
     NonFiniteGradient,
     OptimizerState,
@@ -93,6 +96,23 @@ class TestAdamW:
         adamw_step(params, {"w": np.array([1.0])}, state, lr=0.0)
         np.testing.assert_array_equal(params["w"].data, [1.0])
 
+    @pytest.mark.parametrize("grads, error, match", [
+        ({"w": np.ones(1), "b": np.ones(2)}, ad.ShapeMismatch,
+         r"w: gradient shape \(1,\) does not match parameter shape \(5,\)"),
+        ({"w": np.ones(5), "b": np.ones(2), "x": np.ones(5)}, LayoutMismatch,
+         r"missing: \[\], unexpected: \['x'\]"),
+        ({"w": np.ones(5)}, LayoutMismatch, r"missing: \['b'\], unexpected"),
+    ], ids=["broadcast-shape", "unknown-name", "missing-name"])
+    def test_gradients_must_match_the_parameters(self, grads, error, match):
+        params = param_dict({"w": np.arange(5.0), "b": np.ones(2)})
+        state = OptimizerState.create(params, lr=0.01, weight_decay=0.01)
+        with pytest.raises(error, match=match):
+            adamw_step(params, grads, state, lr=0.01)
+        np.testing.assert_array_equal(params["w"].data, np.arange(5.0))
+        np.testing.assert_array_equal(params["b"].data, np.ones(2))
+        assert state.step_count == 0
+        assert not any(a.any() for a in (*state.m.values(), *state.v.values()))
+
 
 def adamw_reference(params, grads, state, lr):
     """The out-of-place AdamW update that ``adamw_step`` runs in place."""
@@ -146,6 +166,114 @@ class TestAdamWInPlace:
         adamw_step(params, grads, state, lr=lr)
         adamw_reference(ref, grads, ref_state, np.float32(lr))
         assert params["w"].data.tobytes() == ref["w"].data.tobytes()
+
+
+def _poisoned_loss(call: int):
+    """``model_loss``, with the overall loss of its call ``call`` (from 0)
+    multiplied by inf, so that batch's gradients are not finite."""
+    calls = itertools.count()
+
+    def loss(*args, **kwargs):
+        breakdown = model_loss(*args, **kwargs)
+        if next(calls) == call:
+            overall = breakdown.overall
+            breakdown.overall = ad.mul(overall,
+                                       Tensor(np.inf, dtype=overall.dtype))
+        return breakdown
+
+    return loss
+
+
+def _reference_epochs(model, records, tasks, settings, opt, schedule,
+                      epochs, loss_fn) -> int:
+    """The reference for ``train_epoch``: ``backward`` into fresh arrays,
+    zeros for the parameters it does not reach, and the per-tensor
+    out-of-place AdamW (``adamw_reference``); returns the batches skipped
+    for a non-finite gradient."""
+    params = model.parameters()
+    step = skipped = 0
+    for epoch in range(epochs):
+        order = shuffle_rng(settings.seed, epoch).permutation(len(records))
+        shuffled = [records[i] for i in order]
+        for start in range(0, len(shuffled), settings.batch_size):
+            batch, t, labels, _ = make_batch(
+                shuffled[start:start + settings.batch_size], tasks,
+                dtype=model.dtype)
+            with Tape() as tape:
+                result = model.forward(
+                    batch, t, noise_on=True,
+                    rngs=noise_rngs(settings.seed, step, len(model.blocks)))
+                leaf = tape.backward(loss_fn(model, result, labels,
+                                             settings.beta).overall)
+            grads = {n: leaf[p] if p in leaf else np.zeros_like(p.data)
+                     for n, p in params.items()}
+            lr = cosine_lr(min(step, schedule.total_steps), schedule,
+                           settings.lr)
+            step += 1
+            if all(np.isfinite(g).all() for g in grads.values()):
+                adamw_reference(params, grads, opt, lr)
+            else:
+                skipped += 1
+    return skipped
+
+
+def _cpu_setting(name: str, m) -> None:
+    """Pair every job of ``ad._both``, with one CPU, with two, or with two
+    and the worker never giving a job back."""
+    m.setattr(ad, "PAIR_MIN_WORK", 0)
+    m.setattr(ad.os, "sched_getaffinity",
+              lambda pid: {0} if name == "one-cpu" else {0, 1})
+    if name == "on-worker":
+        m.setattr(Future, "cancel", lambda self: False)
+
+
+class TestArenaTraining:
+    """``train_epoch`` with ``backward`` into the gradient arena and AdamW
+    as one chunked pass gives the bytes of the per-tensor loop it
+    replaced."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("cpus", ["one-cpu", "paired", "on-worker"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_train_epoch_matches_the_reference_loop(self, dtype, cpus,
+                                                    monkeypatch):
+        data = synthesize_dataset(11, {"A": "carbonyl", "B": "aromatic_ring"},
+                                  16)
+        tasks = resolve_tasks({r.task_id for r in data}, None, fallback_dim=6)
+        cfg = ModelConfig(embed_dim=8, num_gnn_layers=2,
+                          num_processing_layers=2, num_experts=6, k_s=2,
+                          k_t=3, pool_ratio=0.5, task_dim=6)
+        settings = TrainSettings(batch_size=8, seed=0, lr=0.01, beta=0.1)
+        schedule = ScheduleConfig(total_steps=8)
+        runs = []
+        for _ in range(2):
+            model = Model.create(cfg, seed=0, dtype=dtype)
+            runs.append((model, OptimizerState.create(
+                model.parameters(), lr=settings.lr, weight_decay=0.01)))
+        (model, opt), (ref, ref_opt) = runs
+        sizes = np.cumsum([p.data.size for p in model.parameters().values()])
+        chunk = 7  # chunks and the midpoint fall inside tensors
+        assert sizes[-1] // 2 not in sizes and (sizes % chunk).any()
+
+        ref_skipped = _reference_epochs(ref, data, tasks, settings, ref_opt,
+                                        schedule, 2, _poisoned_loss(2))
+        skipped = step = 0
+        with monkeypatch.context() as m:
+            _cpu_setting(cpus, m)
+            m.setattr(train, "ADAM_CHUNK", chunk)
+            m.setattr(train, "model_loss", _poisoned_loss(2))
+            for epoch in range(2):
+                metrics, step = train_epoch(model, data, tasks, settings, opt,
+                                            schedule, epoch, step)
+                skipped += metrics.skipped_batches
+        assert step == 8 and skipped == ref_skipped == 1
+        assert opt.step_count == ref_opt.step_count == 7
+        for name, p in ref.parameters().items():
+            got = model.parameters()[name]
+            for a, b in ((got.data, p.data), (opt.m[name], ref_opt.m[name]),
+                         (opt.v[name], ref_opt.v[name])):
+                assert a.dtype == b.dtype == dtype
+                assert a.tobytes() == b.tobytes(), name
 
 
 class TestCosineSchedule:
@@ -465,9 +593,11 @@ class TestIndexPlans:
         planned = {(names[i], width): flats
                    for (i, width), flats in returned.items() if i in names}
         # GIN: dst forward and src backward, per layer of each block; the
-        # readout per block; each expert's view, forward and backward
+        # readout per block, and each expert view's pooling scatter, which
+        # gathers its kept rows from the readout's; each expert's view,
+        # forward and backward
         assert {key: len(flats) for key, flats in planned.items()} == {
-            ("dst", 8): 4, ("src", 8): 4, ("graph_ids", 8): 2,
+            ("dst", 8): 4, ("src", 8): 4, ("graph_ids", 8): 2 + 12,
             ("prop_dst", 1): 12, ("prop_src", 1): 12}
         # built once: every call returned the array the first call built
         for flats in planned.values():
