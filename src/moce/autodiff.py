@@ -5,10 +5,11 @@ appends one node recording a vector-Jacobian closure and, per input, the
 target its gradient goes to: the input's node on this tape, the input
 itself if it is a leaf that needs a gradient, or None. The append order is
 a topological order of the computation, so ``backward`` visits nodes
-exactly once in reverse and returns the gradient of each reached leaf in a
-map keyed by that leaf, or adds it into a slot the caller gave for that
-leaf. With no active tape, operations compute values only, which is what
-evaluation mode and the finite-difference harness rely on.
+exactly once in reverse and forms the gradient of each reached leaf in one
+slot of the leaf's shape and dtype: one the caller gave for that leaf, or
+one it makes and returns in a map keyed by that leaf. With no active tape,
+operations compute values only, which is what evaluation mode and the
+finite-difference harness rely on.
 
 Every primitive records through ``_op`` with one contract: its
 vector-Jacobian product maps the output gradient to a tuple of exactly
@@ -269,17 +270,19 @@ class Tape:
         the loss does not reach has no entry.
 
         Nodes are visited in reverse tape order, and the gradients reaching
-        one tensor add up in that order, in place into buffers the tape
-        made (see ``_accumulate``); an array a vector-Jacobian product
-        returned is never written. Each returned gradient is a dense array
-        of its own.
+        one tensor add up in that order; an array a vector-Jacobian product
+        returned is never written. A node's gradient adds up in buffers the
+        tape made (see ``_accumulate``). A leaf's forms in one slot
+        (``_add_into``): the first arrival is copied in (a row-sparse one
+        over zeros) and later ones add in place.
 
         ``into`` maps leaves to slots of their shape and dtype: a leaf with
-        a slot gets its gradient there, with no entry in the map returned.
-        The first arrival is copied in (a row-sparse one over zeros) and
-        later ones add in place, in the same order as above, so a gradient
-        of the slot's dtype gets the same bits. A slot whose leaf the loss
-        does not reach is zeroed.
+        a slot gets its gradient there, with no entry in the map returned,
+        and a slot whose leaf the loss does not reach is zeroed. Any other
+        reached leaf gets a new slot of its shape and dtype, returned in
+        the map. So a leaf's gradient has its leaf's shape and dtype, in
+        both forms, with the same bits: a 0-d leaf gets a 0-d array, and a
+        float32 leaf a float32 gradient even where float64 ones reach it.
 
         Each node's vector-Jacobian closure is dropped as ``backward``
         reaches it, so the arrays it kept are freed once its gradients are
@@ -294,10 +297,9 @@ class Tape:
 
         start = loss.node.pos
         node_grads: dict[Node, np.ndarray] = {loss.node: np.ones_like(loss.data)}
-        leaf_grads: dict[Tensor, np.ndarray] = {}
         owned: set = set()
-        slots = {} if into is None else into
-        filled: set = set()
+        into = {} if into is None else into
+        slots: dict[Tensor, np.ndarray] = {}  # each reached leaf's, in order
         self._consumed = True
 
         for pos in range(start, -1, -1):
@@ -311,18 +313,19 @@ class Tape:
                     continue
                 if type(target) is Node:
                     _accumulate(node_grads, owned, target, gin)
-                elif target in slots:
-                    _add_into(slots[target], gin, target not in filled)
-                    filled.add(target)
-                else:
-                    _accumulate(leaf_grads, owned, target, gin)
-        for tensor, slot in slots.items():
-            if tensor not in filled:
+                    continue
+                slot = slots.get(target)
+                first = slot is None
+                if first:
+                    slot = into.get(target)
+                    if slot is None:
+                        slot = np.empty(target.data.shape, target.data.dtype)
+                    slots[target] = slot
+                _add_into(slot, gin, first)
+        for tensor, slot in into.items():
+            if tensor not in slots:
                 slot.fill(0)
-        for tensor, grad in leaf_grads.items():
-            if tensor not in owned:
-                leaf_grads[tensor] = grad.copy()
-        return leaf_grads
+        return {t: slot for t, slot in slots.items() if t not in into}
 
 
 class RowSparse:
@@ -345,7 +348,7 @@ class RowSparse:
 
 
 def _accumulate(grads: dict, owned: set, key, gin) -> None:
-    """Add the gradient ``gin`` into ``grads[key]``.
+    """Add the gradient ``gin`` into ``grads[key]``, a node's.
 
     A first arrival is stored as it is: it may alias an array the tape does
     not own (``add`` hands one gradient to both inputs, ``reshape`` returns
@@ -378,9 +381,9 @@ def _accumulate(grads: dict, owned: set, key, gin) -> None:
 
 
 def _add_into(slot: np.ndarray, gin, first: bool) -> None:
-    """``_accumulate``'s sums for one leaf, formed in ``slot``: a first
-    arrival is copied in, a row-sparse one over zeros, and a later one
-    adds in place."""
+    """``_accumulate``'s sums for one leaf, formed in ``slot`` and cast to
+    its dtype: a first arrival is copied in, a row-sparse one over zeros,
+    and a later one adds in place."""
     if isinstance(gin, RowSparse):
         if first:
             slot.fill(0)
@@ -692,14 +695,14 @@ class Index:
     every entry lies in [0, bound), else IndexOutOfRange naming ``what``.
 
     It caches, per row width w, the flat index ``ids * w + arange(w)`` by
-    which ``_index_add`` scatters rows of w elements, and the count of each
-    id. The gather and scatter primitives take an Index or a raw vector,
-    which they wrap on entry, so an Index made once for a batch
-    (``encoder.batch_graphs`` makes them) is neither checked nor flattened
-    again by the calls that share it. Its caches live as long as it does.
+    which ``_index_add`` scatters rows of w elements. The gather and
+    scatter primitives take an Index or a raw vector, which they wrap on
+    entry, so an Index made once for a batch (``encoder.batch_graphs``
+    makes them) is neither checked nor flattened again by the calls that
+    share it. Its cache lives as long as it does.
     """
 
-    __slots__ = ("ids", "bound", "_flat", "_counts")
+    __slots__ = ("ids", "bound", "_flat")
 
     def __init__(self, ids, bound: int, what: str = "index"):
         ids = np.asarray(ids)
@@ -707,7 +710,6 @@ class Index:
             raise IndexOutOfRange(f"{what} outside [0, {bound})")
         self.ids, self.bound = ids, bound
         self._flat: dict[int, np.ndarray] = {}
-        self._counts = None
 
     @classmethod
     def of(cls, ids, bound: int, what: str) -> "Index":
@@ -725,12 +727,6 @@ class Index:
             flat = self.ids.astype(np.intp).reshape(-1, 1) * width
             flat = self._flat[width] = (flat + np.arange(width)).reshape(-1)
         return flat
-
-    def counts(self) -> np.ndarray:
-        """How many entries hold each id in [0, bound)."""
-        if self._counts is None:
-            self._counts = np.bincount(self.ids, minlength=self.bound)
-        return self._counts
 
 
 def _index_add(shape, dtype, index: Index, values: np.ndarray,

@@ -65,7 +65,8 @@ def _write(fh, config_text: str, params: dict, opt_m: dict, opt_v: dict,
            weight_decay: float) -> None:
     """Stream the framed format to the binary file object `fh`: each
     array's float64 memory is written and hashed in place, never gathered
-    into one body, and the digest of everything written goes last."""
+    into one body, and the digest of everything written goes last. Both
+    moment tables hold every parameter's name."""
     digest = hashlib.sha256()
 
     def put(data) -> None:
@@ -81,10 +82,7 @@ def _write(fh, config_text: str, params: dict, opt_m: dict, opt_v: dict,
     for name in names:
         encoded = name.encode("utf-8")
         put(struct.pack("<H", len(encoded)) + encoded)
-        param = params[name]
-        for arr in (param, opt_m.get(name), opt_v.get(name)):
-            if arr is None:  # a moment the tables lack is stored as zeros
-                arr = np.zeros(np.shape(param))
+        for arr in (params[name], opt_m[name], opt_v[name]):
             # copies only a float32 or non-C-ordered array; keeps 0-d as 0-d
             arr = np.asarray(arr, dtype="<f8", order="C")
             put(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))

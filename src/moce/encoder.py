@@ -182,13 +182,14 @@ def encode_from(nodes: Tensor, edges: Tensor, src, dst,
 
 def segment_mean_pool(nodes: Tensor, graph_ids, num_graphs: int) -> Tensor:
     """Per-graph mean readout over a block-diagonal batch: (B, dim).
-    ``graph_ids`` is each node's graph, a vector or an ``ad.Index``; an
-    Index keeps the per-graph counts for the batch's next readout."""
+    ``graph_ids`` is each node's graph, a vector or an ``ad.Index``; each
+    graph's node count is counted here, and a graph of none raises
+    EmptyGraph."""
     if nodes.shape[0] == 0:
         raise EmptyGraph("mean pool over zero nodes")
     ids = ad.Index.of(graph_ids, num_graphs, "segment id")
     sums = ad.scatter_segment_sum(nodes, ids, num_graphs)
-    counts = ids.counts()
+    counts = np.bincount(ids.ids, minlength=num_graphs)
     if not counts.all():
         raise EmptyGraph("a graph in the batch has zero nodes")
     return ad.div(sums, Tensor(counts.astype(nodes.dtype)[:, None]))

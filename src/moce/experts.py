@@ -285,34 +285,32 @@ def route_batch(x_hat: Tensor, tasks: Tensor, r: RouterParams,
 @dataclass
 class SagLayout:
     """``_sag_weights``' plan of a batch for one pool ratio kappa, shared by
-    the experts of a block: graph g keeps its top ``n_sel[g]`` =
-    ceil(kappa * n_g) rows. For several graphs, row r's score goes to cell
-    ``cells[r]`` of a (B, n_max) grid whose row g starts at node
-    ``starts[g]``; ``keep`` marks each grid row's first n_sel[g] columns,
-    and ``values`` holds 1/n_sel[g] per kept cell, in grid order."""
+    the experts of a block: graph g keeps its top n_sel[g] = ceil(kappa *
+    n_g) rows. Row r's score goes to cell ``cells[r]`` of a (B, n_max)
+    grid whose row g holds graph g's rows in order; ``keep`` marks each
+    grid row's first n_sel[g] columns. Per kept cell, in grid order,
+    ``kept_starts`` holds its graph's first row and ``values`` 1/n_sel[g]."""
 
-    n_sel: np.ndarray
-    starts: np.ndarray | None = None
-    cells: np.ndarray | None = None
-    keep: np.ndarray | None = None
-    values: np.ndarray | None = None
+    cells: np.ndarray
+    keep: np.ndarray
+    kept_starts: np.ndarray
+    values: np.ndarray
 
 
 def sag_layout(offsets: np.ndarray, pool_ratio: float) -> SagLayout:
     """The ``SagLayout`` of a batch whose graph g owns rows
-    offsets[g]:offsets[g + 1], for kappa in (0, 1]. One graph gets no grid:
-    ``topk_indices`` ranks it faster."""
+    offsets[g]:offsets[g + 1], for kappa in (0, 1]. One graph is a grid of
+    one row, with no padding."""
     if not 0.0 < pool_ratio <= 1.0:
         raise ValueError(f"pool_ratio must be in (0, 1], got {pool_ratio}")
     sizes = np.diff(offsets)
     n_sel = np.ceil(pool_ratio * sizes).astype(np.intp)
-    if sizes.size == 1:
-        return SagLayout(n_sel)
-    starts = offsets[:-1]
-    width = int(sizes.max())
-    cells = np.arange(offsets[-1]) + np.repeat(
-        np.arange(sizes.size) * width - starts, sizes)
-    return SagLayout(n_sel, starts, cells, keep=np.arange(width) < n_sel[:, None],
+    columns = np.arange(sizes.max())
+    # graph g's rows fill grid row g from the left, so in row-major order
+    # the filled cells are the rows 0..N-1
+    return SagLayout(cells=np.flatnonzero(columns < sizes[:, None]),
+                     keep=columns < n_sel[:, None],
+                     kept_starts=np.repeat(offsets[:-1], n_sel),
                      values=np.repeat(1.0 / n_sel, n_sel))
 
 
@@ -320,21 +318,18 @@ def _sag_weights(scores: np.ndarray, layout: SagLayout) -> np.ndarray:
     """Constant per-node weights: 1/n_selected on each graph's top
     ceil(kappa * n) rows by score (ties to the lower row), 0 off.
 
-    One graph takes ``topk_indices`` directly. A batch writes the negated
-    scores into a (B, n_max) grid padded with NaN and sorts every row at
-    once, stably: NaN sorts last, so row g's first n_g columns are graph
-    g's own ``topk_indices`` order, NaN scores included, and the first
-    ceil(kappa * n_g) of them are its selection.
+    The negated scores go into a (B, n_max) grid padded with NaN, and every
+    row is sorted at once, stably: NaN sorts last, so row g's first n_g
+    columns are graph g's own ``topk_indices`` order, NaN scores included,
+    and the first ceil(kappa * n_g) of them are its selection.
     """
-    weights = np.zeros_like(scores)
-    if layout.cells is None:
-        n_sel = int(layout.n_sel[0])
-        weights[topk_indices(scores, n_sel)] = 1.0 / n_sel
-        return weights
     grid = np.full(layout.keep.size, np.nan, dtype=scores.dtype)
     grid[layout.cells] = -scores
-    order = grid.reshape(layout.keep.shape).argsort(axis=1, kind="stable")
-    weights[(order + layout.starts[:, None])[layout.keep]] = layout.values
+    kept = grid.reshape(layout.keep.shape).argsort(
+        axis=1, kind="stable")[layout.keep]
+    kept += layout.kept_starts
+    weights = np.zeros_like(scores)
+    weights[kept] = layout.values
     return weights
 
 

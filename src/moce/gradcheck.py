@@ -7,9 +7,12 @@ differences at the suite's tolerance. Elementwise and structural
 operations are checked coordinate by coordinate; the encoder and the full
 model are checked on a random sample of coordinates per parameter
 tensor, which keeps the complete suite fast while still touching every
-parameter family. Inputs are drawn away from the kinks of
-non-smooth operations (relu at zero, top-k selection boundaries) so the
-comparison is meaningful.
+parameter family. Inputs are drawn to keep clear of the kinks of
+non-smooth operations (relu at zero, top-k selection boundaries), but
+not at every seed: seed 3 fails ``routing``, whose ``w_sigma1``
+gradients (~1e-12) sit at the round-off floor of central differences,
+and seed 35 fails ``full-model``, where a step of ``FD_STEP`` flips a
+relu in a GIN hidden layer. Seeds 0 and 1 pass every row.
 """
 
 from __future__ import annotations

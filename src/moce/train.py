@@ -29,9 +29,8 @@ class NonFiniteGradient(RuntimeError):
 
 
 class LayoutMismatch(ValueError):
-    """Gradients or parameters that do not fit the optimizer's layout: a
-    missing or unknown name, or parameters that are not the views of one
-    buffer in the optimizer's names, order, shapes and dtype."""
+    """Parameters that do not fit the optimizer's layout: not the views of
+    one buffer in the optimizer's names, order, shapes and dtype."""
 
 
 _SHUFFLE_STREAM = 0xF1D0  # key word reserved for epoch shuffling
@@ -119,38 +118,17 @@ def _buffers(params: dict[str, Tensor], state: OptimizerState):
     return bufs
 
 
-def _copy_grads(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-                slots: dict[str, np.ndarray]) -> None:
-    """Check ``grads``' names and shapes against the parameters', then copy
-    each into its slot."""
-    if grads.keys() != params.keys():
-        missing = [n for n in params if n not in grads]
-        extra = [n for n in grads if n not in params]
-        raise LayoutMismatch(
-            f"gradient names do not match the parameters "
-            f"(missing: {missing[:3]}, unexpected: {extra[:3]})")
-    for name, p in params.items():
-        if np.shape(grads[name]) != p.shape:
-            raise ad.ShapeMismatch(
-                f"{name}: gradient shape {np.shape(grads[name])} does not "
-                f"match parameter shape {p.shape}")
-    for name, slot in slots.items():
-        np.copyto(slot, grads[name])
-
-
-def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-               state: OptimizerState, lr: float) -> None:
+def adamw_step(params: dict[str, Tensor], state: OptimizerState,
+               lr: float) -> None:
     """One bias-corrected Adam update with decoupled weight decay, as one
     pass over four flat buffers: the parameters, ``state.grads``,
     ``state.m`` and ``state.v``.
 
-    ``params`` must be laid out as ``OptimizerState.create`` left them,
-    else LayoutMismatch. ``grads`` is ``state.grads`` itself, or a map with
-    exactly the parameters' names (else LayoutMismatch), each of its
-    parameter's shape (else ShapeMismatch), which is copied into
-    ``state.grads`` in the parameters' dtype. Every gradient is checked
-    before the moments or parameters change, so a non-finite batch leaves
-    them untouched.
+    The gradients are read from ``state.grads``, where ``Tape.backward``
+    (with ``into``) or the caller wrote them. ``params`` must be laid out
+    as ``OptimizerState.create`` left them, else LayoutMismatch. Every
+    gradient is checked before the moments or parameters change, so a
+    non-finite batch leaves them untouched.
 
     The update runs in place with the operations of ``p -= lr * ((m /
     bc1) / (sqrt(v / bc2) + eps) + weight_decay * p)``, in chunks of
@@ -160,8 +138,6 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     (``ad._both``), each with its own scratch.
     """
     bufs = _buffers(params, state)
-    if grads is not state.grads:
-        _copy_grads(params, grads, state.grads)
     g = bufs[1]
     for start in range(0, g.size, ADAM_CHUNK):
         if not np.isfinite(g[start:start + ADAM_CHUNK]).all():
@@ -384,7 +360,7 @@ def train_epoch(model: Model, records: list[DatasetRecord],
                            settings.lr)
         step += 1
         try:
-            adamw_step(params, opt.grads, opt, lr=lr_now)
+            adamw_step(params, opt, lr=lr_now)
         except NonFiniteGradient:
             skipped += 1
         else:

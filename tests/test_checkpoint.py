@@ -224,15 +224,6 @@ class TestStreaming:
             tracemalloc.stop()
         assert save_peak < 0.5 * largest
 
-    def test_a_missing_moment_is_stored_as_zeros(self):
-        params, m, v = small_state()
-        zeros = {name: np.zeros(np.shape(arr)) for name, arr in params.items()}
-        blob = serialize("", params, {"vec": m["vec"]}, {"mat": v["mat"]},
-                         0, 0, 0, 0, 0.01, 0.0)
-        assert blob == serialize("", params, {**zeros, "vec": m["vec"]},
-                                 {**zeros, "mat": v["mat"]}, 0, 0, 0, 0,
-                                 0.01, 0.0)
-
     def test_loaded_arrays_are_writable(self, tmp_path):
         model = tiny_model()
         opt = OptimizerState.create(model.parameters(), lr=0.01,

@@ -3,6 +3,7 @@
 ``train_synthetic.py`` is left out; it trains for about a minute.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -22,15 +23,21 @@ def run_demo(demo: str) -> subprocess.CompletedProcess:
                           timeout=300)
 
 
+@pytest.fixture(scope="module")
+def demo_run():
+    """``run_demo``, run once per demo for the tests of this module."""
+    return functools.cache(run_demo)
+
+
 @pytest.mark.parametrize("demo", ["autodiff_basics", "parse_and_split",
                                   "routing_walkthrough", "verify_gradients"])
-def test_demo_exits_cleanly(demo):
-    proc = run_demo(demo)
+def test_demo_exits_cleanly(demo, demo_run):
+    proc = demo_run(demo)
     assert proc.returncode == 0, proc.stderr
 
 
-def test_verify_gradients_prints_each_row_once():
-    out = run_demo("verify_gradients").stdout
+def test_verify_gradients_prints_each_row_once(demo_run):
+    out = demo_run("verify_gradients").stdout
     rows = [line.split()[1] for line in out.splitlines()
             if line.startswith(("PASS", "FAIL"))]
     assert len(rows) == len(set(rows)), rows

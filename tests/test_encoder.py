@@ -270,10 +270,18 @@ class TestPooling:
         pooled = segment_mean_pool(Tensor(x), ids, 2)
         np.testing.assert_allclose(pooled.data[0], x[:3].mean(axis=0), rtol=1e-15)
         np.testing.assert_allclose(pooled.data[1], x[3:].mean(axis=0), rtol=1e-15)
+        # a planned index, read twice, counts each graph's nodes the same
+        planned = ad.Index(ids, 2)
+        for _ in range(2):
+            again = segment_mean_pool(Tensor(x), planned, 2)
+            assert again.data.tobytes() == pooled.data.tobytes()
 
     def test_segment_mean_rejects_empty_segment(self):
         with pytest.raises(EmptyGraph):
             segment_mean_pool(Tensor(np.ones((2, 2))), np.array([0, 0]), 2)
+        # graphs 1 and 2 of a planned index hold no node
+        with pytest.raises(EmptyGraph):
+            segment_mean_pool(Tensor(np.ones((2, 2))), ad.Index([0, 3], 4), 4)
 
 
 def gin_forward_chain(layer: GinLayer, nodes: Tensor, edges: Tensor, src,

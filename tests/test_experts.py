@@ -143,6 +143,12 @@ class TestSagWeightsGrid:
                       0.5, np.float32))
     @example(sag_case([2, 5], [math.nan, math.nan, 1.0, math.nan, 1.0, 1.0,
                                -1.0], 0.5))
+    # one served molecule of 24 atoms: its cut of 12 falls inside the tie
+    # at 0.25, and its four NaN scores rank last
+    @example(sag_case([24], [0.5, math.nan, -0.0, 0.5, 1.0, 0.0, math.nan,
+                             0.5, -1.0, 1.0, 0.25, 0.5, math.nan, 0.0, -0.5,
+                             1.0, 0.5, -0.0, 0.25, math.nan, 1.0, 0.5, 0.5,
+                             0.0], 0.5))
     def test_matches_per_graph_loop(self, case):
         scores, offsets, ratio = case
         sizes = np.diff(offsets)

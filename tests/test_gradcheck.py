@@ -10,9 +10,16 @@ from moce.autodiff import FdReport, Tape, Tensor, finite_diff_check
 from moce import autodiff as ad
 
 
+@pytest.fixture(scope="module")
+def default_results():
+    """``run_all(seed=0)`` at the default tolerance, run once for the
+    tests that read it."""
+    return run_all(seed=0)
+
+
 class TestSuite:
-    def test_every_family_passes_at_default_tolerance(self):
-        results = run_all(seed=0)
+    def test_every_family_passes_at_default_tolerance(self, default_results):
+        results = default_results
         failed = [r.name for r in results if not r.report.passed]
         assert failed == []
         assert all_passed(results)
@@ -79,8 +86,8 @@ class TestSuite:
         for r in results:
             assert r.report.passed == (r.report.max_rel_error <= 1e-9), r.name
 
-    def test_summary_counts_checks(self):
-        results = run_all(seed=0)
+    def test_summary_counts_checks(self, default_results):
+        results = default_results
         assert f"all {len(results)} checks passed" in format_results(results)
 
     def test_result_line_format(self):

@@ -164,9 +164,9 @@ class TestArena:
         bases = self.arenas(model, opt, dtype)
         before = [b.copy() for b in bases]
         rng = np.random.default_rng(1)
-        grads = {n: rng.normal(size=p.shape).astype(dtype)
-                 for n, p in params.items()}
-        adamw_step(params, grads, opt, lr=0.01)
+        for n, p in params.items():
+            opt.grads[n][...] = rng.normal(size=p.shape).astype(dtype)
+        adamw_step(params, opt, lr=0.01)
         after = self.arenas(model, opt, dtype)
         assert all(a is b for a, b in zip(after, bases))
         assert all((b != old).any() for b, old in zip(bases, before))
@@ -175,8 +175,9 @@ class TestArena:
         source, source_opt = self.build(dtype, seed=1)
         rng = np.random.default_rng(2)
         params = source.parameters()
-        adamw_step(params, {n: rng.normal(size=p.shape).astype(dtype)
-                            for n, p in params.items()}, source_opt, lr=0.01)
+        for n, p in params.items():
+            source_opt.grads[n][...] = rng.normal(size=p.shape).astype(dtype)
+        adamw_step(params, source_opt, lr=0.01)
         save_checkpoint(tmp_path / "c.bin", "", source, source_opt, 0, 0, 0)
         model, opt = self.build(dtype)
         bases = self.arenas(model, opt, dtype)
@@ -227,9 +228,9 @@ class TestArena:
         tasks = resolve_tasks(["A"], None, fallback_dim=5)
         seen = []
 
-        def watched(params, grads, state, lr, _real=train.adamw_step):
-            seen.append([g.base for g in grads.values()])
-            _real(params, grads, state, lr)
+        def watched(params, state, lr, _real=train.adamw_step):
+            seen.append([g.base for g in state.grads.values()])
+            _real(params, state, lr)
 
         monkeypatch.setattr(train, "adamw_step", watched)
         train.train_epoch(model, records, tasks,
@@ -316,9 +317,10 @@ class TestArena:
             params = copy.deepcopy(params)
         else:
             params = dict(reversed(params.items()))
-        grads = {n: np.ones(p.shape, dtype) for n, p in params.items()}
+        for g in opt.grads.values():
+            g[...] = 1
         with pytest.raises(train.LayoutMismatch, match="optimizer's layout"):
-            adamw_step(params, grads, opt, lr=0.01)
+            adamw_step(params, opt, lr=0.01)
         assert opt.step_count == 0
         assert all(a.tobytes() == b.tobytes() for a, b in zip(moments, before))
 

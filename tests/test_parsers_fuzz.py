@@ -270,8 +270,9 @@ def test_load_task_embeddings_returns_or_raises_its_error(tmp_path_factory, data
         pass
 
 
-BODY = serialize("seed = 1\n", {"a": np.arange(6.0).reshape(2, 3),
-                                "b": np.array(0.5)}, {}, {}, seed=1, epoch=2,
+PARAMS = {"a": np.arange(6.0).reshape(2, 3), "b": np.array(0.5)}
+ZEROS = {name: np.zeros_like(arr) for name, arr in PARAMS.items()}
+BODY = serialize("seed = 1\n", PARAMS, ZEROS, ZEROS, seed=1, epoch=2,
                  step=3, opt_step_count=4, lr=0.01, weight_decay=0.0)[:-32]
 
 

@@ -21,7 +21,6 @@ from moce.train import (
     ADAM_BETA2,
     ADAM_EPS,
     EpochMetrics,
-    LayoutMismatch,
     MetricsLog,
     NonFiniteGradient,
     OptimizerState,
@@ -43,17 +42,26 @@ def param_dict(values: dict[str, np.ndarray]) -> dict[str, Tensor]:
     return {k: Tensor(v.copy(), requires_grad=True) for k, v in values.items()}
 
 
+def set_grads(state: OptimizerState, grads: dict[str, np.ndarray]) -> None:
+    """Write ``grads`` into the optimizer's gradient slots, where
+    ``adamw_step`` reads them."""
+    for name, g in grads.items():
+        state.grads[name][...] = g
+
+
 class TestAdamW:
     def test_zero_gradient_zero_decay_is_identity(self):
         params = param_dict({"w": np.array([1.0, -2.0])})
         state = OptimizerState.create(params, lr=0.01, weight_decay=0.0)
-        adamw_step(params, {"w": np.zeros(2)}, state, lr=0.01)
+        set_grads(state, {"w": np.zeros(2)})
+        adamw_step(params, state, lr=0.01)
         np.testing.assert_array_equal(params["w"].data, [1.0, -2.0])
 
     def test_zero_gradient_applies_pure_decay(self):
         params = param_dict({"w": np.array([1.0, -2.0])})
         state = OptimizerState.create(params, lr=0.01, weight_decay=0.01)
-        adamw_step(params, {"w": np.zeros(2)}, state, lr=0.01)
+        set_grads(state, {"w": np.zeros(2)})
+        adamw_step(params, state, lr=0.01)
         np.testing.assert_allclose(params["w"].data,
                                    np.array([1.0, -2.0]) * (1 - 1e-4),
                                    rtol=1e-15)
@@ -65,7 +73,8 @@ class TestAdamW:
         prev = params["w"].data.copy()
         for _ in range(1000):
             prev = params["w"].data.copy()
-            adamw_step(params, {"w": g}, state, lr=0.001)
+            set_grads(state, {"w": g})
+            adamw_step(params, state, lr=0.001)
         delta = params["w"].data - prev
         np.testing.assert_allclose(delta, -0.001 * np.sign(g), rtol=1e-2)
 
@@ -73,7 +82,8 @@ class TestAdamW:
         params = param_dict({"w": np.array([0.5])})
         state = OptimizerState.create(params, lr=0.1, weight_decay=0.0)
         g = np.array([0.3])
-        adamw_step(params, {"w": g}, state, lr=0.1)
+        set_grads(state, {"w": g})
+        adamw_step(params, state, lr=0.1)
         # bias correction makes m-hat = g and v-hat = g^2 on step one
         expected = 0.5 - 0.1 * (0.3 / (0.3 + 1e-8))
         np.testing.assert_allclose(params["w"].data, [expected], rtol=1e-12)
@@ -82,8 +92,9 @@ class TestAdamW:
         params = param_dict({"a": np.array([1.0]), "b": np.array([2.0])})
         state = OptimizerState.create(params, lr=0.01, weight_decay=0.01)
         grads = {"a": np.array([0.5]), "b": np.array([np.nan])}
+        set_grads(state, grads)
         with pytest.raises(NonFiniteGradient, match="b"):
-            adamw_step(params, grads, state, lr=0.01)
+            adamw_step(params, state, lr=0.01)
         np.testing.assert_array_equal(params["a"].data, [1.0])
         np.testing.assert_array_equal(params["b"].data, [2.0])
         assert state.step_count == 0
@@ -93,25 +104,9 @@ class TestAdamW:
     def test_learning_rate_override(self):
         params = param_dict({"w": np.array([1.0])})
         state = OptimizerState.create(params, lr=0.5, weight_decay=0.0)
-        adamw_step(params, {"w": np.array([1.0])}, state, lr=0.0)
+        set_grads(state, {"w": np.array([1.0])})
+        adamw_step(params, state, lr=0.0)
         np.testing.assert_array_equal(params["w"].data, [1.0])
-
-    @pytest.mark.parametrize("grads, error, match", [
-        ({"w": np.ones(1), "b": np.ones(2)}, ad.ShapeMismatch,
-         r"w: gradient shape \(1,\) does not match parameter shape \(5,\)"),
-        ({"w": np.ones(5), "b": np.ones(2), "x": np.ones(5)}, LayoutMismatch,
-         r"missing: \[\], unexpected: \['x'\]"),
-        ({"w": np.ones(5)}, LayoutMismatch, r"missing: \['b'\], unexpected"),
-    ], ids=["broadcast-shape", "unknown-name", "missing-name"])
-    def test_gradients_must_match_the_parameters(self, grads, error, match):
-        params = param_dict({"w": np.arange(5.0), "b": np.ones(2)})
-        state = OptimizerState.create(params, lr=0.01, weight_decay=0.01)
-        with pytest.raises(error, match=match):
-            adamw_step(params, grads, state, lr=0.01)
-        np.testing.assert_array_equal(params["w"].data, np.arange(5.0))
-        np.testing.assert_array_equal(params["b"].data, np.ones(2))
-        assert state.step_count == 0
-        assert not any(a.any() for a in (*state.m.values(), *state.v.values()))
 
 
 def adamw_reference(params, grads, state, lr):
@@ -144,7 +139,8 @@ class TestAdamWInPlace:
             grads = {k: rng.normal(size=s).astype(dtype)
                      for k, s in shapes.items()}
             lr = cosine_lr(step, sched, 0.01)
-            adamw_step(params, grads, state, lr=lr)
+            set_grads(state, grads)
+            adamw_step(params, state, lr=lr)
             adamw_reference(ref, grads, ref_state, lr)
         for k in shapes:
             for got, want in ((params[k].data, ref[k].data),
@@ -163,7 +159,8 @@ class TestAdamWInPlace:
         ref_state = OptimizerState.create(ref, lr=0.01, weight_decay=0.01)
         grads = {"w": rng.normal(size=(40, 40)).astype(np.float32)}
         lr = cosine_lr(3, ScheduleConfig(total_steps=10), 0.01)
-        adamw_step(params, grads, state, lr=lr)
+        set_grads(state, grads)
+        adamw_step(params, state, lr=lr)
         adamw_reference(ref, grads, ref_state, np.float32(lr))
         assert params["w"].data.tobytes() == ref["w"].data.tobytes()
 
@@ -493,9 +490,9 @@ class TestTrainingLoop:
                 result = model.forward(batch, t_matrix, noise_on=True,
                                        rngs=noise_rngs(0, 0, len(model.blocks)))
                 loss = model_loss(model, result, labels, settings.beta).overall
-                grads = tape.backward(loss)
-            adamw_step(params, {n: grads[p] for n, p in params.items()}, opt,
-                       lr=settings.lr)
+                tape.backward(loss, into=dict(zip(params.values(),
+                                                  opt.grads.values())))
+            adamw_step(params, opt, lr=settings.lr)
             return weakref.ref(tape)
 
         gc.disable()
