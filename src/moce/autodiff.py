@@ -215,15 +215,10 @@ def _arena_of(arrays: Sequence[np.ndarray]) -> np.ndarray | None:
 
 
 def pack(tensors: Sequence[Tensor], dtype) -> None:
-    """Make ``tensors``' data the views of one buffer of ``dtype``, back to
-    back in order as ``arena`` lays them out, unless they already are: each
-    tensor's data is copied into a new arena, cast to ``dtype``, and
-    rebound to its view there."""
-    arrays = [t.data for t in tensors]
-    buf = _arena_of(arrays)
-    if buf is None or buf.dtype != dtype:
-        for t, view in zip(tensors, arena_copies(arrays, dtype)):
-            t.data = view
+    """Copy ``tensors``' data, cast to ``dtype``, into one new ``arena``,
+    in order, and rebind each tensor's data to its view there."""
+    for t, view in zip(tensors, arena_copies([t.data for t in tensors], dtype)):
+        t.data = view
 
 
 class Tape:

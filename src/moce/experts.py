@@ -194,13 +194,15 @@ class IntegratorParams(Module):
 
 @dataclass
 class RouteBatch:
-    """Routing outcome for a whole batch; (batch, experts) tensors."""
+    """Routing outcome for a whole batch; (batch, experts) tensors. Each
+    sample's k_s picks are ``selected`` (indices) and ``routed`` (mask)."""
 
     mu: Tensor
     sigma: Tensor
     h: Tensor
     gates: Tensor
     selected: np.ndarray
+    routed: np.ndarray
     p_choose: Tensor
 
 
@@ -279,13 +281,13 @@ def route_batch(x_hat: Tensor, tasks: Tensor, r: RouterParams,
         p_choose = ad.normal_cdf(ad.div(ad.sub(mu, thresholds), sigma))
 
     return RouteBatch(mu=mu, sigma=sigma, h=h, gates=gates,
-                      selected=selected, p_choose=p_choose)
+                      selected=selected, routed=keep, p_choose=p_choose)
 
 
 @dataclass
 class SagLayout:
     """``_sag_weights``' plan of a batch for one pool ratio kappa, shared by
-    the experts of a block: graph g keeps its top n_sel[g] = ceil(kappa *
+    every block's experts: graph g keeps its top n_sel[g] = ceil(kappa *
     n_g) rows. Row r's score goes to cell ``cells[r]`` of a (B, n_max)
     grid whose row g holds graph g's rows in order; ``keep`` marks each
     grid row's first n_sel[g] columns. Per kept cell, in grid order,
@@ -368,10 +370,11 @@ class LayerResult:
 
 def layer_forward(nodes: Tensor, batch: BatchedGraph, tasks: Tensor,
                   experts: list[ExpertParams], router: RouterParams,
-                  pool_ratio: float,
+                  layout: SagLayout,
                   rng: np.random.Generator | None = None) -> LayerResult:
     """Route a batch and form its (batch, 1) column of gate-weighted expert
-    votes; routing noise is drawn from ``rng`` when one is given.
+    votes; every expert pools by ``layout``, the batch's ``sag_layout``,
+    and routing noise is drawn from ``rng`` when one is given.
 
     Every expert's logits are computed for the full batch and retained (the
     expert-specific loss needs them); unselected positions have an exact
@@ -379,7 +382,6 @@ def layer_forward(nodes: Tensor, batch: BatchedGraph, tasks: Tensor,
     """
     x_hat = segment_mean_pool(nodes, batch.graph_ids, batch.num_graphs)
     rb = route_batch(x_hat, tasks, router, rng)
-    layout = sag_layout(batch.offsets, pool_ratio)
     columns = []
     for expert in experts:
         pooled = sag_project_batch(nodes, batch, expert, layout)

@@ -83,10 +83,10 @@ def expert_specific_loss(per_expert_logits: Tensor, labels,
                          assignment: np.ndarray) -> Tensor:
     """Sum of BCE over every (sample, expert) pair the router assigned.
 
-    ``per_expert_logits`` is (batch, experts); ``assignment`` is a 0/1
-    matrix of the same shape, 1 where the router selected that expert for
-    the sample (its ``RouteBatch.selected``), even if the selected gate
-    underflowed to zero. The result is a raw sum, so each routed pair adds
+    ``per_expert_logits`` is (batch, experts); ``assignment`` is a boolean
+    or 0/1 mask of the same shape, true where the router selected that
+    expert for the sample (its ``RouteBatch.routed``), even if the selected
+    gate underflowed to zero. The result is a raw sum, so each routed pair adds
     its full term regardless of batch size.
     """
     y = np.asarray(labels, dtype=per_expert_logits.dtype).reshape(-1, 1)

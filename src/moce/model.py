@@ -25,6 +25,7 @@ from .experts import (
     RouterParams,
     integrate_outputs,
     layer_forward,
+    sag_layout,
     validate_k,
 )
 from .losses import (
@@ -143,12 +144,14 @@ class Model(Module):
 
         ``tasks`` is the (batch, task_dim) matrix of task embeddings, one
         row per graph. With noise on, ``rngs`` supplies one generator per
-        processing block so routing noise is reproducible per block.
+        processing block so routing noise is reproducible per block. The
+        batch's ``sag_layout`` is built once and pools every block.
         """
         if noise_on:
             if rngs is None or len(rngs) != len(self.blocks):
                 raise ValueError("noise_on forward needs one rng per block")
         nodes, edges = embed_inputs(batch, self.input_tables)
+        layout = sag_layout(batch.offsets, self.config.pool_ratio)
         columns = []
         layer_results = []
         state = nodes
@@ -156,7 +159,7 @@ class Model(Module):
             state = encode_from(state, edges, batch.src, batch.dst,
                                 block.gin_layers)
             res = layer_forward(state, batch, tasks, block.experts,
-                                block.router, self.config.pool_ratio,
+                                block.router, layout,
                                 rngs[b] if noise_on else None)
             columns.append(res.output)
             layer_results.append(res)
@@ -176,7 +179,7 @@ def model_loss(model: Model, result: ForwardResult, labels, beta: float,
     The base term is the mean BCE of the integrated logits. Attention,
     importance, and load terms are averaged over processing blocks (each
     block has its own expert pool); the expert-specific term is a raw sum
-    over the pairs in each block's ``route.selected``, so it stays a sum
+    over the pairs in each block's ``route.routed`` mask, so it stays a sum
     across blocks too. Terms switched off in ``toggles`` are exact zeros
     and are never computed.
     """
@@ -191,14 +194,9 @@ def model_loss(model: Model, result: ForwardResult, labels, beta: float,
         total = reduce(ad.add, [loss(x) for x in inputs])
         return ad.mul(total, scale) if averaged else total
 
-    def routed(route):
-        assigned = np.zeros(route.gates.shape, dtype=y.dtype)
-        np.put_along_axis(assigned, route.selected, 1.0, axis=1)
-        return assigned
-
     att = term(toggles.att, attention_cosine_loss, model.attention_vectors())
     exp = term(toggles.exp, lambda res: expert_specific_loss(
-        res.expert_logits, y, routed(res.route)), result.layers, averaged=False)
+        res.expert_logits, y, res.route.routed), result.layers, averaged=False)
     imp = term(toggles.imp, lambda res: importance_loss(res.route.gates),
                result.layers)
     lod = term(toggles.lod, lambda res: load_loss(res.route.p_choose),

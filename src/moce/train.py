@@ -62,9 +62,9 @@ class OptimizerState:
     """Decoupled-weight-decay Adam moments, keyed by parameter name. The
     decay rates and epsilon are the fixed ADAM_* constants.
 
-    ``create`` lays the parameters (``ad.pack``), the moments ``m`` and
-    ``v`` and the gradients ``grads`` out as four ``ad.arena`` buffers in
-    one layout: the parameters' order, shapes and dtype. ``grads`` is
+    ``create`` takes parameters that are one ``ad.arena`` buffer's views
+    (else LayoutMismatch) and backs ``m``, ``v`` and the gradients ``grads``
+    with three more in their order, shapes and dtype. ``grads`` is
     scratch, not state: each step rewrites all of it, no checkpoint holds
     it, and its pages are mapped by the first step that writes them. A
     deepcopy copies ``m`` and ``v`` into one buffer each and gets fresh
@@ -80,10 +80,12 @@ class OptimizerState:
     @classmethod
     def create(cls, params: dict[str, Tensor], lr: float,
                weight_decay: float) -> "OptimizerState":
-        dtype = np.result_type(*(p.dtype for p in params.values()))
-        ad.pack(list(params.values()), dtype)
+        buf = ad._arena_of([p.data for p in params.values()])
+        if buf is None:
+            raise LayoutMismatch("the parameters are not the views of one "
+                                 "buffer (Model.create lays them out)")
         shapes = [p.shape for p in params.values()]
-        m, v, grads = (dict(zip(params, ad.arena(shapes, dtype)))
+        m, v, grads = (dict(zip(params, ad.arena(shapes, buf.dtype)))
                        for _ in range(3))
         return cls(lr=lr, weight_decay=weight_decay, m=m, v=v, grads=grads)
 
@@ -114,7 +116,7 @@ def _buffers(params: dict[str, Tensor], state: OptimizerState):
             or [a.shape for a in views] != [m.shape for m in state.m.values()]):
         raise LayoutMismatch(
             "the parameters are not the views of one buffer in the "
-            "optimizer's layout (OptimizerState.create lays them out)")
+            "optimizer's layout (Model.create lays them out)")
     return bufs
 
 

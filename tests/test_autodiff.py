@@ -36,6 +36,7 @@ from moce.autodiff import (
     neg_inf,
 )
 
+from arena_params import arena_params
 from reference_model import REORDER_TOL, rel_error
 
 
@@ -1456,7 +1457,8 @@ class TestTwoCpus:
                  for _ in range(4)]
 
         def run():
-            params = {i: Tensor(np.ones(s)) for i, s in enumerate(shapes)}
+            params = arena_params({i: np.ones(s)
+                                   for i, s in enumerate(shapes)})
             opt = OptimizerState.create(params, lr=0.01, weight_decay=0.01)
             for g in grads:
                 for i, a in g.items():

@@ -1,6 +1,7 @@
 """Routing, expert pooling, vote integration, task embeddings."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -670,7 +671,8 @@ class TestDenseLayout:
         tasks = Tensor(rng.normal(size=(num_graphs, 3)))
         router = RouterParams.create(rng, dim, 3, num_experts=m, k_s=k_s, k_t=4)
         pool = [ExpertParams.create(rng, dim) for _ in range(m)]
-        res = layer_forward(nodes, batch, tasks, pool, router, 0.5)
+        res = layer_forward(nodes, batch, tasks, pool, router,
+                            sag_layout(batch.offsets, 0.5))
         assert shapes["sag_project_batch"] == [(num_graphs, dim)] * m
         assert shapes["expert_mlp"] == [(num_graphs, 1)] * m
         assert res.output.shape == (num_graphs, 1)
@@ -689,6 +691,29 @@ class TestDenseLayout:
         assert shapes["expert_mlp"] == [(4, 1)] * 6
         assert [res.route.selected.size for res in out.layers] == [4, 4]
 
+    def test_model_forward_lays_out_the_batch_once(self, monkeypatch):
+        """Every block pools by the one ``sag_layout`` that the forward
+        builds, wherever a moce module calls it."""
+        real, calls = experts_module.sag_layout, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "moce"
+                    and getattr(module, "sag_layout", None) is real):
+                monkeypatch.setattr(module, "sag_layout", counted)
+        cfg = ModelConfig(embed_dim=4, num_gnn_layers=1,
+                          num_processing_layers=2, num_experts=3, k_s=1,
+                          k_t=2, pool_ratio=0.75, task_dim=5)
+        batch = random_batch(np.random.default_rng(5), 3)
+        Model.create(cfg, seed=5).forward(
+            batch, Tensor(np.random.default_rng(6).normal(size=(3, 5))),
+            noise_on=False)
+        assert len(calls) == 1
+        assert calls[0][0] is batch.offsets and calls[0][1] == 0.75
+
 
 class TestLayerForward:
     def _one_graph_batch(self, dim: int):
@@ -704,7 +729,8 @@ class TestLayerForward:
         r.w_mu2.data[:] = np.eye(2)
         t = Tensor(np.log(np.array([[0.6, 0.4]])))
         experts = [constant_expert(2, 1.0), constant_expert(2, 2.0)]
-        res = layer_forward(nodes, batch, t, experts, r, 1.0)
+        res = layer_forward(nodes, batch, t, experts, r,
+                            sag_layout(batch.offsets, 1.0))
         np.testing.assert_allclose(res.output.data, [[1.4]], rtol=1e-12)
         np.testing.assert_allclose(res.route.gates.data, [[0.6, 0.4]], rtol=1e-12)
 
@@ -714,7 +740,8 @@ class TestLayerForward:
         r.w_mu2.data[:] = np.eye(2)
         t = Tensor(np.array([[0.0, 1.0]]))  # expert 1 wins
         experts = [constant_expert(2, -3.0), constant_expert(2, 7.5)]
-        res = layer_forward(nodes, batch, t, experts, r, 1.0)
+        res = layer_forward(nodes, batch, t, experts, r,
+                            sag_layout(batch.offsets, 1.0))
         assert res.output.data[0, 0] == 7.5
         np.testing.assert_array_equal(res.route.selected, [[1]])
 
@@ -724,7 +751,7 @@ class TestLayerForward:
         r = RouterParams.create(rng, 3, 2, num_experts=4, k_s=1, k_t=2)
         experts = [ExpertParams.create(rng, 3) for _ in range(4)]
         res = layer_forward(nodes, batch, Tensor(rng.normal(size=(1, 2))),
-                            experts, r, 0.5)
+                            experts, r, sag_layout(batch.offsets, 0.5))
         assert res.expert_logits.shape == (1, 4)
         assert np.all(np.isfinite(res.expert_logits.data))
 
@@ -735,7 +762,8 @@ class TestLayerForward:
         t = Tensor(np.array([[1.0, 0.0]]))  # expert 0 wins
         experts = [constant_expert(2, 1.0), constant_expert(2, 2.0)]
         with Tape() as tape:
-            res = layer_forward(nodes, batch, t, experts, r, 1.0)
+            res = layer_forward(nodes, batch, t, experts, r,
+                                sag_layout(batch.offsets, 1.0))
             loss = ad.reduce_sum(res.output)
             grads = tape.backward(loss)
         assert grads[experts[0].b2][0] == 1.0

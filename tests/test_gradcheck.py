@@ -25,12 +25,16 @@ class TestSuite:
         assert all_passed(results)
 
     def test_expected_families_present(self):
-        names = {r.name for r in run_all(seed=1)}
+        """Seed 1, the second seed the suite's docstring vouches for, has
+        every family and passes every row."""
+        results = run_all(seed=1)
+        names = {r.name for r in results}
         for required in ("relu", "matmul", "softmax", "masked-softmax",
                          "routing", "sag-projection", "encoder", "full-model",
                          "attention-loss", "balance-losses", "bce",
                          "pool-rows"):
             assert required in names
+        assert [r.name for r in results if not r.report.passed] == []
 
     @pytest.mark.parametrize("seed", [14, 19])
     def test_encoder_row_is_off_the_relu_kinks(self, seed):

@@ -37,9 +37,7 @@ from moce.train import (
     train_epoch,
 )
 
-
-def param_dict(values: dict[str, np.ndarray]) -> dict[str, Tensor]:
-    return {k: Tensor(v.copy(), requires_grad=True) for k, v in values.items()}
+from arena_params import arena_params
 
 
 def set_grads(state: OptimizerState, grads: dict[str, np.ndarray]) -> None:
@@ -51,14 +49,14 @@ def set_grads(state: OptimizerState, grads: dict[str, np.ndarray]) -> None:
 
 class TestAdamW:
     def test_zero_gradient_zero_decay_is_identity(self):
-        params = param_dict({"w": np.array([1.0, -2.0])})
+        params = arena_params({"w": np.array([1.0, -2.0])})
         state = OptimizerState.create(params, lr=0.01, weight_decay=0.0)
         set_grads(state, {"w": np.zeros(2)})
         adamw_step(params, state, lr=0.01)
         np.testing.assert_array_equal(params["w"].data, [1.0, -2.0])
 
     def test_zero_gradient_applies_pure_decay(self):
-        params = param_dict({"w": np.array([1.0, -2.0])})
+        params = arena_params({"w": np.array([1.0, -2.0])})
         state = OptimizerState.create(params, lr=0.01, weight_decay=0.01)
         set_grads(state, {"w": np.zeros(2)})
         adamw_step(params, state, lr=0.01)
@@ -67,7 +65,7 @@ class TestAdamW:
                                    rtol=1e-15)
 
     def test_constant_gradient_approaches_sign_update(self):
-        params = param_dict({"w": np.array([0.0, 0.0])})
+        params = arena_params({"w": np.array([0.0, 0.0])})
         state = OptimizerState.create(params, lr=0.001, weight_decay=0.0)
         g = np.array([0.37, -2.4])
         prev = params["w"].data.copy()
@@ -79,7 +77,7 @@ class TestAdamW:
         np.testing.assert_allclose(delta, -0.001 * np.sign(g), rtol=1e-2)
 
     def test_first_step_closed_form(self):
-        params = param_dict({"w": np.array([0.5])})
+        params = arena_params({"w": np.array([0.5])})
         state = OptimizerState.create(params, lr=0.1, weight_decay=0.0)
         g = np.array([0.3])
         set_grads(state, {"w": g})
@@ -89,7 +87,7 @@ class TestAdamW:
         np.testing.assert_allclose(params["w"].data, [expected], rtol=1e-12)
 
     def test_non_finite_gradient_aborts_before_mutation(self):
-        params = param_dict({"a": np.array([1.0]), "b": np.array([2.0])})
+        params = arena_params({"a": np.array([1.0]), "b": np.array([2.0])})
         state = OptimizerState.create(params, lr=0.01, weight_decay=0.01)
         grads = {"a": np.array([0.5]), "b": np.array([np.nan])}
         set_grads(state, grads)
@@ -102,11 +100,30 @@ class TestAdamW:
         np.testing.assert_array_equal(state.v["b"], [0.0])
 
     def test_learning_rate_override(self):
-        params = param_dict({"w": np.array([1.0])})
+        params = arena_params({"w": np.array([1.0])})
         state = OptimizerState.create(params, lr=0.5, weight_decay=0.0)
         set_grads(state, {"w": np.array([1.0])})
         adamw_step(params, state, lr=0.0)
         np.testing.assert_array_equal(params["w"].data, [1.0])
+
+    @pytest.mark.parametrize("split", ["hand-built", "rebound", "reordered"])
+    def test_create_takes_only_one_arena(self, split):
+        """``create`` lays no parameter out: parameters that are not one
+        arena's views, in order, raise and keep their own arrays."""
+        values = {"a": np.ones(3), "b": np.zeros((2, 2))}
+        if split == "hand-built":
+            params = {k: Tensor(v, requires_grad=True)
+                      for k, v in values.items()}
+        else:
+            params = arena_params(values)
+        if split == "rebound":
+            params["b"].data = params["b"].data.copy()
+        elif split == "reordered":
+            params = dict(reversed(params.items()))
+        arrays = {k: p.data for k, p in params.items()}
+        with pytest.raises(train.LayoutMismatch, match="one buffer"):
+            OptimizerState.create(params, lr=0.01, weight_decay=0.0)
+        assert all(p.data is arrays[k] for k, p in params.items())
 
 
 def adamw_reference(params, grads, state, lr):
@@ -131,7 +148,7 @@ class TestAdamWInPlace:
         rng = np.random.default_rng(5)
         shapes = {"eps": (), "w": (7, 5), "b": (5,), "col": (5, 1)}
         values = {k: rng.normal(size=s).astype(dtype) for k, s in shapes.items()}
-        params, ref = param_dict(values), param_dict(values)
+        params, ref = arena_params(values), arena_params(values)
         state = OptimizerState.create(params, lr=0.01, weight_decay=0.01)
         ref_state = OptimizerState.create(ref, lr=0.01, weight_decay=0.01)
         sched = ScheduleConfig(total_steps=6)
@@ -154,7 +171,7 @@ class TestAdamWInPlace:
         operation, as the all-float32 reference does."""
         rng = np.random.default_rng(6)
         values = {"w": rng.normal(size=(40, 40)).astype(np.float32)}
-        params, ref = param_dict(values), param_dict(values)
+        params, ref = arena_params(values), arena_params(values)
         state = OptimizerState.create(params, lr=0.01, weight_decay=0.01)
         ref_state = OptimizerState.create(ref, lr=0.01, weight_decay=0.01)
         grads = {"w": rng.normal(size=(40, 40)).astype(np.float32)}
