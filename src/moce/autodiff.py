@@ -58,6 +58,7 @@ are left to the environment.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -89,6 +90,11 @@ class TapeConsumed(RuntimeError):
 
 class AllMaskedRow(ValueError):
     """softmax saw a row consisting entirely of the minus-infinity sentinel."""
+
+
+class LayoutMismatch(ValueError):
+    """Parameters that break the arena layout rule (``arena_of``); the
+    message names the first one that does."""
 
 
 def neg_inf(dtype=np.float64) -> float:
@@ -199,19 +205,36 @@ def arena_copies(arrays: Sequence[np.ndarray], dtype) -> list[np.ndarray]:
     return views
 
 
-def _arena_of(arrays: Sequence[np.ndarray]) -> np.ndarray | None:
-    """The buffer that ``arrays`` are views of as ``arena`` lays them out
-    (C-ordered, in order, no gap, no overlap, covering it), else None."""
-    buf = arrays[0].base
-    if buf is None or buf.ndim != 1 or not buf.flags.c_contiguous:
-        return None
-    end = buf.ctypes.data
-    for a in arrays:
-        if (a.base is not buf or not a.flags.c_contiguous
+def arena_of(params: dict[str, Tensor], like: dict | None = None
+             ) -> np.ndarray:
+    """The buffer that ``params``' data are the views of as ``arena`` lays
+    them out: C-ordered, in order, with no gap or overlap, covering it, and
+    with the names, shapes and dtypes of ``like`` (the optimizer's moments)
+    when given. Else LayoutMismatch, naming the first parameter that breaks
+    the rule. Reading each view's address (``ctypes.data``, ~1 us) is
+    most of its cost."""
+    like = params if like is None else like
+    buf = next(iter(params.values())).data.base if params else None
+    whole = (isinstance(buf, np.ndarray) and buf.ndim == 1
+             and buf.flags.c_contiguous)
+    end = buf.ctypes.data if whole else -1  # -1: no view's address matches
+    where = "the end of the parameters"
+    for (name, t), (want, ref) in itertools.zip_longest(
+            params.items(), like.items(), fillvalue=(None, None)):
+        a = t.data if name == want else None
+        if (a is None or a.base is not buf or a.shape != ref.shape
+                or a.dtype != ref.dtype or not a.flags.c_contiguous
                 or a.ctypes.data != end):
-            return None
+            where = f"parameter {name or want!r}"
+            break
         end += a.nbytes
-    return buf if end == buf.ctypes.data + buf.nbytes else None
+    else:
+        if whole and end == buf.ctypes.data + buf.nbytes:
+            return buf
+    raise LayoutMismatch(
+        f"{where} breaks the optimizer's layout: the parameters must be the "
+        "views of one buffer in the optimizer's order, names and shapes, "
+        "with no gap or overlap, covering it (Model.create lays them out)")
 
 
 def pack(tensors: Sequence[Tensor], dtype) -> None:
@@ -529,15 +552,17 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else 1
 
 
-def _both(first: Callable[[], None], second: Callable[[], None]) -> None:
+def _both(first: Callable[[], None], second: Callable[[], None],
+          work: int) -> None:
     """Run two independent jobs that each write only into arrays their
-    caller allocated, ``second`` on the worker thread when this process may
-    use two CPUs. If the worker has not started it by the time ``first``
-    returns, ``second`` runs here instead, so a busy second CPU costs a
-    queue round trip, never a wait. An exception in either job raises
-    here, after both are done or cancelled."""
+    caller allocated, ``second`` on the worker thread when ``work`` (the
+    caller's measure of a job) reaches PAIR_MIN_WORK and this process may
+    use two CPUs, else both here. If the worker has not started ``second``
+    by the time ``first`` returns, it runs here instead, so a busy second
+    CPU costs a queue round trip, never a wait. An exception in either job
+    raises here, after both are done or cancelled."""
     global _worker
-    if _usable_cpus() < 2:
+    if work < PAIR_MIN_WORK or _usable_cpus() < 2:  # small jobs: no syscall
         first()
         second()
         return
@@ -564,12 +589,11 @@ def _both(first: Callable[[], None], second: Callable[[], None]) -> None:
 
 def _grad_products(g: np.ndarray, b: np.ndarray, a: np.ndarray):
     """``(g @ b.T, a.T @ g)``, the two products of the backward of
-    ``a @ b``, run by ``_both`` when each has PAIR_MIN_WORK or more."""
-    if g.shape[0] * b.size < PAIR_MIN_WORK:
-        return g @ b.T, a.T @ g
+    ``a @ b``, as ``_both``'s jobs of ``g.shape[0] * b.size`` each."""
     ga = np.empty((g.shape[0], b.shape[0]), np.result_type(g, b))
     gb = np.empty((a.shape[1], g.shape[1]), np.result_type(a, g))
-    _both(lambda: np.matmul(g, b.T, out=ga), lambda: np.matmul(a.T, g, out=gb))
+    _both(lambda: np.matmul(g, b.T, out=ga), lambda: np.matmul(a.T, g, out=gb),
+          g.shape[0] * b.size)
     return ga, gb
 
 

@@ -134,10 +134,10 @@ class _Reader:
 
 def deserialize(blob) -> CheckpointData:
     """Decode a checkpoint from any bytes-like object, verifying signature,
-    version and checksum, and that the counters are non-negative and the
-    learning rate and weight decay finite and non-negative. The arrays are
-    views of `blob`, which they keep alive; they are writable when `blob`
-    is."""
+    version and checksum, that the counters are non-negative and the
+    learning rate and weight decay finite and non-negative, and that no
+    parameter name repeats. The arrays are views of `blob`, which they
+    keep alive; they are writable when `blob` is."""
     view = memoryview(blob).cast("B")
     if len(view) < len(MAGIC) + 4 + 32:
         raise CorruptCheckpoint("file too short to be a checkpoint")
@@ -177,6 +177,8 @@ def deserialize(blob) -> CheckpointData:
     for _ in range(num_params):
         (name_len,) = reader.unpack("<H")
         name = reader.text(name_len)
+        if name in ckpt.params:
+            raise CorruptCheckpoint(f"parameter {name!r} is stored twice")
         ckpt.params[name] = reader.array()
         ckpt.opt_m[name] = reader.array()
         ckpt.opt_v[name] = reader.array()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import LayoutMismatch, Tape, Tensor
 from .encoder import BatchedGraph, batch_graphs
 from .experts import TaskDescriptor
 from .losses import LossBreakdown, LossToggles
@@ -26,11 +26,6 @@ from .molgraph import DatasetRecord
 
 class NonFiniteGradient(RuntimeError):
     """A gradient contained nan or inf; the optimizer step was aborted."""
-
-
-class LayoutMismatch(ValueError):
-    """Parameters that do not fit the optimizer's layout: not the views of
-    one buffer in the optimizer's names, order, shapes and dtype."""
 
 
 _SHUFFLE_STREAM = 0xF1D0  # key word reserved for epoch shuffling
@@ -62,13 +57,13 @@ class OptimizerState:
     """Decoupled-weight-decay Adam moments, keyed by parameter name. The
     decay rates and epsilon are the fixed ADAM_* constants.
 
-    ``create`` takes parameters that are one ``ad.arena`` buffer's views
-    (else LayoutMismatch) and backs ``m``, ``v`` and the gradients ``grads``
-    with three more in their order, shapes and dtype. ``grads`` is
-    scratch, not state: each step rewrites all of it, no checkpoint holds
-    it, and its pages are mapped by the first step that writes them. A
-    deepcopy copies ``m`` and ``v`` into one buffer each and gets fresh
-    zero ``grads``."""
+    ``create`` takes parameters that keep the layout rule (``ad.arena_of``,
+    else LayoutMismatch) and backs ``m``, ``v`` and the gradients ``grads``
+    with three more arenas in that layout, which every step then holds the
+    parameters to. ``grads`` is scratch, not state: each step rewrites all
+    of it, no checkpoint holds it, and its pages are mapped by the first
+    step that writes them. A deepcopy copies ``m`` and ``v`` into one
+    buffer each and gets fresh zero ``grads``."""
 
     lr: float
     weight_decay: float
@@ -80,10 +75,7 @@ class OptimizerState:
     @classmethod
     def create(cls, params: dict[str, Tensor], lr: float,
                weight_decay: float) -> "OptimizerState":
-        buf = ad._arena_of([p.data for p in params.values()])
-        if buf is None:
-            raise LayoutMismatch("the parameters are not the views of one "
-                                 "buffer (Model.create lays them out)")
+        buf = ad.arena_of(params)
         shapes = [p.shape for p in params.values()]
         m, v, grads = (dict(zip(params, ad.arena(shapes, buf.dtype)))
                        for _ in range(3))
@@ -99,27 +91,6 @@ class OptimizerState:
         return replace(self, m=m, v=v, grads=grads)
 
 
-def _buffers(params: dict[str, Tensor], state: OptimizerState):
-    """The flat buffers of the parameters, ``state.grads``, ``state.m`` and
-    ``state.v``, once checked, cheaply, that they share one layout: the
-    parameters are views of one buffer with the optimizer's names, in
-    order, and shapes. LayoutMismatch if not."""
-    views = [p.data for p in params.values()]
-    bufs = [views[0].base if views else None] + [
-        next(iter(d.values())).base if d else None
-        for d in (state.grads, state.m, state.v)]
-    p = bufs[0]
-    if (list(params) != list(state.m)
-            or any(b is None or b.ndim != 1 or b.size != p.size
-                   or b.dtype != p.dtype for b in bufs)
-            or {id(a.base) for a in views} != {id(p)}
-            or [a.shape for a in views] != [m.shape for m in state.m.values()]):
-        raise LayoutMismatch(
-            "the parameters are not the views of one buffer in the "
-            "optimizer's layout (Model.create lays them out)")
-    return bufs
-
-
 def adamw_step(params: dict[str, Tensor], state: OptimizerState,
                lr: float) -> None:
     """One bias-corrected Adam update with decoupled weight decay, as one
@@ -127,19 +98,20 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState,
     ``state.m`` and ``state.v``.
 
     The gradients are read from ``state.grads``, where ``Tape.backward``
-    (with ``into``) or the caller wrote them. ``params`` must be laid out
-    as ``OptimizerState.create`` left them, else LayoutMismatch. Every
-    gradient is checked before the moments or parameters change, so a
-    non-finite batch leaves them untouched.
+    (with ``into``) or the caller wrote them. ``params`` must keep the
+    rule ``OptimizerState.create`` checked, in the optimizer's names,
+    shapes and dtype (``ad.arena_of``), else LayoutMismatch. That check and
+    the check of every gradient come before the moments or parameters
+    change, so a bad layout or a non-finite batch leaves them untouched.
 
     The update runs in place with the operations of ``p -= lr * ((m /
     bc1) / (sqrt(v / bc2) + eps) + weight_decay * p)``, in chunks of
     ADAM_CHUNK elements; every element gets the same operations whatever
-    the chunks, so the same bits. With ``ad.PAIR_MIN_WORK`` elements or
-    more, the two halves of the buffers, split at the midpoint, run at once
-    (``ad._both``), each with its own scratch.
+    the chunks, so the same bits. The two halves of the buffers, split at
+    the midpoint, are ``ad._both``'s two jobs, each with its own scratch.
     """
-    bufs = _buffers(params, state)
+    bufs = [ad.arena_of(params, state.m)] + [  # the state's own arenas
+        next(iter(d.values())).base for d in (state.grads, state.m, state.v)]
     g = bufs[1]
     for start in range(0, g.size, ADAM_CHUNK):
         if not np.isfinite(g[start:start + ADAM_CHUNK]).all():
@@ -147,13 +119,9 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState,
                         if not np.isfinite(a).all())
             raise NonFiniteGradient(f"non-finite gradient in {name}")
     state.step_count += 1
-    size = g.size
-    if size < ad.PAIR_MIN_WORK:
-        _adamw_job(bufs, 0, size, state, lr)()
-    else:
-        mid = size // 2
-        ad._both(_adamw_job(bufs, 0, mid, state, lr),
-                 _adamw_job(bufs, mid, size, state, lr))
+    mid = g.size // 2
+    ad._both(_adamw_job(bufs, 0, mid, state, lr),
+             _adamw_job(bufs, mid, g.size, state, lr), g.size)
 
 
 def _adamw_job(bufs: list[np.ndarray], lo: int, hi: int,
@@ -341,7 +309,7 @@ def train_epoch(model: Model, records: list[DatasetRecord],
     step's gradients straight into ``opt.grads``.
     """
     params = model.parameters()
-    _buffers(params, opt)  # the slots below are the parameters' own
+    ad.arena_of(params, opt.m)  # the slots below are the parameters' own
     slots = dict(zip(params.values(), opt.grads.values()))
     order = shuffle_rng(settings.seed, epoch).permutation(len(records))
     shuffled = [records[i] for i in order]

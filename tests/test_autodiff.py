@@ -1348,12 +1348,14 @@ def _every_job_on_the_worker(monkeypatch):
 
 
 def _counting_both(monkeypatch) -> list:
+    """Counts the ``ad._both`` calls with work enough to pair."""
     calls = []
     real = ad._both
 
-    def both(first, second):
-        calls.append(1)
-        real(first, second)
+    def both(first, second, work):
+        if work >= ad.PAIR_MIN_WORK:
+            calls.append(1)
+        real(first, second, work)
 
     monkeypatch.setattr(ad, "_both", both)
     return calls
@@ -1486,9 +1488,10 @@ class TestTwoCpus:
             raise RuntimeError("in the worker")
 
         with pytest.raises(RuntimeError, match="in the worker"):
-            ad._both(lambda: None, fail)
+            ad._both(lambda: None, fail, ad.PAIR_MIN_WORK)
         done = []
-        ad._both(lambda: done.append("first"), lambda: done.append("second"))
+        ad._both(lambda: done.append("first"), lambda: done.append("second"),
+                 ad.PAIR_MIN_WORK)
         assert sorted(done) == ["first", "second"]
 
     def test_first_job_exception_waits_for_the_second(self, monkeypatch):
@@ -1499,8 +1502,19 @@ class TestTwoCpus:
             raise RuntimeError("in the caller")
 
         with pytest.raises(RuntimeError, match="in the caller"):
-            ad._both(fail, lambda: (time.sleep(0.05), done.append(1)))
+            ad._both(fail, lambda: (time.sleep(0.05), done.append(1)),
+                     ad.PAIR_MIN_WORK)
         assert done == [1]
+
+    def test_small_jobs_run_here_without_reading_the_cpus(self, monkeypatch):
+        def refuse(pid):
+            raise AssertionError("the CPU count was read")
+
+        monkeypatch.setattr(ad.os, "sched_getaffinity", refuse)
+        done = []
+        ad._both(lambda: done.append("first"), lambda: done.append("second"),
+                 ad.PAIR_MIN_WORK - 1)
+        assert done == ["first", "second"]
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(ad, "_worker", None)
@@ -1516,7 +1530,7 @@ class TestTwoCpus:
     def test_forked_child_runs_jobs_on_a_worker_of_its_own(self,
                                                            monkeypatch):
         monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0, 1})
-        ad._both(lambda: None, lambda: None)
+        ad._both(lambda: None, lambda: None, ad.PAIR_MIN_WORK)
         assert ad._worker is not None
 
         def child():

@@ -280,16 +280,17 @@ class TestCorruption:
 
 def sealed_body(config=b"", name=b"w", header=struct.pack("<BI", 1, 2),
                 data=bytes(16), adam=(0.9, 0.999, 1e-8), counters=(0, 0, 0, 0),
-                rates=(0.01, 0.0)) -> bytes:
-    """A checkpoint with one parameter, built field by field and given a
-    valid checksum, so only the named field can be at fault. ``counters``
-    are seed, epoch, step and opt_step_count; ``rates`` lr and
-    weight_decay."""
+                rates=(0.01, 0.0), copies=1) -> bytes:
+    """A checkpoint with one parameter, stored ``copies`` times, built field
+    by field and given a valid checksum, so only the named field can be at
+    fault. ``counters`` are seed, epoch, step and opt_step_count; ``rates``
+    lr and weight_decay."""
     body = MAGIC + struct.pack("<I", FORMAT_VERSION)
     body += struct.pack("<I", len(config)) + config
     body += struct.pack("<qqqq", *counters)
     body += struct.pack("<ddddd", *rates, *adam)
-    body += struct.pack("<IH", 1, len(name)) + name + (header + data) * 3
+    body += struct.pack("<I", copies) + (
+        struct.pack("<H", len(name)) + name + (header + data) * 3) * copies
     return body + hashlib.sha256(body).digest()
 
 
@@ -305,6 +306,11 @@ class TestChecksumValidBodies:
     def test_parameter_name_not_utf8(self):
         with pytest.raises(CorruptCheckpoint):
             deserialize(sealed_body(name=b"w\xfe"))
+
+    def test_repeated_parameter_name(self):
+        # the second copy would silently replace the first
+        with pytest.raises(CorruptCheckpoint, match="'w' .*twice"):
+            deserialize(sealed_body(copies=2))
 
     def test_dimensions_overflowing_int64(self):
         # 65536 ** 4 = 2 ** 64, which an int64 product wraps to 0

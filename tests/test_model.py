@@ -304,24 +304,70 @@ class TestArena:
         for a, b in zip(originals, self.arenas(clone, clone_opt, dtype)):
             assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("split", ["rebound", "deepcopied", "reordered"])
+    @staticmethod
+    def out_of_layout(params: dict, how: str) -> tuple[dict, str]:
+        """``params`` taken out of their layout ``how``, and the name of the
+        first parameter out of place. "rebound" and "swapped" change the
+        model's own tensors."""
+        if how == "rebound":
+            bias = params["integrator.bias"]
+            bias.data = bias.data.copy()
+            return params, "integrator.bias"
+        if how == "swapped":  # same shapes, each in the other's place
+            a, b = params["block0.expert0.w1"], params["block0.expert1.w1"]
+            a.data, b.data = b.data, a.data
+            return params, "block0.expert0.w1"
+        if how == "deepcopied":
+            return copy.deepcopy(params), next(iter(params))
+        return dict(reversed(params.items())), next(reversed(params))
+
+    @pytest.mark.parametrize("split",
+                             ["rebound", "deepcopied", "reordered", "swapped"])
     def test_adamw_step_rejects_parameters_outside_the_layout(self, dtype,
                                                               split):
         model, opt = self.build(dtype)
         moments = self.arenas(model, opt, dtype)[1:]
         before = [b.copy() for b in moments]
-        params = model.parameters()
-        if split == "rebound":
-            params["integrator.bias"].data = params["integrator.bias"].data.copy()
-        elif split == "deepcopied":
-            params = copy.deepcopy(params)
-        else:
-            params = dict(reversed(params.items()))
+        params, name = self.out_of_layout(model.parameters(), split)
+        values = [p.data.copy() for p in params.values()]
         for g in opt.grads.values():
             g[...] = 1
-        with pytest.raises(train.LayoutMismatch, match="optimizer's layout"):
+        with pytest.raises(train.LayoutMismatch,
+                           match=f"'{name}' breaks the optimizer's layout"):
             adamw_step(params, opt, lr=0.01)
         assert opt.step_count == 0
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(moments, before))
+        assert all(p.data.tobytes() == v.tobytes()
+                   for p, v in zip(params.values(), values))
+
+    @pytest.mark.parametrize("split", ["rebound", "swapped", "other-model"])
+    def test_train_epoch_moves_nothing_outside_the_layout(self, dtype, split):
+        """``train_epoch`` raises, naming the parameter, before a parameter
+        or moment moves: also for an optimizer made for another model,
+        whose gradient slots do not fit this one's."""
+        model, opt = self.build(dtype)
+        if split == "other-model":
+            other = Model.create(tiny_config(num_experts=4), seed=0,
+                                 dtype=dtype)
+            opt = OptimizerState.create(other.parameters(), lr=0.01,
+                                        weight_decay=0.01)
+            # the first shape that differs: w_mu1 has one column an expert
+            params, name = model.parameters(), "block0.router.w_mu1"
+        else:
+            params, name = self.out_of_layout(model.parameters(), split)
+        values = [p.data.copy() for p in params.values()]
+        moments = [_arena_of(list(d.values()), dtype) for d in (opt.m, opt.v)]
+        before = [a.copy() for a in moments]
+        records = synthesize_dataset(3, {"A": "carbonyl"}, 8)
+        tasks = resolve_tasks(["A"], None, fallback_dim=5)
+        with pytest.raises(train.LayoutMismatch, match=f"'{name}'"):
+            train.train_epoch(model, records, tasks,
+                              train.TrainSettings(batch_size=4, seed=0,
+                                                  lr=0.01, beta=0.1),
+                              opt, train.ScheduleConfig(total_steps=2), 0, 0)
+        assert opt.step_count == 0
+        assert all(p.data.tobytes() == v.tobytes()
+                   for p, v in zip(model.parameters().values(), values))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(moments, before))
 
     def test_deepcopy_is_independent(self, dtype):

@@ -106,11 +106,14 @@ class TestAdamW:
         adamw_step(params, state, lr=0.0)
         np.testing.assert_array_equal(params["w"].data, [1.0])
 
-    @pytest.mark.parametrize("split", ["hand-built", "rebound", "reordered"])
+    @pytest.mark.parametrize("split",
+                             ["hand-built", "rebound", "reordered", "swapped"])
     def test_create_takes_only_one_arena(self, split):
         """``create`` lays no parameter out: parameters that are not one
-        arena's views, in order, raise and keep their own arrays."""
-        values = {"a": np.ones(3), "b": np.zeros((2, 2))}
+        arena's views, in order, raise, naming the first out of place, and
+        keep their own arrays."""
+        name = {"rebound": "b", "reordered": "c"}.get(split, "a")
+        values = {"a": np.ones(3), "b": np.zeros((2, 2)), "c": np.full(3, 2.0)}
         if split == "hand-built":
             params = {k: Tensor(v, requires_grad=True)
                       for k, v in values.items()}
@@ -120,8 +123,12 @@ class TestAdamW:
             params["b"].data = params["b"].data.copy()
         elif split == "reordered":
             params = dict(reversed(params.items()))
+        elif split == "swapped":
+            a, c = params["a"], params["c"]
+            a.data, c.data = c.data, a.data
         arrays = {k: p.data for k, p in params.items()}
-        with pytest.raises(train.LayoutMismatch, match="one buffer"):
+        with pytest.raises(train.LayoutMismatch,
+                           match=f"'{name}' breaks .* one buffer"):
             OptimizerState.create(params, lr=0.01, weight_decay=0.0)
         assert all(p.data is arrays[k] for k, p in params.items())
 
