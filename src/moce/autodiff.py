@@ -62,6 +62,7 @@ import itertools
 import math
 import os
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
@@ -93,8 +94,8 @@ class AllMaskedRow(ValueError):
 
 
 class LayoutMismatch(ValueError):
-    """Parameters that break the arena layout rule (``arena_of``); the
-    message names the first one that does."""
+    """Parameters or a buffer that break the layout rule (``arena_of``,
+    ``Views``); the message names what does."""
 
 
 def neg_inf(dtype=np.float64) -> float:
@@ -182,49 +183,50 @@ class Module:
         return out
 
 
-def arena(shapes: Sequence[tuple[int, ...]], dtype) -> list[np.ndarray]:
-    """Zeroed arrays of ``shapes``, in order, as views of one ``np.zeros``
-    buffer with no gap between them. A large buffer's pages are mapped
-    only when first written, and go back to the system in one piece once
-    no view is left."""
-    sizes = [math.prod(shape) for shape in shapes]
-    buf = np.zeros(sum(sizes), dtype)
-    views, start = [], 0
-    for shape, size in zip(shapes, sizes):
-        views.append(buf[start:start + size].reshape(shape))
-        start += size
-    return views
+class Views(Mapping):
+    """A 1-D buffer's parts, by name, in ``shapes``' order with no gap: the
+    one statement of the layout that the parameters, their gradients and
+    the Adam moments share. Each view is made only when asked for.
+    LayoutMismatch unless ``buf`` is exactly as long as the table."""
+
+    def __init__(self, buf: np.ndarray, shapes: dict[str, tuple[int, ...]]):
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        if buf.shape != (sum(sizes),):
+            raise LayoutMismatch(
+                f"a buffer of shape {buf.shape} does not hold the "
+                f"{sum(sizes)} values of the optimizer's layout")
+        self.buf, self.shapes = buf, shapes
+        self.starts = dict(zip(shapes, itertools.accumulate(sizes, initial=0)))
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        shape, start = self.shapes[name], self.starts[name]
+        return self.buf[start:start + math.prod(shape)].reshape(shape)
+
+    def __iter__(self):
+        return iter(self.shapes)
+
+    def __len__(self) -> int:
+        return len(self.shapes)
 
 
-def arena_copies(arrays: Sequence[np.ndarray], dtype) -> list[np.ndarray]:
-    """Copies of ``arrays``, cast to ``dtype``, as the views of one new
-    ``arena``."""
-    views = arena([a.shape for a in arrays], dtype)
-    for view, a in zip(views, arrays):
-        np.copyto(view, a)
-    return views
-
-
-def arena_of(params: dict[str, Tensor], like: dict | None = None
-             ) -> np.ndarray:
-    """The buffer that ``params``' data are the views of as ``arena`` lays
-    them out: C-ordered, in order, with no gap or overlap, covering it, and
-    with the names, shapes and dtypes of ``like`` (the optimizer's moments)
-    when given. Else LayoutMismatch, naming the first parameter that breaks
-    the rule. Reading each view's address (``ctypes.data``, ~1 us) is
-    most of its cost."""
-    like = params if like is None else like
+def arena_of(params: dict[str, Tensor],
+             shapes: dict[str, tuple[int, ...]]) -> np.ndarray:
+    """The buffer that ``params``' data are the views of as ``Views`` lays
+    them out with the names and shapes of ``shapes``: C-ordered, in order,
+    with no gap or overlap, covering it, in its dtype. Else LayoutMismatch,
+    naming the first parameter that breaks the rule. Reading each view's
+    address (``ctypes.data``, ~1 us) is most of its cost."""
     buf = next(iter(params.values())).data.base if params else None
     whole = (isinstance(buf, np.ndarray) and buf.ndim == 1
              and buf.flags.c_contiguous)
     end = buf.ctypes.data if whole else -1  # -1: no view's address matches
     where = "the end of the parameters"
-    for (name, t), (want, ref) in itertools.zip_longest(
-            params.items(), like.items(), fillvalue=(None, None)):
+    for (name, t), (want, shape) in itertools.zip_longest(
+            params.items(), shapes.items(), fillvalue=(None, None)):
         a = t.data if name == want else None
-        if (a is None or a.base is not buf or a.shape != ref.shape
-                or a.dtype != ref.dtype or not a.flags.c_contiguous
-                or a.ctypes.data != end):
+        if (a is None or a.base is not buf or a.ctypes.data != end
+                or a.shape != shape or a.dtype != buf.dtype
+                or not a.flags.c_contiguous):
             where = f"parameter {name or want!r}"
             break
         end += a.nbytes
@@ -237,10 +239,16 @@ def arena_of(params: dict[str, Tensor], like: dict | None = None
         "with no gap or overlap, covering it (Model.create lays them out)")
 
 
-def pack(tensors: Sequence[Tensor], dtype) -> None:
-    """Copy ``tensors``' data, cast to ``dtype``, into one new ``arena``,
-    in order, and rebind each tensor's data to its view there."""
-    for t, view in zip(tensors, arena_copies([t.data for t in tensors], dtype)):
+def pack(params: dict[str, Tensor], dtype) -> None:
+    """Lay ``params`` out as the ``Views`` of one new ``np.zeros`` buffer of
+    ``dtype``, in order: copy each tensor's data, cast to ``dtype``, into
+    its view there and rebind the tensor's data to that view. The buffer's
+    pages are mapped only when first written, and go back to the system in
+    one piece once no view is left."""
+    shapes = {name: t.shape for name, t in params.items()}
+    buf = np.zeros(sum(math.prod(shape) for shape in shapes.values()), dtype)
+    for t, view in zip(params.values(), Views(buf, shapes).values()):
+        np.copyto(view, t.data)
         t.data = view
 
 

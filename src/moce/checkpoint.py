@@ -196,8 +196,9 @@ def save_checkpoint(path, config_text: str, model, opt, seed: int,
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as fh:
-            _write(fh, config_text, params, opt.m, opt.v, seed, epoch, step,
-                   opt.step_count, opt.lr, opt.weight_decay)
+            _write(fh, config_text, params, opt.views(opt.m),
+                   opt.views(opt.v), seed, epoch, step, opt.step_count, opt.lr,
+                   opt.weight_decay)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -240,9 +241,9 @@ def restore_model(model, ckpt: CheckpointData) -> None:
 
 
 def restore_optimizer(opt, ckpt: CheckpointData) -> None:
-    """Copy saved moments and counters into a freshly created optimizer."""
-    _copy_into(opt.m, ckpt.opt_m, "first-moment")
-    _copy_into(opt.v, ckpt.opt_v, "second-moment")
+    """Copy saved moments, by name, and counters into a fresh optimizer."""
+    _copy_into(opt.views(opt.m), ckpt.opt_m, "first-moment")
+    _copy_into(opt.views(opt.v), ckpt.opt_v, "second-moment")
     opt.step_count = ckpt.opt_step_count
     opt.lr = ckpt.lr
     opt.weight_decay = ckpt.weight_decay

@@ -14,7 +14,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -190,6 +190,12 @@ def cmd_train(args) -> int:
     start_epoch, step = 0, 0
     if args.resume:
         ckpt = load_checkpoint(args.resume)
+        saved, wanted = (asdict(c.model_config())
+                         for c in (parse_config(ckpt.config_text), cfg))
+        key = next((k for k in saved if saved[k] != wanted[k]), None)
+        if key is not None:  # resuming must not swap the model being trained
+            raise ConfigError(f"checkpoint {args.resume} was trained with "
+                              f"{key} = {saved[key]}, not {wanted[key]}")
         restore_model(model, ckpt)
         restore_optimizer(opt, ckpt)
         start_epoch, step = ckpt.epoch, ckpt.step

@@ -16,6 +16,7 @@ import numpy as np
 
 from .losses import LossToggles
 from .model import ModelConfig
+from .molgraph import read_utf8
 from .train import TrainSettings
 
 
@@ -152,12 +153,7 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path} is not UTF-8 text ({exc.reason})") from None
-    return parse_config(text)
+    return parse_config(read_utf8(path, ConfigError, lambda fh: fh.read()))
 
 
 def default_config_text() -> str:

@@ -18,6 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Module, Tensor
 from .encoder import BatchedGraph, segment_mean_pool
+from .molgraph import read_utf8
 
 
 class BadK(ValueError):
@@ -63,11 +64,7 @@ def load_task_embeddings(path) -> dict[str, np.ndarray]:
     are stripped, as dataset cells are; a leading byte-order mark is not data."""
     table: dict[str, np.ndarray] = {}
     dim = None
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise TaskEmbeddingError(f"{path} is not UTF-8 text ({exc.reason})") from None
+    lines = read_utf8(path, TaskEmbeddingError, lambda fh: fh.readlines())
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:

@@ -101,9 +101,8 @@ class Model(Module):
         """Build all parameters from one seeded generator in a fixed order,
         so (config, seed, precision) fully determine the initial state. Each
         parameter is drawn in float64 and cast to ``dtype`` once, here, by
-        the copy into one ``ad.arena`` buffer (``ad.pack``), in
-        ``parameters()`` order; each parameter's ``data`` is a view of that
-        buffer."""
+        the copy into one buffer (``ad.pack``), in ``parameters()`` order;
+        each parameter's ``data`` is a view of that buffer."""
         config.validate()
         rng = np.random.Generator(np.random.PCG64(seed))
         tables = EncoderConfig.create(rng, config.embed_dim)
@@ -121,15 +120,19 @@ class Model(Module):
                                              config.num_processing_layers)
         model = cls(config=config, input_tables=tables, blocks=blocks,
                     integrator=integrator)
-        ad.pack(list(model.parameters().values()), dtype)
+        ad.pack(model.parameters(), dtype)
         return model
 
     def __deepcopy__(self, memo) -> "Model":
         """An independent copy whose parameters are the views of one new
-        arena, as ``create`` lays them out: each is copied straight into
-        its place there."""
-        params = [t.data for t in self.parameters().values()]
-        memo.update(zip(map(id, params), ad.arena_copies(params, self.dtype)))
+        buffer, as ``create`` lays them out: the parameters' buffer
+        (``ad.arena_of``) is copied once and each parameter's copy is its
+        view of that copy."""
+        params = self.parameters()
+        shapes = {name: t.shape for name, t in params.items()}
+        buf = ad.arena_of(params, shapes).copy()
+        memo.update(zip((id(t.data) for t in params.values()),
+                        ad.Views(buf, shapes).values()))
         return type(self)(**{f.name: copy.deepcopy(getattr(self, f.name), memo)
                              for f in fields(self)})
 

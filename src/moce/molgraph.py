@@ -458,17 +458,29 @@ def scaffold_key(graph: FeaturizedGraph) -> ScaffoldKey:
     return hashlib.sha256(";".join(sorted(labels.values())).encode("utf-8")).hexdigest()
 
 
+def read_utf8(path, error: type[Exception], read):
+    """``read(fh)`` of ``path`` open as UTF-8 text, less a leading
+    byte-order mark, line endings untranslated (as csv needs): every text
+    input's one reader. Bytes that are not UTF-8 raise ``error``, naming
+    the file."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            return read(fh)
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
 def _csv_rows(path: str) -> list[list[str]]:
-    """Every row of a UTF-8 CSV file, less a leading byte-order mark. A row
-    the csv module rejects, or bytes that are not UTF-8, raise DatasetError."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    """Every row of a UTF-8 CSV file (``read_utf8``). A row the csv module
+    rejects raises DatasetError."""
+    def rows(fh) -> list[list[str]]:
         reader = csv.reader(fh)
         try:
             return list(reader)
         except csv.Error as exc:
             raise DatasetError(str(exc), reader.line_num) from None
-        except UnicodeDecodeError as exc:
-            raise DatasetError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+    return read_utf8(path, DatasetError, rows)
 
 
 @dataclass

@@ -54,54 +54,57 @@ def noise_rngs(seed: int, step: int, num_blocks: int) -> list[np.random.Generato
 
 @dataclass
 class OptimizerState:
-    """Decoupled-weight-decay Adam moments, keyed by parameter name. The
-    decay rates and epsilon are the fixed ADAM_* constants.
+    """Decoupled-weight-decay Adam state. The decay rates and epsilon are
+    the fixed ADAM_* constants.
 
+    ``m``, ``v`` and the gradients ``grads`` are flat buffers in the
+    parameters' order and dtype, laid out by ``shapes``, the one table of
+    the parameters' names and shapes; ``views`` names a buffer's parts.
     ``create`` takes parameters that keep the layout rule (``ad.arena_of``,
-    else LayoutMismatch) and backs ``m``, ``v`` and the gradients ``grads``
-    with three more arenas in that layout, which every step then holds the
-    parameters to. ``grads`` is scratch, not state: each step rewrites all
-    of it, no checkpoint holds it, and its pages are mapped by the first
-    step that writes them. A deepcopy copies ``m`` and ``v`` into one
-    buffer each and gets fresh zero ``grads``."""
+    else LayoutMismatch) and takes each buffer from ``np.zeros``, so its
+    pages are mapped only when first written. ``grads`` is scratch, not
+    state: each step rewrites all of it and no checkpoint holds it."""
 
     lr: float
     weight_decay: float
+    shapes: dict[str, tuple[int, ...]]
+    m: np.ndarray
+    v: np.ndarray
+    grads: np.ndarray = field(repr=False)
     step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    grads: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     @classmethod
     def create(cls, params: dict[str, Tensor], lr: float,
                weight_decay: float) -> "OptimizerState":
-        buf = ad.arena_of(params)
-        shapes = [p.shape for p in params.values()]
-        m, v, grads = (dict(zip(params, ad.arena(shapes, buf.dtype)))
-                       for _ in range(3))
-        return cls(lr=lr, weight_decay=weight_decay, m=m, v=v, grads=grads)
+        shapes = {name: p.shape for name, p in params.items()}
+        buf = ad.arena_of(params, shapes)
+        m, v, grads = (np.zeros(buf.size, buf.dtype) for _ in range(3))
+        return cls(lr=lr, weight_decay=weight_decay, shapes=shapes, m=m, v=v,
+                   grads=grads)
+
+    def views(self, buf: np.ndarray) -> ad.Views:
+        """``buf`` (``m``, ``v`` or ``grads``) by parameter name."""
+        return ad.Views(buf, self.shapes)
 
     def __deepcopy__(self, memo) -> "OptimizerState":
-        moments = list(self.m.values())
-        dtype = moments[0].dtype
-        m, v, grads = (dict(zip(self.m, views)) for views in (
-            ad.arena_copies(moments, dtype),
-            ad.arena_copies(list(self.v.values()), dtype),
-            ad.arena([a.shape for a in moments], dtype)))
-        return replace(self, m=m, v=v, grads=grads)
+        """Copies of ``m`` and ``v`` and fresh ``np.zeros`` ``grads``."""
+        return replace(self, shapes=dict(self.shapes), m=self.m.copy(),
+                       v=self.v.copy(),
+                       grads=np.zeros(self.grads.size, self.grads.dtype))
 
 
 def adamw_step(params: dict[str, Tensor], state: OptimizerState,
                lr: float) -> None:
     """One bias-corrected Adam update with decoupled weight decay, as one
-    pass over four flat buffers: the parameters, ``state.grads``,
+    pass over four flat buffers: the parameters', ``state.grads``,
     ``state.m`` and ``state.v``.
 
     The gradients are read from ``state.grads``, where ``Tape.backward``
     (with ``into``) or the caller wrote them. ``params`` must keep the
-    rule ``OptimizerState.create`` checked, in the optimizer's names,
-    shapes and dtype (``ad.arena_of``), else LayoutMismatch. That check and
-    the check of every gradient come before the moments or parameters
+    rule ``OptimizerState.create`` checked, in the optimizer's names and
+    shapes (``ad.arena_of``), and the state's buffers must have the
+    parameters' buffer's shape and dtype, else LayoutMismatch. Those checks
+    and the check of every gradient come before the moments or parameters
     change, so a bad layout or a non-finite batch leaves them untouched.
 
     The update runs in place with the operations of ``p -= lr * ((m /
@@ -110,12 +113,18 @@ def adamw_step(params: dict[str, Tensor], state: OptimizerState,
     the chunks, so the same bits. The two halves of the buffers, split at
     the midpoint, are ``ad._both``'s two jobs, each with its own scratch.
     """
-    bufs = [ad.arena_of(params, state.m)] + [  # the state's own arenas
-        next(iter(d.values())).base for d in (state.grads, state.m, state.v)]
-    g = bufs[1]
+    bufs = [ad.arena_of(params, state.shapes), state.grads, state.m, state.v]
+    for name, a in zip(("grads", "m", "v"), bufs[1:]):
+        if not (isinstance(a, np.ndarray) and a.shape == bufs[0].shape
+                and a.dtype == bufs[0].dtype):
+            raise LayoutMismatch(
+                f"buffer {name!r} breaks the optimizer's layout: it must be "
+                f"a 1-D {bufs[0].dtype} array of the parameters' "
+                f"{bufs[0].size} values")
+    g = state.grads
     for start in range(0, g.size, ADAM_CHUNK):
         if not np.isfinite(g[start:start + ADAM_CHUNK]).all():
-            name = next(n for n, a in state.grads.items()
+            name = next(n for n, a in state.views(g).items()
                         if not np.isfinite(a).all())
             raise NonFiniteGradient(f"non-finite gradient in {name}")
     state.step_count += 1
@@ -309,8 +318,8 @@ def train_epoch(model: Model, records: list[DatasetRecord],
     step's gradients straight into ``opt.grads``.
     """
     params = model.parameters()
-    ad.arena_of(params, opt.m)  # the slots below are the parameters' own
-    slots = dict(zip(params.values(), opt.grads.values()))
+    ad.arena_of(params, opt.shapes)  # the slots below are the parameters'
+    slots = dict(zip(params.values(), opt.views(opt.grads).values()))
     order = shuffle_rng(settings.seed, epoch).permutation(len(records))
     shuffled = [records[i] for i in order]
 

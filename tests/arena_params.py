@@ -9,10 +9,9 @@ from moce.autodiff import Tensor
 
 def arena_params(values: dict) -> dict:
     """``{name: Tensor}`` leaves whose data are copies of ``values``'
-    arrays, in their common dtype, as the views of one ``ad.arena`` buffer
-    in order (``ad.pack``, as ``Model.create`` does)."""
+    arrays, in their common dtype, as the views of one buffer in order
+    (``ad.pack``, as ``Model.create`` does)."""
     params = {name: Tensor(np.asarray(a), requires_grad=True)
               for name, a in values.items()}
-    tensors = list(params.values())
-    ad.pack(tensors, np.result_type(*(t.dtype for t in tensors)))
+    ad.pack(params, np.result_type(*(t.dtype for t in params.values())))
     return params

@@ -1327,11 +1327,12 @@ class TestFanIn:
         for grads in (got, want):
             fresh, opt = state()
             live = fresh.parameters()
-            for n in params:
-                opt.grads[n][...] = grads[params[n]]
+            for n, slot in opt.views(opt.grads).items():
+                slot[...] = grads[params[n]]
             adamw_step(live, opt, lr=0.01)
+            ms, vs = opt.views(opt.m), opt.views(opt.v)
             after.append([arr.tobytes() for n in sorted(live)
-                          for arr in (live[n].data, opt.m[n], opt.v[n])])
+                          for arr in (live[n].data, ms[n], vs[n])])
         assert after[0] == after[1]
 
 
@@ -1384,12 +1385,12 @@ def _step_bytes(dtype) -> list[bytes]:
         rngs = [np.random.default_rng(90 + b) for b in range(2)]
         out = model.forward(batch, t, noise_on=True, rngs=rngs)
         loss = model_loss(model, out, labels, beta=0.1).overall
-        tape.backward(loss, into=dict(zip(params.values(),
-                                          opt.grads.values())))
-    grads = opt.grads
+        grads = opt.views(opt.grads)
+        tape.backward(loss, into=dict(zip(params.values(), grads.values())))
     adamw_step(params, opt, lr=0.01)
+    ms, vs = opt.views(opt.m), opt.views(opt.v)
     return [arr.tobytes() for n in params
-            for arr in (grads[n], params[n].data, opt.m[n], opt.v[n])]
+            for arr in (grads[n], params[n].data, ms[n], vs[n])]
 
 
 def _live_row_grads(dtype):
@@ -1462,12 +1463,14 @@ class TestTwoCpus:
             params = arena_params({i: np.ones(s)
                                    for i, s in enumerate(shapes)})
             opt = OptimizerState.create(params, lr=0.01, weight_decay=0.01)
+            slots = opt.views(opt.grads)
             for g in grads:
                 for i, a in g.items():
-                    opt.grads[i][...] = a
+                    slots[i][...] = a
                 adamw_step(params, opt, lr=0.01)
+            ms, vs = opt.views(opt.m), opt.views(opt.v)
             return [a.tobytes() for i in params
-                    for a in (params[i].data, opt.m[i], opt.v[i])]
+                    for a in (params[i].data, ms[i], vs[i])]
 
         with monkeypatch.context() as m:
             _one_cpu(m)

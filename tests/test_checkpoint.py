@@ -46,10 +46,15 @@ def sized_model():
 
 
 def stand_in(params, m, v):
-    """A model and optimizer holding the given arrays as they are."""
+    """A model holding the given arrays as they are, and an optimizer
+    holding the given moments in its flat buffers."""
     model = SimpleNamespace(parameters=lambda: {
         name: SimpleNamespace(data=arr) for name, arr in params.items()})
-    opt = OptimizerState(lr=0.01, weight_decay=0.0, step_count=5, m=m, v=v)
+    shapes = {name: np.shape(arr) for name, arr in m.items()}
+    m, v = (np.concatenate([np.ravel(d[name]) for name in shapes])
+            for d in (m, v))
+    opt = OptimizerState(lr=0.01, weight_decay=0.0, shapes=shapes, m=m, v=v,
+                         grads=np.zeros_like(m), step_count=5)
     return model, opt
 
 
@@ -87,8 +92,7 @@ class TestRoundTrip:
         opt = OptimizerState.create(model.parameters(), lr=0.003,
                                     weight_decay=0.01)
         # make moments non-trivial
-        for arr in opt.m.values():
-            arr += 0.5
+        opt.m += 0.5
         opt.step_count = 9
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, "seed = 11\n", model, opt, seed=11, epoch=2,
@@ -108,9 +112,10 @@ class TestRoundTrip:
         assert opt2.step_count == 9
         assert opt2.lr == 0.003
         assert opt2.weight_decay == 0.01
-        for name in opt.m:
-            assert np.array_equal(opt2.m[name], opt.m[name])
-            assert np.array_equal(opt2.v[name], opt.v[name])
+        for buf, buf2 in ((opt.m, opt2.m), (opt.v, opt2.v)):
+            want, got = opt.views(buf), opt2.views(buf2)
+            for name in want:
+                assert np.array_equal(got[name], want[name])
 
 
 class TestStreaming:
@@ -142,8 +147,7 @@ class TestStreaming:
             model = tiny_model(np.float32)
             opt = OptimizerState.create(model.parameters(), lr=0.01,
                                         weight_decay=0.0)
-            for arr in opt.v.values():
-                arr += np.float32(0.3)
+            opt.v += np.float32(0.3)
         else:
             params, m, v = small_state()
             if case == "transposed":
@@ -155,8 +159,8 @@ class TestStreaming:
         save_checkpoint(path, "k_s = 2\n", model, opt, 3, 4, 5)
         params = {name: t.data for name, t in model.parameters().items()}
         assert path.read_bytes() == serialize(
-            "k_s = 2\n", params, opt.m, opt.v, 3, 4, 5, opt.step_count,
-            opt.lr, opt.weight_decay)
+            "k_s = 2\n", params, opt.views(opt.m), opt.views(opt.v), 3, 4, 5,
+            opt.step_count, opt.lr, opt.weight_decay)
         ckpt = load_checkpoint(path)
         for name, arr in params.items():
             assert ckpt.params[name].shape == arr.shape
@@ -188,7 +192,8 @@ class TestStreaming:
             with pytest.raises(CorruptCheckpoint):
                 load_checkpoint(path)
 
-    def test_interrupted_save_keeps_the_earlier_file(self, tmp_path):
+    def test_interrupted_save_keeps_the_earlier_file(self, tmp_path,
+                                                     monkeypatch):
         model = sized_model()
         opt = OptimizerState.create(model.parameters(), lr=0.01,
                                     weight_decay=0.01)
@@ -203,7 +208,11 @@ class TestStreaming:
                 partial.append(os.path.getsize(f"{path}.tmp"))
                 raise KeyboardInterrupt
 
-        opt.m[sorted(opt.m)[-1]] = Interrupt()
+        moments = dict(opt.views(opt.m))
+        moments[sorted(moments)[-1]] = Interrupt()
+        views = opt.views
+        monkeypatch.setattr(opt, "views", lambda buf: (
+            moments if buf is opt.m else views(buf)))
         with pytest.raises(KeyboardInterrupt):
             save_checkpoint(path, "", model, opt, 0, 2, 2)
         assert partial and partial[0] > 0.9 * len(earlier)
@@ -417,11 +426,11 @@ class TestRestoreValidation:
         # a valid file whose first moment is 0-d for a 3-vector parameter
         blob = serialize("", {"w": np.ones(3)}, {"w": np.asarray(7.0)},
                          {"w": np.ones(3)}, 0, 0, 0, 4, 0.01, 0.0)
-        opt = OptimizerState(lr=0.01, weight_decay=0.01,
-                             m={"w": np.zeros(3)}, v={"w": np.zeros(3)})
+        opt = OptimizerState(lr=0.01, weight_decay=0.01, shapes={"w": (3,)},
+                             m=np.zeros(3), v=np.zeros(3), grads=np.zeros(3))
         with pytest.raises(CheckpointError, match="w: stored first-moment"):
             restore_optimizer(opt, deserialize(blob))
-        assert opt.m["w"].tolist() == [0.0, 0.0, 0.0]
+        assert opt.views(opt.m)["w"].tolist() == [0.0, 0.0, 0.0]
         assert opt.step_count == 0
 
     def test_optimizer_missing_moment_rejected(self):
@@ -429,8 +438,8 @@ class TestRestoreValidation:
         opt = OptimizerState.create(model.parameters(), lr=0.01,
                                     weight_decay=0.01)
         params = {name: t.data for name, t in model.parameters().items()}
-        ckpt = deserialize(serialize("", params, opt.m, opt.v, 0, 0, 0, 0,
-                                     0.1, 0.0))
+        ckpt = deserialize(serialize("", params, opt.views(opt.m),
+                                     opt.views(opt.v), 0, 0, 0, 0, 0.1, 0.0))
         del ckpt.opt_v["integrator.bias"]
         with pytest.raises(CheckpointError, match="integrator.bias"):
             restore_optimizer(opt, ckpt)

@@ -305,6 +305,33 @@ class TestTrain:
         assert "at epoch 4, past this run's last epoch 2" in err
         assert (checkpoint.read_bytes(), metrics.read_bytes()) == before
 
+    @pytest.mark.parametrize("key, edit", [
+        ("k_s", lambda text: text.replace("k_s = 2", "k_s = 1")),
+        ("pool_ratio", lambda text: text + "pool_ratio = 0.9\n"),
+        ("embed_dim", lambda text: text.replace("embed_dim = 6",
+                                                "embed_dim = 8")),
+    ], ids=["k_s", "pool_ratio", "embed_dim"])
+    def test_resume_with_another_model_shape_is_data_error(
+            self, workdir, tmp_path, capsys, key, edit):
+        # a run stopped after epoch 1, resumed by a config for another model
+        text = TINY_CFG.format(data=workdir["data"], splits=workdir["splits"],
+                               out=tmp_path / "run")
+        first = tmp_path / "first.cfg"
+        first.write_text(text + "stop_after = 1\n")
+        assert main(["train", "--config", str(first)]) == 0
+        capsys.readouterr()
+        checkpoint = tmp_path / "run" / "checkpoint.bin"
+        metrics = tmp_path / "run" / "metrics.csv"
+        before = checkpoint.read_bytes(), metrics.read_bytes()
+
+        edited = tmp_path / "edited.cfg"
+        edited.write_text(edit(text))
+        assert main(["train", "--config", str(edited), "--resume",
+                     str(checkpoint)]) == 2
+        err = one_line_error(capsys, "train")
+        assert f"was trained with {key} = " in err
+        assert (checkpoint.read_bytes(), metrics.read_bytes()) == before
+
     @pytest.mark.parametrize("field, value", [
         ("seed", -1), ("epoch", -1), ("step", -1), ("opt_step_count", -5),
         ("lr", float("nan")), ("weight_decay", -0.01)])

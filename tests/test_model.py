@@ -143,18 +143,26 @@ class TestArena:
 
     @staticmethod
     def arenas(model, opt, dtype):
-        params = [p.data for p in model.parameters().values()]
-        return (_arena_of(params, dtype), _arena_of(list(opt.m.values()), dtype),
-                _arena_of(list(opt.v.values()), dtype))
+        """The parameters' buffer, then ``opt.m`` and ``opt.v``, once
+        checked to be flat buffers of its size and dtype."""
+        base = _arena_of([p.data for p in model.parameters().values()], dtype)
+        for buf in (opt.m, opt.v, opt.grads):
+            assert buf.shape == base.shape and buf.dtype == dtype
+            assert buf.flags.owndata
+        return base, opt.m, opt.v
 
     def test_parameters_and_moments_share_one_layout(self, dtype):
         model, opt = self.build(dtype)
         params = model.parameters()
-        assert list(opt.m) == list(opt.v) == list(params)
+        assert list(opt.shapes) == list(params)
         bases = self.arenas(model, opt, dtype)
         assert len({id(b) for b in bases}) == 3
-        for name, p in params.items():
-            assert opt.m[name].shape == opt.v[name].shape == p.shape
+        for buf in bases[1:]:
+            moments = opt.views(buf)
+            assert list(moments) == list(params)
+            for name, p in params.items():
+                assert moments[name].shape == p.shape
+                assert moments[name].base is buf
         assert bases[0].size == sum(p.data.size for p in params.values())
         assert not bases[1].any() and not bases[2].any()
 
@@ -164,8 +172,8 @@ class TestArena:
         bases = self.arenas(model, opt, dtype)
         before = [b.copy() for b in bases]
         rng = np.random.default_rng(1)
-        for n, p in params.items():
-            opt.grads[n][...] = rng.normal(size=p.shape).astype(dtype)
+        for n, slot in opt.views(opt.grads).items():
+            slot[...] = rng.normal(size=slot.shape).astype(dtype)
         adamw_step(params, opt, lr=0.01)
         after = self.arenas(model, opt, dtype)
         assert all(a is b for a, b in zip(after, bases))
@@ -175,8 +183,8 @@ class TestArena:
         source, source_opt = self.build(dtype, seed=1)
         rng = np.random.default_rng(2)
         params = source.parameters()
-        for n, p in params.items():
-            source_opt.grads[n][...] = rng.normal(size=p.shape).astype(dtype)
+        for n, slot in source_opt.views(source_opt.grads).items():
+            slot[...] = rng.normal(size=slot.shape).astype(dtype)
         adamw_step(params, source_opt, lr=0.01)
         save_checkpoint(tmp_path / "c.bin", "", source, source_opt, 0, 0, 0)
         model, opt = self.build(dtype)
@@ -188,6 +196,24 @@ class TestArena:
         assert all(a is b for a, b in zip(after, bases))
         for got, want in zip(bases, self.arenas(source, source_opt, dtype)):
             assert got.tobytes() == want.tobytes()
+
+    def test_a_moment_written_by_name_is_the_one_adamw_and_the_file_see(
+            self, dtype, tmp_path):
+        """A write through ``views`` reaches the buffer that AdamW updates
+        and that ``save_checkpoint`` stores under that name."""
+        model, opt = self.build(dtype)
+        name = "block0.expert1.w1"
+        written = np.random.default_rng(3).normal(
+            size=opt.shapes[name]).astype(dtype)
+        opt.views(opt.m)[name][...] = written
+        adamw_step(model.parameters(), opt, lr=0.0)  # zero gradients
+        want = written * train.ADAM_BETA1
+        assert want.dtype == dtype
+        assert opt.views(opt.m)[name].tobytes() == want.tobytes()
+        assert np.count_nonzero(opt.m) == written.size
+        save_checkpoint(tmp_path / "c.bin", "", model, opt, 0, 0, 0)
+        stored = load_checkpoint(tmp_path / "c.bin").opt_m[name]
+        assert np.array_equal(stored, want)
 
     def test_finite_diff_check_perturbs_the_arena(self, dtype):
         model, _ = self.build(dtype)
@@ -212,14 +238,13 @@ class TestArena:
     def test_gradients_are_a_fourth_buffer_in_the_layout(self, dtype):
         model, opt = self.build(dtype)
         params = model.parameters()
-        assert list(opt.grads) == list(params)
-        grads = _arena_of(list(opt.grads.values()), dtype)
         bases = self.arenas(model, opt, dtype)
-        assert all(grads is not b for b in bases)
-        assert grads.size == bases[0].size
+        assert all(opt.grads is not b for b in bases)
+        slots = opt.views(opt.grads)
+        assert list(slots) == list(params)
         for name, p in params.items():
-            assert opt.grads[name].shape == p.shape
-        assert not grads.any()
+            assert slots[name].shape == p.shape and slots[name].base is opt.grads
+        assert not opt.grads.any()
 
     def test_adamw_reads_the_gradient_buffer_on_every_step(self, dtype,
                                                             monkeypatch):
@@ -229,7 +254,7 @@ class TestArena:
         seen = []
 
         def watched(params, state, lr, _real=train.adamw_step):
-            seen.append([g.base for g in state.grads.values()])
+            seen.append(state.grads)
             _real(params, state, lr)
 
         monkeypatch.setattr(train, "adamw_step", watched)
@@ -237,9 +262,8 @@ class TestArena:
                           train.TrainSettings(batch_size=4, seed=0, lr=0.01,
                                               beta=0.1),
                           opt, train.ScheduleConfig(total_steps=2), 0, 0)
-        grads = _arena_of(list(opt.grads.values()), dtype)
         assert len(seen) == 2 and opt.step_count == 2
-        assert all(base is grads for bases in seen for base in bases)
+        assert all(grads is opt.grads for grads in seen)
 
     def test_backward_lands_each_gradient_in_its_slot(self, dtype):
         """Every slot gets the bits ``backward`` returns without slots, and
@@ -259,13 +283,13 @@ class TestArena:
         returned = backward(None)
         unreached = [n for n, p in params.items() if p not in returned]
         assert unreached  # the noise weights, with noise and load loss off
-        for slot in opt.grads.values():
-            slot.fill(7.0)  # a stale step's values
-        assert backward(dict(zip(params.values(), opt.grads.values()))) == {}
+        opt.grads.fill(7.0)  # a stale step's values
+        slots = opt.views(opt.grads)
+        assert backward(dict(zip(params.values(), slots.values()))) == {}
         for name, p in params.items():
             want = returned.get(p, np.zeros_like(p.data))
             assert want.dtype == dtype
-            assert opt.grads[name].tobytes() == want.tobytes(), name
+            assert slots[name].tobytes() == want.tobytes(), name
 
     def test_row_sparse_first_arrival_leaves_zeros_outside_its_rows(self,
                                                                    dtype):
@@ -291,14 +315,16 @@ class TestArena:
                                        beta=0.1)
         schedule = train.ScheduleConfig(total_steps=4)
         train.train_epoch(model, records, tasks, settings, opt, schedule, 0, 0)
+        assert opt.grads.any()  # the last step's gradients
         clone, clone_opt = copy.deepcopy(model), copy.deepcopy(opt)
         originals = self.arenas(model, opt, dtype)
         copies = self.arenas(clone, clone_opt, dtype)
         for a, b in zip(originals, copies):
             assert not np.shares_memory(a, b)
             assert a.tobytes() == b.tobytes()
-        grads = _arena_of(list(clone_opt.grads.values()), dtype)
-        assert not grads.any() and clone_opt.step_count == opt.step_count
+        assert not np.shares_memory(clone_opt.grads, opt.grads)
+        assert not clone_opt.grads.any()
+        assert clone_opt.step_count == opt.step_count
         for m, o in ((model, opt), (clone, clone_opt)):
             train.train_epoch(m, records, tasks, settings, o, schedule, 1, 2)
         for a, b in zip(originals, self.arenas(clone, clone_opt, dtype)):
@@ -321,22 +347,33 @@ class TestArena:
             return copy.deepcopy(params), next(iter(params))
         return dict(reversed(params.items())), next(reversed(params))
 
-    @pytest.mark.parametrize("split",
-                             ["rebound", "deepcopied", "reordered", "swapped"])
+    @pytest.mark.parametrize("split", [
+        "rebound", "deepcopied", "reordered", "swapped",
+        "m:size", "m:dtype", "v:size", "v:dtype", "grads:size", "grads:dtype"])
     def test_adamw_step_rejects_parameters_outside_the_layout(self, dtype,
                                                               split):
+        """Parameters out of the layout, or a state buffer ("buffer:how")
+        rebound to an array of another size or dtype, raise before the step
+        count, a parameter or any of the state's buffers moves."""
         model, opt = self.build(dtype)
-        moments = self.arenas(model, opt, dtype)[1:]
-        before = [b.copy() for b in moments]
-        params, name = self.out_of_layout(model.parameters(), split)
+        opt.grads[...] = 1
+        if ":" in split:
+            name, how = split.split(":")
+            size = opt.m.size + (how == "size")
+            other = np.float32 if dtype == np.float64 else np.float64
+            setattr(opt, name,
+                    np.ones(size, dtype if how == "size" else other))
+            params = model.parameters()
+        else:
+            params, name = self.out_of_layout(model.parameters(), split)
+        buffers = [opt.grads, opt.m, opt.v]
+        before = [b.copy() for b in buffers]
         values = [p.data.copy() for p in params.values()]
-        for g in opt.grads.values():
-            g[...] = 1
         with pytest.raises(train.LayoutMismatch,
                            match=f"'{name}' breaks the optimizer's layout"):
             adamw_step(params, opt, lr=0.01)
         assert opt.step_count == 0
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(moments, before))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(buffers, before))
         assert all(p.data.tobytes() == v.tobytes()
                    for p, v in zip(params.values(), values))
 
@@ -356,7 +393,7 @@ class TestArena:
         else:
             params, name = self.out_of_layout(model.parameters(), split)
         values = [p.data.copy() for p in params.values()]
-        moments = [_arena_of(list(d.values()), dtype) for d in (opt.m, opt.v)]
+        moments = [opt.m, opt.v]
         before = [a.copy() for a in moments]
         records = synthesize_dataset(3, {"A": "carbonyl"}, 8)
         tasks = resolve_tasks(["A"], None, fallback_dim=5)

@@ -43,8 +43,9 @@ from arena_params import arena_params
 def set_grads(state: OptimizerState, grads: dict[str, np.ndarray]) -> None:
     """Write ``grads`` into the optimizer's gradient slots, where
     ``adamw_step`` reads them."""
+    slots = state.views(state.grads)
     for name, g in grads.items():
-        state.grads[name][...] = g
+        slots[name][...] = g
 
 
 class TestAdamW:
@@ -96,8 +97,8 @@ class TestAdamW:
         np.testing.assert_array_equal(params["a"].data, [1.0])
         np.testing.assert_array_equal(params["b"].data, [2.0])
         assert state.step_count == 0
-        np.testing.assert_array_equal(state.m["a"], [0.0])
-        np.testing.assert_array_equal(state.v["b"], [0.0])
+        np.testing.assert_array_equal(state.views(state.m)["a"], [0.0])
+        np.testing.assert_array_equal(state.views(state.v)["b"], [0.0])
 
     def test_learning_rate_override(self):
         params = arena_params({"w": np.array([1.0])})
@@ -139,8 +140,9 @@ def adamw_reference(params, grads, state, lr):
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
+    ms, vs = state.views(state.m), state.views(state.v)
     for name, p in params.items():
-        g, m, v = grads[name], state.m[name], state.v[name]
+        g, m, v = grads[name], ms[name], vs[name]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
@@ -166,10 +168,11 @@ class TestAdamWInPlace:
             set_grads(state, grads)
             adamw_step(params, state, lr=lr)
             adamw_reference(ref, grads, ref_state, lr)
+        got_m, got_v = state.views(state.m), state.views(state.v)
+        ref_m, ref_v = ref_state.views(ref_state.m), ref_state.views(ref_state.v)
         for k in shapes:
             for got, want in ((params[k].data, ref[k].data),
-                              (state.m[k], ref_state.m[k]),
-                              (state.v[k], ref_state.v[k])):
+                              (got_m[k], ref_m[k]), (got_v[k], ref_v[k])):
                 assert got.dtype == want.dtype == dtype
                 assert got.tobytes() == want.tobytes()
 
@@ -289,10 +292,12 @@ class TestArenaTraining:
                 skipped += metrics.skipped_batches
         assert step == 8 and skipped == ref_skipped == 1
         assert opt.step_count == ref_opt.step_count == 7
+        ms, vs = opt.views(opt.m), opt.views(opt.v)
+        ref_ms, ref_vs = ref_opt.views(ref_opt.m), ref_opt.views(ref_opt.v)
         for name, p in ref.parameters().items():
             got = model.parameters()[name]
-            for a, b in ((got.data, p.data), (opt.m[name], ref_opt.m[name]),
-                         (opt.v[name], ref_opt.v[name])):
+            for a, b in ((got.data, p.data), (ms[name], ref_ms[name]),
+                         (vs[name], ref_vs[name])):
                 assert a.dtype == b.dtype == dtype
                 assert a.tobytes() == b.tobytes(), name
 
@@ -468,7 +473,7 @@ class TestTrainingLoop:
         assert step == 2
         assert metrics.skipped_batches == 2
         assert opt.step_count == 0
-        assert all(np.all(m == 0) for m in opt.m.values())
+        assert not opt.m.any() and not opt.v.any()
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nan_logits_report_no_auc(self, tmp_path):
@@ -514,8 +519,8 @@ class TestTrainingLoop:
                 result = model.forward(batch, t_matrix, noise_on=True,
                                        rngs=noise_rngs(0, 0, len(model.blocks)))
                 loss = model_loss(model, result, labels, settings.beta).overall
-                tape.backward(loss, into=dict(zip(params.values(),
-                                                  opt.grads.values())))
+                tape.backward(loss, into=dict(zip(
+                    params.values(), opt.views(opt.grads).values())))
             adamw_step(params, opt, lr=settings.lr)
             return weakref.ref(tape)
 
