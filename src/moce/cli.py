@@ -14,14 +14,15 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import fields
 
 import numpy as np
 
 from .autodiff import FD_TOL, Tensor, check_rel_tol
 from .checkpoint import (CheckpointError, load_checkpoint, restore_model,
                          restore_optimizer, save_checkpoint)
-from .config import ConfigError, RunConfig, default_config_text, load_config, parse_config
+from .config import (RUN_CONTROL_KEYS, ConfigError, RunConfig, default_config_text,
+                     load_config, parse_config)
 from .encoder import batch_graphs
 from .experts import (MissingTaskEmbedding, TaskEmbeddingError,
                       load_task_embeddings, resolve_tasks)
@@ -170,6 +171,13 @@ def _epoch_line(metrics) -> str:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
+    if args.resume:  # a resumed run must be its checkpoint's run
+        ckpt = load_checkpoint(args.resume)
+        saved = parse_config(ckpt.config_text)
+        for key in (f.name for f in fields(cfg) if f.name not in RUN_CONTROL_KEYS):
+            if getattr(saved, key) != getattr(cfg, key):
+                raise ConfigError(f"checkpoint {args.resume} was trained with "
+                                  f"{key} = {saved.text_of(key)}, not {cfg.text_of(key)}")
     if not cfg.dataset:
         raise ConfigError("config must set `dataset`")
     records = load_dataset_csv(cfg.dataset)
@@ -189,26 +197,9 @@ def cmd_train(args) -> int:
 
     start_epoch, step = 0, 0
     if args.resume:
-        ckpt = load_checkpoint(args.resume)
-        saved, wanted = (asdict(c.model_config())
-                         for c in (parse_config(ckpt.config_text), cfg))
-        key = next((k for k in saved if saved[k] != wanted[k]), None)
-        if key is not None:  # resuming must not swap the model being trained
-            raise ConfigError(f"checkpoint {args.resume} was trained with "
-                              f"{key} = {saved[key]}, not {wanted[key]}")
         restore_model(model, ckpt)
         restore_optimizer(opt, ckpt)
         start_epoch, step = ckpt.epoch, ckpt.step
-        if ckpt.seed != cfg.seed:
-            print(f"note: resuming with checkpoint seed {ckpt.seed} "
-                  f"(config said {cfg.seed})", file=sys.stderr)
-        if (ckpt.lr, ckpt.weight_decay) != (cfg.lr, cfg.weight_decay):
-            print(f"note: resuming with checkpoint lr {ckpt.lr} and weight "
-                  f"decay {ckpt.weight_decay} (config said {cfg.lr} and "
-                  f"{cfg.weight_decay})", file=sys.stderr)
-        # the run goes on with these, so its checkpoints must record them
-        cfg = replace(cfg, seed=ckpt.seed, lr=ckpt.lr,
-                      weight_decay=ckpt.weight_decay)
     settings = cfg.train_settings()
 
     batches_per_epoch = max(1, math.ceil(len(train_records) / cfg.batch_size))

@@ -24,6 +24,12 @@ class ConfigError(ValueError):
     """Malformed or constraint-violating configuration."""
 
 
+# The keys a resume may change: where a run reads and writes, and when it stops.
+# A moved file holds the same data, so a resume does not check what it reads.
+RUN_CONTROL_KEYS = frozenset({"out_dir", "stop_after", "checkpoint_every",
+                              "dataset", "split_file", "task_embeddings"})
+
+
 @dataclass
 class RunConfig(ModelConfig):
     """Everything a training run needs, in one validated record; the model
@@ -98,14 +104,16 @@ class RunConfig(ModelConfig):
                                 imp=self.use_imp_loss, lod=self.use_lod_loss),
         )
 
+    def text_of(self, key: str) -> str:
+        """A key's value as the config file writes it."""
+        value = getattr(self, key)
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return str(value)
+
     def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            lines.append(f"{f.name} = {value}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name} = {self.text_of(f.name)}\n"
+                       for f in fields(self))
 
 
 def _convert(name: str, raw: str, target_type):

@@ -6,6 +6,7 @@ inspect stdout/stderr with capsys.
 
 import math
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from moce import molgraph
 from moce.checkpoint import load_checkpoint, restore_model, serialize
 from moce.cli import main
-from moce.config import parse_config
+from moce.config import RUN_CONTROL_KEYS, RunConfig, parse_config
 from moce.encoder import batch_graphs
 from moce.experts import resolve_tasks
 from moce.model import Model
@@ -38,6 +39,34 @@ dataset = {data}
 split_file = {splits}
 out_dir = {out}
 """
+
+
+# a valid value other than TINY_CFG's (or the default) for every key that is
+# not run-control, written as RunConfig.to_text writes it
+CHANGED_VALUES = {
+    "embed_dim": "8", "num_gnn_layers": "2", "num_processing_layers": "1",
+    "num_experts": "5", "k_s": "1", "k_t": "4", "pool_ratio": "0.9",
+    "task_dim": "8", "batch_size": "4", "epochs": "3", "seed": "6",
+    "lr": "0.05", "weight_decay": "0.3", "beta": "0.9",
+    "min_lr_fraction": "0.5", "precision": "float32",
+    "use_att_loss": "false", "use_exp_loss": "false", "use_imp_loss": "false",
+    "use_lod_loss": "false", "allow_fallback_embeddings": "false",
+}
+
+
+def run_files(checkpoint):
+    """The bytes of a run's checkpoint and of the metrics.csv beside it."""
+    return checkpoint.read_bytes(), (checkpoint.parent / "metrics.csv").read_bytes()
+
+
+def stopped_run(tmp_path, text, capsys):
+    """Train `text` up to epoch 1; its checkpoint and `run_files`."""
+    first = tmp_path / "first.cfg"
+    first.write_text(text + "stop_after = 1\n")
+    assert main(["train", "--config", str(first)]) == 0
+    capsys.readouterr()
+    checkpoint = tmp_path / "run" / "checkpoint.bin"
+    return checkpoint, run_files(checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +191,11 @@ class TestTrain:
         assert workdir["checkpoint"].read_bytes() == first.read_bytes()
 
     def test_resume_matches_unbroken_run(self, workdir, capsys):
+        # stopped after epoch 1, then resumed with the run-control keys
+        # changed: another out_dir, the inputs copied to other paths, and
+        # periodic checkpoints; the run is still the unbroken one
+        assert RUN_CONTROL_KEYS == {"out_dir", "stop_after", "checkpoint_every",
+                                    "dataset", "split_file", "task_embeddings"}
         root = workdir["root"]
         cfg_a = root / "a.cfg"
         cfg_a.write_text(TINY_CFG.format(data=workdir["data"],
@@ -169,59 +203,44 @@ class TestTrain:
                                          out=root / "run-a")
                          + "stop_after = 1\n")
         assert main(["train", "--config", str(cfg_a)]) == 0
+        moved = root / "moved"
+        moved.mkdir()
+        for name in ("data", "splits"):
+            shutil.copy(workdir[name], moved / workdir[name].name)
         cfg_b = root / "b.cfg"
-        cfg_b.write_text(TINY_CFG.format(data=workdir["data"],
-                                         splits=workdir["splits"],
-                                         out=root / "run-a"))
+        cfg_b.write_text(TINY_CFG.format(data=moved / workdir["data"].name,
+                                         splits=moved / workdir["splits"].name,
+                                         out=root / "run-b")
+                         + "checkpoint_every = 1\n")
         assert main(["train", "--config", str(cfg_b), "--resume",
                      str(root / "run-a" / "checkpoint.bin")]) == 0
         capsys.readouterr()
 
-        resumed = load_checkpoint(root / "run-a" / "checkpoint.bin")
+        resumed = load_checkpoint(root / "run-b" / "checkpoint.bin")
         unbroken = load_checkpoint(workdir["checkpoint"])
-        assert resumed.step == unbroken.step
-        for name in unbroken.params:
-            assert np.array_equal(resumed.params[name], unbroken.params[name])
-            assert np.array_equal(resumed.opt_m[name], unbroken.opt_m[name])
-
-    def test_resume_keeps_checkpoint_lr_and_weight_decay(self, workdir,
-                                                         capsys):
-        # the resumed run edits seed, lr and weight_decay; the checkpoint's
-        # values win, so the run still matches the unbroken one, and its
-        # checkpoint records the values it ran with
-        root = workdir["root"]
-        cfg_a = root / "lr-a.cfg"
-        cfg_a.write_text(TINY_CFG.format(data=workdir["data"],
-                                         splits=workdir["splits"],
-                                         out=root / "run-lr")
-                         + "stop_after = 1\n")
-        assert main(["train", "--config", str(cfg_a)]) == 0
-        capsys.readouterr()
-        cfg_b = root / "lr-b.cfg"
-        cfg_b.write_text(TINY_CFG.format(data=workdir["data"],
-                                         splits=workdir["splits"],
-                                         out=root / "run-lr")
-                         .replace("lr = 0.005", "lr = 0.05")
-                         .replace("seed = 5", "seed = 7")
-                         + "weight_decay = 0.3\n")
-        assert main(["train", "--config", str(cfg_b), "--resume",
-                     str(root / "run-lr" / "checkpoint.bin")]) == 0
-        err = capsys.readouterr().err
-        assert err.count("note: resuming with checkpoint seed 5 "
-                         "(config said 7)") == 1
-        assert err.count("note: resuming with checkpoint lr 0.005 and "
-                         "weight decay 0.01 (config said 0.05 and 0.3)") == 1
-
-        resumed = load_checkpoint(root / "run-lr" / "checkpoint.bin")
-        unbroken = load_checkpoint(workdir["checkpoint"])
-        saved = parse_config(resumed.config_text)
-        for run in (resumed, saved):
-            assert (run.seed, run.lr, run.weight_decay) == (5, 0.005, 0.01)
-        assert resumed.step == unbroken.step
+        assert (resumed.epoch, resumed.step) == (unbroken.epoch, unbroken.step)
         for name in unbroken.params:
             assert np.array_equal(resumed.params[name], unbroken.params[name])
             assert np.array_equal(resumed.opt_m[name], unbroken.opt_m[name])
             assert np.array_equal(resumed.opt_v[name], unbroken.opt_v[name])
+
+    def test_resume_with_another_seed_lr_or_weight_decay_is_data_error(
+            self, workdir, tmp_path, capsys):
+        # seed, lr and weight_decay are not run-control: an edit of all three
+        # is refused, naming the first of them in field order
+        text = TINY_CFG.format(data=workdir["data"], splits=workdir["splits"],
+                               out=tmp_path / "run")
+        checkpoint, before = stopped_run(tmp_path, text, capsys)
+        edited = tmp_path / "edited.cfg"
+        edited.write_text(text.replace("lr = 0.005", "lr = 0.05")
+                          .replace("seed = 5", "seed = 7")
+                          + "weight_decay = 0.3\n")
+        assert main(["train", "--config", str(edited), "--resume",
+                     str(checkpoint)]) == 2
+        assert one_line_error(capsys, "train") == (
+            f"moce train: error: checkpoint {checkpoint} was trained with "
+            "seed = 5, not 7\n")
+        assert run_files(checkpoint) == before
 
     def test_checkpoint_every_writes_each_epoch_but_the_last(
             self, workdir, tmp_path, capsys):
@@ -280,13 +299,15 @@ class TestTrain:
         assert (tmp_path / "fresh" / "metrics.csv").read_bytes() == b"".join(
             [header] + [r for r in rows if not r.startswith(b"0,")])
 
-    @pytest.mark.parametrize("edit", [
-        lambda text: text,
-        lambda text: text.replace("epochs = 2", "epochs = 4") + "stop_after = 2\n",
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text, "was trained with epochs = 4, not 2"),
+        (lambda text: text.replace("epochs = 2", "epochs = 4")
+         + "stop_after = 2\n", "at epoch 4, past this run's last epoch 2"),
     ], ids=["epochs", "stop_after"])
     def test_resume_past_the_last_epoch_is_data_error(self, workdir, tmp_path,
-                                                      capsys, edit):
-        # a 4-epoch run's checkpoint resumed by a run that ends at epoch 2
+                                                      capsys, edit, message):
+        # a 4-epoch run's checkpoint resumed by a run that ends at epoch 2:
+        # by fewer epochs, which would change the schedule, or by stop_after
         text = TINY_CFG.format(data=workdir["data"], splits=workdir["splits"],
                                out=tmp_path / "run")
         four = tmp_path / "four.cfg"
@@ -294,43 +315,38 @@ class TestTrain:
         assert main(["train", "--config", str(four)]) == 0
         capsys.readouterr()
         checkpoint = tmp_path / "run" / "checkpoint.bin"
-        metrics = tmp_path / "run" / "metrics.csv"
-        before = checkpoint.read_bytes(), metrics.read_bytes()
+        before = run_files(checkpoint)
 
         two = tmp_path / "two.cfg"
         two.write_text(edit(text))
         assert main(["train", "--config", str(two), "--resume",
                      str(checkpoint)]) == 2
-        err = one_line_error(capsys, "train")
-        assert "at epoch 4, past this run's last epoch 2" in err
-        assert (checkpoint.read_bytes(), metrics.read_bytes()) == before
+        assert message in one_line_error(capsys, "train")
+        assert run_files(checkpoint) == before
 
-    @pytest.mark.parametrize("key, edit", [
-        ("k_s", lambda text: text.replace("k_s = 2", "k_s = 1")),
-        ("pool_ratio", lambda text: text + "pool_ratio = 0.9\n"),
-        ("embed_dim", lambda text: text.replace("embed_dim = 6",
-                                                "embed_dim = 8")),
-    ], ids=["k_s", "pool_ratio", "embed_dim"])
-    def test_resume_with_another_model_shape_is_data_error(
-            self, workdir, tmp_path, capsys, key, edit):
-        # a run stopped after epoch 1, resumed by a config for another model
+    @pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)
+                                     if f.name not in RUN_CONTROL_KEYS])
+    def test_resume_changing_a_key_is_data_error(self, workdir, tmp_path,
+                                                 capsys, key):
+        # a stopped run resumed with one key edited: every key but the
+        # run-control ones is refused, naming both values as the config file
+        # writes them, before any file is written
+        assert key in CHANGED_VALUES, f"{key} is neither run-control nor tested"
         text = TINY_CFG.format(data=workdir["data"], splits=workdir["splits"],
                                out=tmp_path / "run")
-        first = tmp_path / "first.cfg"
-        first.write_text(text + "stop_after = 1\n")
-        assert main(["train", "--config", str(first)]) == 0
-        capsys.readouterr()
-        checkpoint = tmp_path / "run" / "checkpoint.bin"
-        metrics = tmp_path / "run" / "metrics.csv"
-        before = checkpoint.read_bytes(), metrics.read_bytes()
-
+        checkpoint, before = stopped_run(tmp_path, text, capsys)
+        saved = dict(line.split(" = ", 1) for line in
+                     load_checkpoint(checkpoint).config_text.splitlines())
+        kept = [line for line in text.splitlines(keepends=True)
+                if not line.startswith(f"{key} =")]
         edited = tmp_path / "edited.cfg"
-        edited.write_text(edit(text))
+        edited.write_text("".join(kept) + f"{key} = {CHANGED_VALUES[key]}\n")
         assert main(["train", "--config", str(edited), "--resume",
                      str(checkpoint)]) == 2
-        err = one_line_error(capsys, "train")
-        assert f"was trained with {key} = " in err
-        assert (checkpoint.read_bytes(), metrics.read_bytes()) == before
+        assert one_line_error(capsys, "train") == (
+            f"moce train: error: checkpoint {checkpoint} was trained with "
+            f"{key} = {saved[key]}, not {CHANGED_VALUES[key]}\n")
+        assert run_files(checkpoint) == before
 
     @pytest.mark.parametrize("field, value", [
         ("seed", -1), ("epoch", -1), ("step", -1), ("opt_step_count", -5),
