@@ -174,6 +174,13 @@ def cmd_train(args) -> int:
     if args.resume:  # a resumed run must be its checkpoint's run
         ckpt = load_checkpoint(args.resume)
         saved = parse_config(ckpt.config_text)
+        # restore_optimizer takes lr and weight decay from the header, while
+        # the rule below reads the config text: the two must agree
+        for key in ("seed", "lr", "weight_decay"):
+            if getattr(ckpt, key) != getattr(saved, key):
+                raise CheckpointError(
+                    f"checkpoint {args.resume} has {key} = {getattr(ckpt, key)} "
+                    f"in its header but {saved.text_of(key)} in its config text")
         for key in (f.name for f in fields(cfg) if f.name not in RUN_CONTROL_KEYS):
             if getattr(saved, key) != getattr(cfg, key):
                 raise ConfigError(f"checkpoint {args.resume} was trained with "

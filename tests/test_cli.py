@@ -370,6 +370,31 @@ class TestTrain:
         assert field in one_line_error(capsys, "train")
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("field, value, text", [
+        ("seed", 6, "5"), ("lr", 0.05, "0.005"), ("weight_decay", 0.3, "0.01")])
+    def test_resume_from_a_header_unlike_its_config_text_is_data_error(
+            self, workdir, tmp_path, capsys, field, value, text):
+        # the optimizer would train on at the header's value while the
+        # files it writes name the config text's
+        ckpt = load_checkpoint(workdir["checkpoint"])
+        fields = {name: getattr(ckpt, name) for name in (
+            "seed", "epoch", "step", "opt_step_count", "lr", "weight_decay")}
+        fields[field] = value
+        bad = tmp_path / "resealed.bin"
+        bad.write_bytes(serialize(ckpt.config_text, ckpt.params, ckpt.opt_m,
+                                  ckpt.opt_v, **fields))
+        cfg = tmp_path / "resume.cfg"
+        # a dataset that is not there: the header is checked before it is read
+        cfg.write_text(TINY_CFG.format(data=tmp_path / "absent.csv",
+                                       splits=workdir["splits"],
+                                       out=tmp_path / "run"))
+        assert main(["train", "--config", str(cfg), "--resume",
+                     str(bad)]) == 2
+        assert one_line_error(capsys, "train") == (
+            f"moce train: error: checkpoint {bad} has {field} = {value} in "
+            f"its header but {text} in its config text\n")
+        assert not (tmp_path / "run").exists()
+
     def test_missing_dataset_key_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "no-data.cfg"
         cfg.write_text("epochs = 1\n")

@@ -13,10 +13,12 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moce.checkpoint import MAGIC, CheckpointError, deserialize, serialize
+from moce.checkpoint import MAGIC, CheckpointError, serialize
 from moce.experts import TaskEmbeddingError, load_task_embeddings
 from moce.molgraph import (DatasetError, SmilesError, SplitAssignment,
                            load_dataset_csv, parse_smiles)
+
+from decode_alike import decoded_alike
 
 SMILES_ALPHABET = "CNOSPFIBrlcnosp()[]=#$:@+-0123456789%.H/\\*"
 NOT_UTF8 = b"\xff\xfe not UTF-8 \xc3\x28\n"
@@ -283,15 +285,18 @@ BODY = serialize("seed = 1\n", PARAMS, ZEROS, ZEROS, seed=1, epoch=2,
 @given(st.lists(st.tuples(st.integers(len(MAGIC), len(BODY) - 1),
                           st.integers(0, 255)), max_size=4),
        st.integers(len(MAGIC), len(BODY)), st.binary(max_size=12))
-def test_deserialize_returns_or_raises_checkpoint_error(edits, cut, tail):
+def test_deserialize_returns_or_raises_checkpoint_error(tmp_path_factory,
+                                                        edits, cut, tail):
     """The body is damaged and then given a valid digest, so the parser
-    itself, not the checksum, must reject it."""
+    itself, not the checksum, must reject it, from bytes and from a file
+    alike."""
     body = bytearray(BODY)
     for pos, value in edits:
         body[pos] = value
     body = bytes(body[:cut]) + tail
+    blob = body + hashlib.sha256(body).digest()
     try:
-        deserialize(body + hashlib.sha256(body).digest())
+        decoded_alike(blob, written(tmp_path_factory, blob))
     except CheckpointError:
         pass
 
